@@ -9,11 +9,10 @@ one operation at a time (a closed loop with one client), exactly as a user
 runs it, and every operation's outputs are checked.
 
 Workloads (BENCHMARK.json gives the reasons):
-  rebuild             ``build --anchors <pair>``, a new seeded pair per operation
-  replay-certificate  ``verify-design --in`` then ``verify-coherent --in``
-                      on the seed's valid certificate
-  replay-tampered     the same two commands on three seeded false
-                      certificates, plus an untimed probe of six malformed files
+  rebuild  ``build --anchors <pair>``, a new seeded pair per operation
+  replay   ``verify-design --in`` then ``verify-coherent --in`` on the seed's
+           valid certificate, then on one of three seeded false ones in
+           turn; plus an untimed probe of six malformed files
 
 ``--trace 0`` reports the end-to-end metrics of BENCHMARK.json.
 ``--trace 1`` alternates untraced operations with operations run through
@@ -55,7 +54,7 @@ BLAS_THREADS = 1
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 MIN_OPS = 3  # operations per run, even when they overrun --seconds
-MIN_SETUP_SAMPLES = 7
+MIN_SETUP_SAMPLES = 15
 STEP_TIMEOUT_S = 170
 SETUP_CODE = (
     "import leechdesign.cli\n"
@@ -144,6 +143,7 @@ class Step:
     exit_code: int = 0
     stage: Optional[str] = None  # report_<stage>.canonical.json to check
     failed_claim: Optional[str] = None  # first failed claim; None: all pass
+    out: str = "."  # the command's --out, within the operation's directory
 
 
 @dataclass
@@ -293,7 +293,7 @@ def check_steps(case: Case, out_dir: Path, results) -> Optional[str]:
         if step.failed_claim and f"FIRST FAILED CLAIM: {step.failed_claim} " not in stderr:
             return f"{where}: stderr does not name {step.failed_claim}"
         if step.stage:
-            report = out_dir / f"report_{step.stage}.canonical.json"
+            report = out_dir / step.out / f"report_{step.stage}.canonical.json"
             problem = check_report(report, step.stage, step.failed_claim)
             if problem:
                 return f"{where}: {problem}"
@@ -395,11 +395,11 @@ def probe_malformed(launcher: Launcher, paths: list[Path], work: Path) -> list[s
 # -- workloads ----------------------------------------------------------------
 
 
-def verify_steps(path: Path, design_claim=None, coherent_claim=None) -> list[Step]:
-    """verify-design then verify-coherent on one certificate; a command with
-    an expected failed claim must exit 1."""
+def verify_steps(path: Path, out: str, design_claim=None, coherent_claim=None) -> list[Step]:
+    """verify-design then verify-coherent on one certificate, writing to
+    `out`; a command with an expected failed claim must exit 1."""
     return [
-        Step([command, "--in", str(path), "--out", "."], 1 if claim else 0, stage, claim)
+        Step([command, "--in", str(path), "--out", out], 1 if claim else 0, stage, claim, out)
         for command, stage, claim in (
             ("verify-design", "design", design_claim),
             ("verify-coherent", "coherent", coherent_claim),
@@ -422,7 +422,7 @@ def rebuild_cases(seed: int, count: int) -> list[Case]:
 
 def prepare(launcher: Launcher, workload: str, seed: int, work: Path, trace: bool):
     """The cases of a workload, the traced pipeline run (rebuild only) and
-    the problems found by the malformed-file probe (replay-tampered only)."""
+    the problems found by the malformed-file probe (replay only)."""
     import inputs
 
     if workload == "rebuild":
@@ -434,13 +434,18 @@ def prepare(launcher: Launcher, workload: str, seed: int, work: Path, trace: boo
             steps = [Step(["all", f"--anchors={inputs.anchors_arg(a, b)}", "--out", "."])]
             pipeline = Case("all", steps, check=all_reports_pass)
         return cases, pipeline, []
+    # replay: each operation replays the valid certificate, then one of the
+    # three false ones in turn.  One workload takes both the accept and the
+    # reject path, so that both are timed in every run.
     valid = inputs.certificate(seed, work)
-    if workload == "replay-certificate":
-        return [Case("valid", verify_steps(valid.path), check=check_tensor)], None, []
-    certs = inputs.tampered_certificates(seed, valid, work)  # replay-tampered
     cases = [
-        Case(c.label, verify_steps(c.path, c.design_claim, c.coherent_claim))
-        for c in certs
+        Case(
+            c.label,
+            verify_steps(valid.path, "valid")
+            + verify_steps(c.path, "false", c.design_claim, c.coherent_claim),
+            check=lambda d: check_tensor(d / "valid"),
+        )
+        for c in inputs.tampered_certificates(seed, valid, work)
     ]
     malformed = probe_malformed(launcher, inputs.malformed_files(seed, valid.path, work), work)
     return cases, None, malformed
@@ -491,9 +496,11 @@ class Run:
         self.cases = cases
         self.work = work
         self.seconds = seconds
+        outputs = ["design.txt", "x1.txt", "x2.txt", "tensor.txt"] + [
+            f"report_{stage}.canonical.json" for stage in CLAIMS
+        ]
         self.repeat = RepeatCheck(
-            ["design.txt", "x1.txt", "x2.txt", "tensor.txt"]
-            + [f"report_{stage}.canonical.json" for stage in CLAIMS]
+            [f"{out}/{name}" for out in (".", "valid", "false") for name in outputs]
         )
         self.samples: list[Sample] = []
         self.traced: list[Sample] = []
@@ -510,15 +517,17 @@ class Run:
         return sample
 
     def measure(self, trace: bool) -> list[float]:
-        """Operations round-robin over the cases until --seconds have
-        passed (at least MIN_OPS, or one when traced).  Untraced: one
-        set-up sample before each operation.  Traced: each operation
-        untraced, then traced."""
+        """Operations round-robin over the cases (at least MIN_OPS, or one
+        when traced); the next one starts only if, at the mean pace so
+        far, it ends within half an operation of --seconds, so that runs
+        last --seconds on average.  Untraced: one set-up sample before
+        each operation, topped up to MIN_SETUP_SAMPLES at the end.
+        Traced: each operation untraced, then traced."""
         setup = []
         start = time.perf_counter()
         least = 1 if trace else MIN_OPS
         n = 0
-        while n < least or time.perf_counter() - start < self.seconds:
+        while n < least or (time.perf_counter() - start) * (n + 0.5) / n <= self.seconds:
             case = self.cases[n % len(self.cases)]
             if not trace:
                 setup.append(measure_setup(self.launcher, self.work))
@@ -644,7 +653,7 @@ def main(argv=None) -> int:
         print(f"FAILED {failure}")
     for problem in malformed:
         print(f"KNOWN DEFECT malformed input {problem}")
-    if args.workload == "replay-tampered":
+    if args.workload == "replay":
         print(f"malformed_failed {len(malformed)}/12 (not counted in failed; see README)")
 
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}
