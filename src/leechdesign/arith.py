@@ -1,31 +1,17 @@
-"""Exact arithmetic substrate: rationals and the field Q(sqrt5, sqrt11).
+"""Exact arithmetic substrate: rationals and exact rational linear algebra.
 
-Every verification decision in this package is made on exact values.
-Rationals are `fractions.Fraction` (arbitrary precision, always in lowest
-terms with positive denominator).  The quartic field is represented as a
-fixed 4-dimensional Q-vector space
-
-    a + b*sqrt(5) + c*sqrt(11) + d*sqrt(55)
-
-with a hard-coded multiplication table; only these two radicals ever occur
-in the pipeline.  Floating point is available for display only.
+Every verification decision in this package is made on exact values, and
+every one of them is rational: `fractions.Fraction` (arbitrary precision,
+always in lowest terms with positive denominator) is the only exact number
+type.  The radicals of the construction never need representing: the
+strength sums are rational, and the cross-shell products are reported
+multiplied by sqrt(11), which makes them rational too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import sqrt as _fsqrt
 from typing import Sequence
-
-Rational = Fraction
-
-_SQRT5 = _fsqrt(5.0)
-_SQRT11 = _fsqrt(11.0)
-_SQRT55 = _fsqrt(55.0)
-
-
-class DivisionByZeroScalar(ZeroDivisionError):
-    """Division by an exactly-zero field element."""
 
 
 class SingularMatrixError(ValueError):
@@ -37,11 +23,6 @@ class SingularMatrixError(ValueError):
         super().__init__(f"singular matrix: rank {rank} < size {size}")
 
 
-def rat(p, q=1) -> Fraction:
-    """Shorthand constructor for exact rationals."""
-    return Fraction(p, q)
-
-
 def rat_to_text(x: Fraction) -> str:
     """Serialize a rational as "p/q" (q always present and positive)."""
     return f"{x.numerator}/{x.denominator}"
@@ -50,190 +31,6 @@ def rat_to_text(x: Fraction) -> str:
 def rat_from_text(s: str) -> Fraction:
     p, q = s.strip().split("/")
     return Fraction(int(p), int(q))
-
-
-class ExactScalar:
-    """Element of Q(sqrt5, sqrt11), immutable.
-
-    Supports ring operations with other scalars, ints and Fractions, exact
-    division, and exact zero testing.  Ordering is deliberately not
-    provided: enumeration bounds are rational-only, field elements only
-    ever need equality.
-    """
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactScalar is immutable")
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, x) -> "ExactScalar":
-        return cls(Fraction(x))
-
-    @staticmethod
-    def coerce(x) -> "ExactScalar":
-        if isinstance(x, ExactScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return ExactScalar(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
-
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other):
-        o = self.coerce(other)
-        return ExactScalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactScalar(-self.a, -self.b, -self.c, -self.d)
-
-    def __sub__(self, other):
-        return self + (-self.coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + self.coerce(other)
-
-    def __mul__(self, other):
-        o = self.coerce(other)
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = o.a, o.b, o.c, o.d
-        # (a + b r5 + c r11 + d r55)(e + f r5 + g r11 + h r55); r5*r11 = r55,
-        # r5^2 = 5, r11^2 = 11, r55^2 = 55, r5*r55 = 5 r11, r11*r55 = 11 r5.
-        return ExactScalar(
-            a * e + 5 * b * f + 11 * c * g + 55 * d * h,
-            a * f + b * e + 11 * (c * h + d * g),
-            a * g + c * e + 5 * (b * h + d * f),
-            a * h + d * e + b * g + c * f,
-        )
-
-    __rmul__ = __mul__
-
-    def conj_r5(self) -> "ExactScalar":
-        """Galois conjugate sending sqrt5 -> -sqrt5."""
-        return ExactScalar(self.a, -self.b, self.c, -self.d)
-
-    def conj_r11(self) -> "ExactScalar":
-        """Galois conjugate sending sqrt11 -> -sqrt11."""
-        return ExactScalar(self.a, self.b, -self.c, -self.d)
-
-    def inverse(self) -> "ExactScalar":
-        if self.is_zero():
-            raise DivisionByZeroScalar("inverse of zero in Q(sqrt5, sqrt11)")
-        # Multiply by the three nontrivial Galois conjugates; the product of
-        # all four conjugates is the field norm, a nonzero rational.
-        c1 = self.conj_r5()
-        c2 = self.conj_r11()
-        c3 = c1.conj_r11()
-        num = c1 * c2 * c3
-        norm = self * num
-        assert norm.b == 0 and norm.c == 0 and norm.d == 0 and norm.a != 0
-        inv_norm = 1 / norm.a
-        return ExactScalar(
-            num.a * inv_norm, num.b * inv_norm, num.c * inv_norm, num.d * inv_norm
-        )
-
-    def __truediv__(self, other):
-        o = self.coerce(other)
-        if o.is_zero():
-            raise DivisionByZeroScalar("division by zero in Q(sqrt5, sqrt11)")
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.coerce(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # -- predicates ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        # sqrt5, sqrt11, sqrt55 are linearly independent over Q, so zero
-        # testing is componentwise.
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.d == 0
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
-    def __eq__(self, other):
-        try:
-            o = self.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return (
-            self.a == o.a and self.b == o.b and self.c == o.c and self.d == o.d
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    # -- display ------------------------------------------------------------
-
-    def approx_as_float(self) -> float:
-        """Float image, for display and sanity checks only, never decisions."""
-        return (
-            float(self.a)
-            + float(self.b) * _SQRT5
-            + float(self.c) * _SQRT11
-            + float(self.d) * _SQRT55
-        )
-
-    def to_text(self) -> str:
-        """Canonical form "a + b*r5 + c*r11 + d*r55", components as p/q."""
-        return (
-            f"{rat_to_text(self.a)} + {rat_to_text(self.b)}*r5 + "
-            f"{rat_to_text(self.c)}*r11 + {rat_to_text(self.d)}*r55"
-        )
-
-    @classmethod
-    def from_text(cls, s: str) -> "ExactScalar":
-        parts = [p.strip() for p in s.split("+")]
-        if len(parts) != 4:
-            raise ValueError(f"malformed ExactScalar text: {s!r}")
-        vals = []
-        for part, tag in zip(parts, ("", "*r5", "*r11", "*r55")):
-            if tag:
-                if not part.endswith(tag):
-                    raise ValueError(f"malformed ExactScalar component: {part!r}")
-                part = part[: -len(tag)]
-            vals.append(rat_from_text(part))
-        return cls(*vals)
-
-    def __repr__(self):
-        return f"ExactScalar({self.a}, {self.b}, {self.c}, {self.d})"
-
-    def __str__(self):
-        return self.to_text()
-
-
-ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
-SQRT5 = ExactScalar(0, 1, 0, 0)
-SQRT11 = ExactScalar(0, 0, 1, 0)
-SQRT55 = ExactScalar(0, 0, 0, 1)
 
 
 def rational_linear_solve(

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import io as design_io
+from .arith import rat_to_text
 from .construct import (
     DesignConstructionError,
     WeightedPointSet,
@@ -137,7 +138,7 @@ def verify_design_claims(
         f"{sum(c.passed for c in conds6)} of {len(conds6)}",
         t.ms,
     )
-    report.note("strength-6-values", {c.label: c.value.to_text() for c in conds6})
+    report.note("strength-6-values", {c.label: rat_to_text(c.value) for c in conds6})
     report.note(
         "strength-l0-conditions",
         "omitted: they hold identically for unions of concentric layers",
@@ -154,7 +155,7 @@ def verify_design_claims(
     )
     report.note(
         "degree-7-values",
-        {c.label: str(c.value.a) for c in degree7},
+        {c.label: str(c.value) for c in degree7},
     )
 
     with Timer() as t:
@@ -241,7 +242,6 @@ def verify_unique_claims(
     report: VerificationReport,
     anchors=None,
     out_dir: Optional[Path] = None,
-    workers: int = 1,
 ) -> None:
     ctx = default_context()
     a, b = anchors if anchors is not None else (A_CANONICAL, B_CANONICAL)
@@ -268,9 +268,7 @@ def verify_unique_claims(
     report.check("unique/dual-frame-biorthogonal", True, biorthogonal, t.ms)
 
     with Timer() as t:
-        cands = enumerate_candidates(
-            frame, layer, prune_with_constraints=False, workers=workers
-        )
+        cands = enumerate_candidates(frame, layer, prune_with_constraints=False)
     report.check("unique/candidate-count", 4050, len(cands.vectors3), t.ms)
     report.check(
         "unique/norm-passing-but-filter-failing",
@@ -304,7 +302,7 @@ def verify_unique_claims(
 
     with Timer() as t:
         shell = enumerate_coset_shell(
-            [CosetConstraint(a, 0), CosetConstraint(b, -2)], 4, ctx, workers=workers
+            [CosetConstraint(a, 0), CosetConstraint(b, -2)], 4, ctx
         )
         twin_from_lattice = project_rows_scaled(shell, a, b, mult=15)
         same = rows_as_set(split.part_b) == rows_as_set(twin_from_lattice)
@@ -383,7 +381,7 @@ def verify_seven_claims(
     report.check("seven/y-antipodal-pairs", 2300, pairs, t.ms)
 
     with Timer() as t:
-        same = check_X1_equals_PY(a, b, ctx)
+        same = check_X1_equals_PY(ws, ys[1], a, b)
     report.check("seven/shell1-equals-projected-y-family", True, same, t.ms)
 
     # The sphere model and the single-projection model agree: the Gram
@@ -421,7 +419,7 @@ def _load_or_build(args, anchors) -> WeightedPointSet:
             raise SystemExit(EXIT_USAGE)
         return design_io.read_design(path)
     a, b = anchors
-    return build_design(a, b, workers=args.threads)
+    return build_design(a, b)
 
 
 def main(argv=None) -> int:
@@ -450,7 +448,6 @@ def _main(argv=None) -> int:
     )
     parser.add_argument("--anchors", help="a1,..,a24;b1,..,b24 (scaled integer frame)")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=20240601)
     parser.add_argument("--float-oracle", action="store_true")
     parser.add_argument(
@@ -460,9 +457,6 @@ def _main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     anchors = (
         _parse_anchors(args.anchors)
         if args.anchors
@@ -477,7 +471,7 @@ def _main(argv=None) -> int:
 
     try:
         if args.command == "build":
-            ws = build_design(*anchors, workers=args.threads)
+            ws = build_design(*anchors)
             design_io.write_design(out_dir / "design.txt", ws)
             design_io.write_design(
                 out_dir / "x1.txt", WeightedPointSet(layers=(ws.layers[0],))
@@ -511,9 +505,7 @@ def _main(argv=None) -> int:
             elif stage == "coherent":
                 verify_coherent_claims(ws, report, out_dir=out_dir)
             elif stage == "unique":
-                verify_unique_claims(
-                    ws, report, anchors=anchors, out_dir=out_dir, workers=args.threads
-                )
+                verify_unique_claims(ws, report, anchors=anchors, out_dir=out_dir)
             elif stage == "seven":
                 verify_seven_claims(ws, report, anchors=anchors)
             report.write(out_dir, f"report_{stage}")

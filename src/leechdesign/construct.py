@@ -7,6 +7,11 @@ with denominators d_u, d_v is (u . v) / (8 d_u d_v).  For the design built
 here all denominators are 5 (the A,B-projection has denominator 15 and the
 outer shell is rescaled by 3), so every pairwise quantity downstream is an
 exact integer computation.
+
+The companions are the four norm-4 families Y projected along one anchor,
+and the antipodal double cover of the design on S^22.  The cover is never
+materialized: its inner products follow from the design's integer Gram
+blocks, and every one of them is rational.
 """
 
 from __future__ import annotations
@@ -103,16 +108,6 @@ def gram_solve_2x2(rhs_a: Fraction, rhs_b: Fraction) -> tuple[Fraction, Fraction
     return ca, cb
 
 
-def project_AB(x, a, b) -> list[Fraction]:
-    """Orthogonal projection of one vector to the complement of span(a, b),
-    exact, in scaled-frame coordinates."""
-    ca, cb = gram_solve_2x2(conventional_inner(x, a), conventional_inner(x, b))
-    return [
-        Fraction(int(xi)) - ca * int(ai) - cb * int(bi)
-        for xi, ai, bi in zip(x, a, b)
-    ]
-
-
 def project_rows_scaled(rows: np.ndarray, a, b, mult: int) -> np.ndarray:
     """mult * P(row) for every row, verified integral."""
     rows = np.asarray(rows, dtype=np.int64)
@@ -149,7 +144,6 @@ def build_design(
     a=None,
     b=None,
     ctx: Optional[LeechContext] = None,
-    workers: int = 1,
 ) -> WeightedPointSet:
     """The weighted configuration: 275 points at squared radius 12/5 with
     weight 1, and 2025 points at squared radius 132/5 with weight 1/729."""
@@ -161,10 +155,10 @@ def build_design(
     check_anchor_pair(a, b, ctx)
 
     shell1 = enumerate_coset_shell(
-        [CosetConstraint(a, 3), CosetConstraint(b, -3)], 6, ctx, workers=workers
+        [CosetConstraint(a, 3), CosetConstraint(b, -3)], 6, ctx
     )
     shell2 = enumerate_coset_shell(
-        [CosetConstraint(a, 2), CosetConstraint(b, 0)], 4, ctx, workers=workers
+        [CosetConstraint(a, 2), CosetConstraint(b, 0)], 4, ctx
     )
     if shell1.shape[0] != 275 or shell2.shape[0] != 2025:
         raise DesignConstructionError(
@@ -182,7 +176,7 @@ def build_design(
     return WeightedPointSet(layers=(layer1, layer2))
 
 
-def build_Y(a=None, b=None, ctx: Optional[LeechContext] = None, workers: int = 1):
+def build_Y(a=None, b=None, ctx: Optional[LeechContext] = None):
     """The four norm-4 families with (x, a) = 2 and (x, b) in {1, 0, -1, -2},
     projected along a only; stored as 2 * P0(x) with denominator 2.
 
@@ -200,7 +194,7 @@ def build_Y(a=None, b=None, ctx: Optional[LeechContext] = None, workers: int = 1
     out = {}
     for key, bval in b_value.items():
         shell = enumerate_coset_shell(
-            [CosetConstraint(a, 2), CosetConstraint(b, bval)], 4, ctx, workers=workers
+            [CosetConstraint(a, 2), CosetConstraint(b, bval)], 4, ctx
         )
         if shell.shape[0] != expected[key]:
             raise DesignConstructionError(
@@ -242,43 +236,21 @@ def y_antipodal_pair_count(y_sets) -> int:
     return pairs
 
 
-def check_X1_equals_PY(a=None, b=None, ctx: Optional[LeechContext] = None) -> bool:
+def check_X1_equals_PY(ws: WeightedPointSet, y_plus1: np.ndarray, a, b) -> bool:
     """Does projecting the (2, 1) family through the full A,B-projection
-    reproduce the inner shell exactly, as sets of rational vectors?"""
-    ctx = ctx or default_context()
-    from .lattice import A_CANONICAL, B_CANONICAL
+    reproduce the inner shell of `ws` exactly, as sets of rational vectors?
 
-    a = A_CANONICAL if a is None else np.asarray(a, dtype=np.int64)
-    b = B_CANONICAL if b is None else np.asarray(b, dtype=np.int64)
-
-    design = build_design(a, b, ctx)
-    y_plus1 = enumerate_coset_shell(
-        [CosetConstraint(a, 2), CosetConstraint(b, 1)], 4, ctx
-    )
+    `y_plus1` is Y[+1] as `build_Y` returns it, 2 * P_a(x) at denominator 2.
+    Since P_AB(P_a(x)) = P_AB(x), five times its A,B-projection is twice
+    the inner shell at denominator 5.
+    """
     proj = project_rows_scaled(y_plus1, a, b, mult=5)
-    return rows_as_set(proj) == rows_as_set(design.layers[0].points)
+    if np.any(proj % 2):
+        return False
+    return rows_as_set(proj // 2) == rows_as_set(ws.layers[0].points)
 
 
 # -- the antipodal double cover on S^22 ---------------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolicSpherePoint:
-    """(sign) * (a_layer * x / r_1, b_layer) without materializing radicals."""
-
-    layer: int  # 1 or 2
-    index: int  # row in the layer's canonical point array
-    sign: int  # +1 or -1
-
-
-def build_Z(design: WeightedPointSet) -> list[SymbolicSpherePoint]:
-    """All 4600 symbolic points of the antipodal 7-design carrier."""
-    pts: list[SymbolicSpherePoint] = []
-    for sign in (1, -1):
-        for layer in (1, 2):
-            n = design.layers[layer - 1].size
-            pts.extend(SymbolicSpherePoint(layer, i, sign) for i in range(n))
-    return pts
 
 
 _AB_PRODUCTS = {
@@ -287,17 +259,6 @@ _AB_PRODUCTS = {
     (1, 2): (Fraction(4, 15), Fraction(1, 15)),  # a1*a2, b1*b2
     (2, 1): (Fraction(4, 15), Fraction(1, 15)),
 }
-
-
-def z_inner(design: WeightedPointSet, p: SymbolicSpherePoint, q: SymbolicSpherePoint) -> Fraction:
-    """Exact inner product of two symbolic sphere points (always rational)."""
-    aa, bb = _AB_PRODUCTS[(p.layer, q.layer)]
-    u = design.layers[p.layer - 1].points[p.index]
-    v = design.layers[q.layer - 1].points[q.index]
-    d = int(u @ v)
-    scale = design.dot_scale(p.layer - 1, q.layer - 1)
-    x_dot = Fraction(d, scale) / R1_SQ  # (x . y) / r_1^2
-    return p.sign * q.sign * (aa * x_dot + bb)
 
 
 def z_value_histogram(design: WeightedPointSet) -> dict[Fraction, int]:

@@ -28,7 +28,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import ExactScalar
 from .construct import PointLayer, WeightedPointSet
 
 MAX_STRENGTH = 8
@@ -37,7 +36,7 @@ MAX_STRENGTH = 8
 @dataclass(frozen=True)
 class StrengthCondition:
     label: str
-    value: ExactScalar
+    value: Fraction
     passed: bool  # value exactly zero
 
 
@@ -76,16 +75,9 @@ class GegenbauerEvaluator:
             raise ValueError(f"degree {k} out of range")
         return self._coeffs[k]
 
-    def eval(self, k: int, u):
-        """Q_k(u) for a Fraction or ExactScalar argument, exact."""
+    def eval(self, k: int, u: Fraction) -> Fraction:
+        """Q_k(u) for a rational argument, exact."""
         coeffs = self.coefficients(k)
-        if isinstance(u, ExactScalar):
-            acc = ExactScalar(0)
-            power = ExactScalar(1)
-            for c in coeffs:
-                acc = acc + power * c
-                power = power * u
-            return acc
         u = Fraction(u)
         acc = Fraction(0)
         power = Fraction(1)
@@ -107,10 +99,6 @@ class GegenbauerEvaluator:
                 raise ArithmeticError("kernel parity violated")
             acc += c * dot**power * nx2ny2 ** (rem // 2)
         return acc
-
-
-def gegenbauer_eval(n: int, k: int, u):
-    return GegenbauerEvaluator(n, max(k, 1)).eval(k, u)
 
 
 def _layer_pair_histogram(ws: WeightedPointSet, i: int, j: int):
@@ -159,7 +147,7 @@ def euclidean_strength(
             out.append(
                 StrengthCondition(
                     label=f"l={l},j={j}",
-                    value=ExactScalar(total),
+                    value=total,
                     passed=total == 0,
                 )
             )
@@ -178,7 +166,7 @@ def spherical_strength_from_values(
         for u, c in vals:
             total += c * ev.eval(k, Fraction(u))
         out.append(
-            StrengthCondition(label=f"k={k}", value=ExactScalar(total), passed=total == 0)
+            StrengthCondition(label=f"k={k}", value=total, passed=total == 0)
         )
     return out
 

@@ -1,11 +1,7 @@
-"""Text formats for point sets and layered designs.
+"""Text formats for layered designs, candidate sets and tensors.
 
-Lattice point sets: one vector per line, 24 space-separated integers,
-lines in lexicographic order, with header
-
-    # leech-scaled8 norm=<p/q> count=<n>
-
-Layered weighted sets extend this with one block per layer:
+Layered weighted sets: one block per layer, one vector per line as 24
+space-separated integers, lines in lexicographic order:
 
     # design layers=<k>
     # layer weight=<p/q> r2=<p/q> denom=<d> count=<n>
@@ -17,7 +13,6 @@ All writers emit byte-deterministic output for a given object.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,24 +36,6 @@ def _parse_header(line: str, tag: str) -> dict[str, str]:
     return fields
 
 
-def write_lattice_points(path: Path, points: np.ndarray, norm: Fraction) -> None:
-    points = canonical_sort(np.asarray(points, dtype=np.int64))
-    lines = [f"# leech-scaled8 norm={rat_to_text(Fraction(norm))} count={len(points)}"]
-    lines.extend(" ".join(str(int(x)) for x in row) for row in points)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_lattice_points(path: Path) -> tuple[np.ndarray, Fraction]:
-    text = Path(path).read_text().strip().splitlines()
-    fields = _parse_header(text[0], "leech-scaled8")
-    norm = rat_from_text(fields["norm"])
-    count = int(fields["count"])
-    rows = [[int(x) for x in line.split()] for line in text[1:]]
-    if len(rows) != count or any(len(r) != 24 for r in rows):
-        raise FormatError("point count or width mismatch")
-    return np.array(rows, dtype=np.int64), norm
-
-
 def write_design(path: Path, ws: WeightedPointSet) -> None:
     lines = [f"# design layers={len(ws.layers)}"]
     for layer in ws.layers:
@@ -72,30 +49,42 @@ def write_design(path: Path, ws: WeightedPointSet) -> None:
 
 
 def read_design(path: Path) -> WeightedPointSet:
-    text = Path(path).read_text().strip().splitlines()
-    head = _parse_header(text[0], "design")
-    n_layers = int(head["layers"])
-    layers = []
-    i = 1
-    for _ in range(n_layers):
-        fields = _parse_header(text[i], "layer")
-        weight = rat_from_text(fields["weight"])
-        r2 = rat_from_text(fields["r2"])
-        denom = int(fields["denom"])
-        count = int(fields["count"])
-        rows = [[int(x) for x in line.split()] for line in text[i + 1 : i + 1 + count]]
-        if len(rows) != count or any(len(r) != 24 for r in rows):
-            raise FormatError("layer point count or width mismatch")
-        layers.append(
-            PointLayer(
-                points=np.array(rows, dtype=np.int64),
-                denom=denom,
-                weight=weight,
-                r2=r2,
+    """Parse a design file; every parse fault raises FormatError."""
+    try:
+        text = Path(path).read_text().strip().splitlines()
+        if not text:
+            raise FormatError("empty design file")
+        head = _parse_header(text[0], "design")
+        n_layers = int(head["layers"])
+        layers = []
+        i = 1
+        for _ in range(n_layers):
+            if i >= len(text):
+                raise FormatError("fewer layers than the header declares")
+            fields = _parse_header(text[i], "layer")
+            weight = rat_from_text(fields["weight"])
+            r2 = rat_from_text(fields["r2"])
+            denom = int(fields["denom"])
+            count = int(fields["count"])
+            if denom < 1 or count < 1:
+                raise FormatError("layer denom and count must be positive")
+            rows = [[int(x) for x in line.split()] for line in text[i + 1 : i + 1 + count]]
+            if len(rows) != count or any(len(r) != 24 for r in rows):
+                raise FormatError("layer point count or width mismatch")
+            layers.append(
+                PointLayer(
+                    points=np.array(rows, dtype=np.int64),
+                    denom=denom,
+                    weight=weight,
+                    r2=r2,
+                )
             )
-        )
-        i += 1 + count
-    return WeightedPointSet(layers=tuple(layers))
+            i += 1 + count
+        return WeightedPointSet(layers=tuple(layers))
+    except FormatError:
+        raise
+    except (KeyError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise FormatError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def write_candidates(path: Path, vectors3: np.ndarray) -> None:

@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..util import chunk_evenly, parallel_map
-from .fincke_pohst import EnumerationStats, enumerate_sphere, outer_interval
+from .fincke_pohst import EnumerationStats, enumerate_sphere
 from .golay import GolayCode, GolayConstructionError, build_golay
 from .intlinalg import (
     integer_row_kernel,
@@ -133,7 +132,6 @@ def enumerate_coset_shell(
     constraints: Sequence[CosetConstraint],
     norm,
     ctx: Optional[LeechContext] = None,
-    workers: int = 1,
     stats: Optional[EnumerationStats] = None,
 ) -> np.ndarray:
     """The complete set {x in Lambda : (x,x)=norm, (x,anchor_i)=value_i}.
@@ -168,33 +166,11 @@ def enumerate_coset_shell(
     if fp_target < 0:
         return np.zeros((0, 24), dtype=np.int64)
 
-    if stats is None:
-        stats = EnumerationStats()
-
-    if workers > 1:
-        tops = outer_interval(gram_f, tau, fp_target)
-        chunks = chunk_evenly(tops, workers * 4)
-
-        def job(vals):
-            local = EnumerationStats()
-            sols = enumerate_sphere(
-                gram_f, tau, fp_target, top_values=vals, stats=local
-            )
-            return sols, local
-
-        results = parallel_map(job, chunks, workers=workers)
-        solutions = []
-        for sols, local in results:
-            solutions.extend(sols)
-            stats.nodes += local.nodes
-            stats.leaves += local.leaves
-            stats.solutions += local.solutions
-    else:
-        solutions = enumerate_sphere(gram_f, tau, fp_target, stats=stats)
+    solutions = enumerate_sphere(gram_f, tau, fp_target, stats=stats)
 
     if not solutions:
         return np.zeros((0, 24), dtype=np.int64)
-    w = np.array(sorted(solutions), dtype=np.int64)
+    w = np.array(solutions, dtype=np.int64)
     points = w @ k_rows + x0
 
     _verify_shell(points, constraints, target_scaled, ctx)

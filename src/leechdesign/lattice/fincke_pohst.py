@@ -91,7 +91,6 @@ def enumerate_sphere(
     allowed: Optional[Sequence[Sequence[int]]] = None,
     int_constraints: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     prune_constraints: bool = True,
-    top_values: Optional[Sequence[int]] = None,
     stats: Optional[EnumerationStats] = None,
 ) -> list[tuple[int, ...]]:
     """All integer w with (w + shift)^T gram (w + shift) == target.
@@ -99,9 +98,6 @@ def enumerate_sphere(
     allowed:         per-coordinate finite candidate sets (sorted ints).
     int_constraints: (M, lo, hi) integer rows, lo <= M @ w <= hi; requires
                      `allowed` when pruning during the descent.
-    top_values:      restrict the outermost coordinate (used to split the
-                     search across workers; the union over a partition of
-                     the outermost interval is the full solution set).
     """
     n = len(gram)
     if stats is None:
@@ -166,13 +162,8 @@ def enumerate_sphere(
         if lo > hi:
             return []
         if allowed is not None:
-            vals = [v for v in allowed[level] if lo <= v <= hi]
-        else:
-            vals = list(range(lo, hi + 1))
-        if level == n - 1 and top_values is not None:
-            keep = set(top_values)
-            vals = [v for v in vals if v in keep]
-        return vals
+            return [v for v in allowed[level] if lo <= v <= hi]
+        return list(range(lo, hi + 1))
 
     top = n - 1
     for i in range(n):
@@ -237,18 +228,3 @@ def enumerate_sphere(
 
     solutions.sort()
     return solutions
-
-
-def outer_interval(gram, shift, target) -> list[int]:
-    """Candidate values of the outermost coordinate (for work splitting)."""
-    n = len(gram)
-    d, mu = rational_cholesky(gram)
-    tau = [Fraction(x) for x in shift]
-    t = Fraction(target)
-    if t < 0:
-        return []
-    rho = t / d[n - 1]
-    s = tau[n - 1]
-    hi = _floor_plus_sqrt(-s.numerator, s.denominator, rho.numerator, rho.denominator)
-    lo = -_floor_plus_sqrt(s.numerator, s.denominator, rho.numerator, rho.denominator)
-    return list(range(lo, hi + 1))

@@ -224,7 +224,6 @@ def enumerate_candidates(
     frame: DualFrame,
     layer: IntegralizedLayer,
     prune_with_constraints: bool = False,
-    workers: int = 1,
 ) -> CandidateSet:
     """Complete candidate enumeration (see module docstring).
 
@@ -250,42 +249,15 @@ def enumerate_candidates(
     chi = (k + 1).astype(np.int64)
 
     stats = EnumerationStats()
-    allowed = [(-1, 0, 1)] * 22
-    if workers > 1:
-        from .util import parallel_map
-
-        def job(top):
-            local = EnumerationStats()
-            sols = enumerate_sphere(
-                gram_q,
-                shift,
-                CANDIDATE_NORM,
-                allowed=allowed,
-                int_constraints=(cmat, clo, chi),
-                prune_constraints=prune_with_constraints,
-                top_values=[top],
-                stats=local,
-            )
-            return sols, local
-
-        solutions = []
-        for sols, local in parallel_map(job, [-1, 0, 1], workers=workers):
-            solutions.extend(sols)
-            stats.nodes += local.nodes
-            stats.leaves += local.leaves
-            stats.solutions += local.solutions
-            stats.constraint_rejected_leaves += local.constraint_rejected_leaves
-        solutions.sort()
-    else:
-        solutions = enumerate_sphere(
-            gram_q,
-            shift,
-            CANDIDATE_NORM,
-            allowed=allowed,
-            int_constraints=(cmat, clo, chi),
-            prune_constraints=prune_with_constraints,
-            stats=stats,
-        )
+    solutions = enumerate_sphere(
+        gram_q,
+        shift,
+        CANDIDATE_NORM,
+        allowed=[(-1, 0, 1)] * 22,
+        int_constraints=(cmat, clo, chi),
+        prune_constraints=prune_with_constraints,
+        stats=stats,
+    )
     if not solutions:
         raise UniquenessError("no candidates found")
 

@@ -1,6 +1,6 @@
 import pytest
 
-from leechdesign.construct import build_design
+from leechdesign.construct import build_design, build_Y
 from leechdesign.lattice import (
     A_ALTERNATE,
     A_CANONICAL,
@@ -25,6 +25,11 @@ def ctx():
 @pytest.fixture(scope="session")
 def design(ctx):
     return build_design(A_CANONICAL, B_CANONICAL, ctx)
+
+
+@pytest.fixture(scope="session")
+def ys(ctx):
+    return build_Y(A_CANONICAL, B_CANONICAL, ctx)
 
 
 @pytest.fixture(scope="session")

@@ -1,22 +1,12 @@
-from fractions import Fraction
+import json
 
-import numpy as np
+import pytest
 
 from leechdesign import io as design_io
 from leechdesign.cli import main
 from leechdesign.construct import PointLayer, WeightedPointSet
 from leechdesign.coherent_fixture import LABELS, fixture_tensor
-from leechdesign.lattice import norm4_shell
 from leechdesign.report import VerificationReport
-
-
-def test_lattice_point_file_round_trip(tmp_path, ctx):
-    pts = norm4_shell(ctx.code)[:100]
-    path = tmp_path / "pts.txt"
-    design_io.write_lattice_points(path, pts, Fraction(4))
-    back, norm = design_io.read_lattice_points(path)
-    assert norm == 4
-    assert bool((np.sort(back, axis=0) == np.sort(pts, axis=0)).all())
 
 
 def test_design_file_round_trip(tmp_path, design):
@@ -81,7 +71,14 @@ def test_cli_verify_design_from_file(tmp_path, design):
     )
     assert code == 0
     assert (out / "report_design.json").exists()
-    assert (out / "report_design.canonical.json").exists()
+    notes = json.loads((out / "report_design.canonical.json").read_text())["notes"]
+    # strength sums are plain rationals, written as p/q
+    labels = ["l=1,j=0", "l=1,j=1", "l=2,j=0", "l=2,j=1", "l=3,j=0",
+              "l=3,j=1", "l=4,j=0", "l=4,j=1", "l=5,j=0", "l=6,j=0"]
+    assert notes["strength-6-values"] == str({label: "0/1" for label in labels})
+    assert notes["degree-7-values"] == str(
+        {"l=5,j=1": "1992646656/115", "l=7,j=0": "1107025920/23"}
+    )
 
 
 def test_cli_detects_deleted_point(tmp_path, design):
@@ -110,6 +107,43 @@ def test_cli_detects_deleted_point(tmp_path, design):
     assert "design/layer-sizes" in first_fail
 
 
+@pytest.mark.parametrize(
+    "fault",
+    ["empty-file", "non-integer-token", "huge-coordinate", "zero-denominator-weight",
+     "truncated-layer", "missing-layer"],
+)
+def test_malformed_design_file_is_a_format_error(tmp_path, design, capsys, fault):
+    valid = tmp_path / "valid.txt"
+    design_io.write_design(valid, design)
+    lines = valid.read_text().splitlines()
+    tokens = lines[7].split()
+
+    def with_token(token):
+        return "\n".join(lines[:7] + [" ".join([token] + tokens[1:])] + lines[8:])
+
+    text = {
+        "empty-file": "",
+        "non-integer-token": with_token("x" + tokens[0]),
+        "huge-coordinate": with_token(str(2**70)),
+        "zero-denominator-weight": "\n".join(
+            [lines[0], lines[1].replace("weight=1/1 ", "weight=1/0 ")] + lines[2:]
+        ),
+        "truncated-layer": "\n".join(
+            [lines[0], lines[1].replace("count=275", "count=0")] + lines[2 + 275 :]
+        ),
+        "missing-layer": "\n".join(["# design layers=3"] + lines[1:]),
+    }[fault]
+    path = tmp_path / f"{fault}.txt"
+    path.write_text(text + "\n")
+    with pytest.raises(design_io.FormatError):
+        design_io.read_design(path)
+    capsys.readouterr()
+    code = main(["verify-design", "--in", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad input file:") and len(err.splitlines()) == 1
+
+
 def test_cli_usage_error_on_missing_file(tmp_path):
     code = main(
         ["verify-design", "--in", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]
@@ -118,7 +152,8 @@ def test_cli_usage_error_on_missing_file(tmp_path):
 
 
 def test_cli_usage_error_on_bad_threads(tmp_path):
-    code = main(["build", "--threads", "0", "--out", str(tmp_path)])
+    # the option was removed; argparse rejects it as a usage error
+    code = main(["build", "--threads", "2", "--out", str(tmp_path)])
     assert code == 2
 
 
@@ -142,10 +177,10 @@ def test_cli_reports_byte_deterministic_across_runs_and_threads(tmp_path, design
         out.mkdir()
         design_io.write_design(out / "design.txt", design)
     c1 = main(
-        ["verify-coherent", "--in", str(out1 / "design.txt"), "--out", str(out1), "--threads", "1"]
+        ["verify-coherent", "--in", str(out1 / "design.txt"), "--out", str(out1)]
     )
     c2 = main(
-        ["verify-coherent", "--in", str(out2 / "design.txt"), "--out", str(out2), "--threads", "2"]
+        ["verify-coherent", "--in", str(out2 / "design.txt"), "--out", str(out2)]
     )
     assert c1 == 0 and c2 == 0
     assert (out1 / "report_coherent.canonical.json").read_bytes() == (

@@ -5,16 +5,13 @@ import pytest
 
 from leechdesign.construct import (
     DesignConstructionError,
-    SymbolicSpherePoint,
-    build_Y,
-    build_Z,
+    PointLayer,
+    WeightedPointSet,
     build_design,
     check_X1_equals_PY,
     gram_solve_2x2,
-    project_AB,
     project_rows_scaled,
     y_antipodal_pair_count,
-    z_inner,
     z_value_histogram,
 )
 from leechdesign.lattice import (
@@ -27,8 +24,8 @@ from leechdesign.lattice import (
 
 
 def test_projection_annihilates_anchors():
-    assert all(v == 0 for v in project_AB(A_CANONICAL, A_CANONICAL, B_CANONICAL))
-    assert all(v == 0 for v in project_AB(B_CANONICAL, A_CANONICAL, B_CANONICAL))
+    anchors = np.stack([A_CANONICAL, B_CANONICAL])
+    assert not project_rows_scaled(anchors, A_CANONICAL, B_CANONICAL, mult=1).any()
 
 
 def test_gram_solve_values():
@@ -41,19 +38,19 @@ def test_projected_norms(ctx):
     x1_shell = enumerate_coset_shell(
         [CosetConstraint(A_CANONICAL, 3), CosetConstraint(B_CANONICAL, -3)], 6, ctx
     )
-    p = project_AB(x1_shell[0], A_CANONICAL, B_CANONICAL)
-    norm = sum(v * v for v in p) / 8
-    assert norm == Fraction(12, 5)
+    # stored rows are mult * P(x); conventional norm is (row . row) / (8 mult^2)
+    p = project_rows_scaled(x1_shell, A_CANONICAL, B_CANONICAL, mult=5)
+    assert {Fraction(int(v), 8 * 25) for v in (p * p).sum(axis=1)} == {Fraction(12, 5)}
 
     x2_shell = enumerate_coset_shell(
         [CosetConstraint(A_CANONICAL, 2), CosetConstraint(B_CANONICAL, 0)], 4, ctx
     )
-    p = project_AB(x2_shell[0], A_CANONICAL, B_CANONICAL)
-    assert sum(v * v for v in p) / 8 == Fraction(44, 15)
+    p = project_rows_scaled(x2_shell, A_CANONICAL, B_CANONICAL, mult=15)
+    assert {Fraction(int(v), 8 * 225) for v in (p * p).sum(axis=1)} == {Fraction(44, 15)}
 
     # orthogonality is exact
     for vec in (A_CANONICAL, B_CANONICAL):
-        assert sum(pi * int(ai) for pi, ai in zip(p, vec)) == 0
+        assert not (p @ vec).any()
 
 
 def test_design_shape(design):
@@ -105,8 +102,7 @@ def test_anchor_preconditions_enforced(ctx):
         build_design(A_CANONICAL, A_CANONICAL, ctx)
 
 
-def test_Y_family(ctx):
-    ys = build_Y(A_CANONICAL, B_CANONICAL, ctx)
+def test_Y_family(ys):
     assert {k: v.shape[0] for k, v in ys.items()} == {1: 275, 2: 2025, -2: 2025, -1: 275}
     union = rows_as_set(ys[1]) | rows_as_set(ys[2]) | rows_as_set(ys[-1]) | rows_as_set(ys[-2])
     assert len(union) == 4600
@@ -115,19 +111,18 @@ def test_Y_family(ctx):
     assert y_antipodal_pair_count(ys) == 2300
 
 
-def test_X1_equals_projected_Y_plus_one(ctx):
-    assert check_X1_equals_PY(A_CANONICAL, B_CANONICAL, ctx)
+def test_X1_equals_projected_Y_plus_one(design, ys):
+    assert check_X1_equals_PY(design, ys[1], A_CANONICAL, B_CANONICAL)
 
 
-def test_Z_symbolic_points(design):
-    z = build_Z(design)
-    assert len(z) == 4600
-    p = SymbolicSpherePoint(layer=1, index=0, sign=1)
-    assert z_inner(design, p, p) == 1
-    antipode = SymbolicSpherePoint(layer=1, index=0, sign=-1)
-    assert z_inner(design, p, antipode) == -1
-    # antipodal pairing: sign flip is a fixed-point-free involution
-    assert sum(1 for q in z if q.sign == 1) == 2300
+def test_X1_check_sees_a_negated_inner_point(design, ys):
+    inner, outer = design.layers
+    points = inner.points.copy()
+    points[0] = -points[0]
+    negated = WeightedPointSet(
+        (PointLayer(points, inner.denom, inner.weight, inner.r2), outer)
+    )
+    assert not check_X1_equals_PY(negated, ys[1], A_CANONICAL, B_CANONICAL)
 
 
 def test_Z_value_histogram(design):
@@ -144,8 +139,7 @@ def test_Z_value_histogram(design):
     assert hist[Fraction(-1)] == 4600  # exactly the antipodal pairs
 
 
-def test_Z_matches_projected_model(ctx, design):
-    ys = build_Y(A_CANONICAL, B_CANONICAL, ctx)
+def test_Z_matches_projected_model(design, ys):
     stacked = np.concatenate([ys[1], ys[2], ys[-1], ys[-2]])
     gram = stacked @ stacked.T
     vals, counts = np.unique(gram, return_counts=True)

@@ -144,11 +144,6 @@ def test_coefficient_sums_are_one_mod_five(dual_frame):
     assert bool(((sums - 1) % 5 == 0).all())
 
 
-def test_candidate_search_thread_independent(dual_frame, x1_integral, candidates):
-    threaded = enumerate_candidates(dual_frame, x1_integral, workers=2)
-    assert bool((threaded.vectors3 == candidates.vectors3).all())
-
-
 def test_swapped_negated_anchors_build_the_twin(ctx, design, twin):
     # the defining inner products of the two shells are symmetric under
     # (a, b) -> (-b, -a) with the second shell replaced by the companion
