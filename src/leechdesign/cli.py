@@ -59,6 +59,7 @@ from .lattice import (
 )
 from .report import Timer, VerificationReport
 from .unique import (
+    UniquenessError,
     build_dual_frame,
     enumerate_candidates,
     generated_lattice_membership,
@@ -104,6 +105,8 @@ def verify_design_claims(
     with Timer() as t:
         sizes = [layer.size for layer in ws.layers]
     report.check("design/layer-sizes", "[275, 2025]", str(sizes), t.ms)
+    if len(ws.layers) < 2:
+        return  # every later claim compares the two shells
     report.check("design/cardinality", comb(25, 3), ws.size)
     with Timer() as t:
         tight = tightness_check(ws, 3)
@@ -247,15 +250,20 @@ def verify_unique_claims(
     a, b = anchors if anchors is not None else (A_CANONICAL, B_CANONICAL)
 
     with Timer() as t:
-        layer = integralize_X1(ws)
-        inner = layer.inner_matrix()
-        off = inner[~np.eye(len(inner), dtype=bool)]
-    report.check(
-        "unique/integral-shell-products",
-        "[2, -3] at norm 12",
-        f"{sorted(set(np.unique(off).tolist()), reverse=True)} at norm {int(inner[0, 0])}",
-        t.ms,
-    )
+        try:
+            layer = integralize_X1(ws)
+        except UniquenessError as exc:
+            layer, computed = None, f"error: {exc}"
+        else:
+            inner = layer.inner_matrix()
+            off = inner[~np.eye(len(inner), dtype=bool)]
+            computed = (
+                f"{sorted(set(np.unique(off).tolist()), reverse=True)} "
+                f"at norm {int(inner[0, 0])}"
+            )
+    report.check("unique/integral-shell-products", "[2, -3] at norm 12", computed, t.ms)
+    if layer is None:
+        return
 
     with Timer() as t:
         frame = build_dual_frame(layer)
@@ -268,13 +276,9 @@ def verify_unique_claims(
     report.check("unique/dual-frame-biorthogonal", True, biorthogonal, t.ms)
 
     with Timer() as t:
-        cands = enumerate_candidates(frame, layer, prune_with_constraints=False)
+        cands = enumerate_candidates(frame, layer)
     report.check("unique/candidate-count", 4050, len(cands.vectors3), t.ms)
-    report.check(
-        "unique/norm-passing-but-filter-failing",
-        0,
-        cands.stats.constraint_rejected_leaves,
-    )
+    report.check("unique/norm-passing-but-filter-failing", 0, cands.rejected_leaves)
     report.note("candidate-search-nodes", cands.stats.nodes)
     coeff_ok = set(np.unique(cands.dual_coeffs).tolist()) <= {-6, -1, 4}
     report.check("unique/dual-coefficients-in-form", True, bool(coeff_ok))
@@ -338,6 +342,9 @@ def verify_seven_claims(
     report: VerificationReport,
     anchors=None,
 ) -> None:
+    if len(ws.layers) < 2:
+        report.check("seven/z-pair-count", 4600 * 4600, f"error: {len(ws.layers)} layers")
+        return
     ctx = default_context()
     a, b = anchors if anchors is not None else (A_CANONICAL, B_CANONICAL)
 

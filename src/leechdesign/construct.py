@@ -101,13 +101,6 @@ def check_anchor_pair(a, b, ctx: Optional[LeechContext] = None) -> None:
         raise DesignConstructionError("anchors must have inner product -1")
 
 
-def gram_solve_2x2(rhs_a: Fraction, rhs_b: Fraction) -> tuple[Fraction, Fraction]:
-    """Solve [[4,-1],[-1,4]] c = rhs for the anchor Gram matrix."""
-    ca = (4 * rhs_a + rhs_b) / 15
-    cb = (rhs_a + 4 * rhs_b) / 15
-    return ca, cb
-
-
 def project_rows_scaled(rows: np.ndarray, a, b, mult: int) -> np.ndarray:
     """mult * P(row) for every row, verified integral."""
     rows = np.asarray(rows, dtype=np.int64)

@@ -284,14 +284,13 @@ def float_polynomial_check(
     t: int,
     seed: int = 20240601,
     trials: int = 40,
-    tol: float = 1e-9,
     dimension: int = 22,
 ) -> list[tuple[float, float]]:
     """Seeded random-polynomial oracle in an orthonormalized frame.
 
     Draws sparse polynomials of degree <= t, compares the weighted point
     sum against the exact layered sphere averages (converted to float at
-    the end).  Returns (lhs, rhs) pairs; the caller compares at `tol`.
+    the end).  Returns (lhs, rhs) pairs for the caller to compare.
     """
     rng = np.random.default_rng(seed)
     stacked = np.concatenate([layer.points / layer.denom for layer in ws.layers])

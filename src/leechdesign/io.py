@@ -94,16 +94,6 @@ def write_candidates(path: Path, vectors3: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_candidates(path: Path) -> np.ndarray:
-    text = Path(path).read_text().strip().splitlines()
-    fields = _parse_header(text[0], "candidates")
-    count = int(fields["count"])
-    rows = [[int(x) for x in line.split()] for line in text[1:]]
-    if len(rows) != count:
-        raise FormatError("candidate count mismatch")
-    return np.array(rows, dtype=np.int64)
-
-
 def write_tensor(path: Path, tensor: np.ndarray, labels: list[str]) -> None:
     """Plain-text tensor entries "a b c value", structural zeros omitted."""
     lines = []
@@ -114,12 +104,3 @@ def write_tensor(path: Path, tensor: np.ndarray, labels: list[str]) -> None:
                 if v:
                     lines.append(f"{labels[a]} {labels[b]} {labels[c]} {v}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_tensor(path: Path, labels: list[str]) -> np.ndarray:
-    index = {name: i for i, name in enumerate(labels)}
-    tensor = np.zeros((13, 13, 13), dtype=np.int64)
-    for line in Path(path).read_text().strip().splitlines():
-        a, b, c, v = line.split()
-        tensor[index[a], index[b], index[c]] = int(v)
-    return tensor

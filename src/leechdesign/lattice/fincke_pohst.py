@@ -9,11 +9,9 @@ Q(y) = sum_i d_i (y_i + sum_{j>i} mu_ij y_j)^2.  All pruning bounds are
 computed with integer arithmetic (isqrt on scaled numerators); no floating
 point is involved anywhere, so completeness of the search is unconditional.
 
-The search optionally restricts each coordinate to a finite allowed set and
-can carry integer linear side constraints lo_r <= M w <= hi_r, either
-enforced during the descent (sound interval propagation via per-level
-reachability bounds) or only at the leaves (so that the caller can count
-norm-passing leaves that fail the side constraints).
+The search can restrict each coordinate to a finite allowed set (the
+candidate search of `unique` uses the cube {0, +-1}^22); every other
+condition on the solutions is the caller's to apply.
 """
 
 from __future__ import annotations
@@ -23,15 +21,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-import numpy as np
-
 
 @dataclass
 class EnumerationStats:
     nodes: int = 0
     leaves: int = 0
     solutions: int = 0
-    constraint_rejected_leaves: int = 0
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -89,15 +84,11 @@ def enumerate_sphere(
     shift,
     target,
     allowed: Optional[Sequence[Sequence[int]]] = None,
-    int_constraints: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-    prune_constraints: bool = True,
     stats: Optional[EnumerationStats] = None,
 ) -> list[tuple[int, ...]]:
-    """All integer w with (w + shift)^T gram (w + shift) == target.
+    """All integer w with (w + shift)^T gram (w + shift) == target, sorted.
 
-    allowed:         per-coordinate finite candidate sets (sorted ints).
-    int_constraints: (M, lo, hi) integer rows, lo <= M @ w <= hi; requires
-                     `allowed` when pruning during the descent.
+    allowed: per-coordinate finite candidate sets (sorted ints).
     """
     n = len(gram)
     if stats is None:
@@ -117,29 +108,6 @@ def enumerate_sphere(
     sden = [mden[i] * tden for i in range(n)]
     d_num = [x.numerator for x in d]
     d_den = [x.denominator for x in d]
-
-    use_constraints = int_constraints is not None
-    if use_constraints:
-        cmat, clo, chi = int_constraints
-        cmat = np.asarray(cmat, dtype=np.int64)
-        clo = np.asarray(clo, dtype=np.int64)
-        chi = np.asarray(chi, dtype=np.int64)
-        mrows = cmat.shape[0]
-        if prune_constraints and allowed is None:
-            raise ValueError("constraint pruning needs finite allowed sets")
-        if allowed is not None:
-            smin = np.zeros((n + 1, mrows), dtype=np.int64)
-            smax = np.zeros((n + 1, mrows), dtype=np.int64)
-            for lvl in range(1, n + 1):
-                i = lvl - 1
-                vals = np.array(sorted(allowed[i]), dtype=np.int64)
-                contrib = cmat[:, i : i + 1] * vals[None, :]
-                smin[lvl] = smin[lvl - 1] + contrib.min(axis=1)
-                smax[lvl] = smax[lvl - 1] + contrib.max(axis=1)
-        else:
-            smin = smax = None
-        pstack = [np.zeros(mrows, dtype=np.int64) for _ in range(n + 1)]
-        ccols = [np.ascontiguousarray(cmat[:, i]) for i in range(n)]
 
     # Preallocated per-level state (valid along the current DFS path only).
     ctr = [[0] * n for _ in range(n)]
@@ -169,8 +137,6 @@ def enumerate_sphere(
     for i in range(n):
         ctr[top][i] = tau_num[i] * mden[i]
     rstack[top] = target
-    if use_constraints:
-        pstack[top + 1][:] = 0
     wlists[top] = candidate_values(top)
     widx[top] = 0
 
@@ -187,30 +153,13 @@ def enumerate_sphere(
         val = Fraction(d_num[level] * num * num, d_den[level] * sden[level] * sden[level])
         rem = rstack[level] - val
 
-        if use_constraints:
-            pnew = pstack[level + 1] + ccols[level] * w
-
         if level == 0:
             if rem == 0:
                 stats.leaves += 1
-                if use_constraints:
-                    if bool(np.all(pnew >= clo) and np.all(pnew <= chi)):
-                        wcur[0] = w
-                        solutions.append(tuple(wcur))
-                        stats.solutions += 1
-                    else:
-                        stats.constraint_rejected_leaves += 1
-                else:
-                    wcur[0] = w
-                    solutions.append(tuple(wcur))
-                    stats.solutions += 1
+                wcur[0] = w
+                solutions.append(tuple(wcur))
+                stats.solutions += 1
             continue
-
-        if use_constraints and prune_constraints:
-            if not bool(
-                np.all(pnew + smin[level] <= chi) and np.all(pnew + smax[level] >= clo)
-            ):
-                continue
 
         wcur[level] = w
         y_num = w * tden + tau_num[level]
@@ -220,8 +169,6 @@ def enumerate_sphere(
         for i in range(level):
             row_dst[i] = row_src[i] + munum[i][level] * y_num
         rstack[child] = rem
-        if use_constraints:
-            pstack[level][:] = pnew
         wlists[child] = candidate_values(child)
         widx[child] = 0
         level = child

@@ -16,14 +16,19 @@ coefficient is <y, e_i>, and the three admissible values are congruent
 to -1 mod 5.  The search over c in {0,+-1}^22 with the exact norm
 constraint is therefore complete; no candidate outside that cube exists.
 
-Candidates are materialized as integer vectors 3 * y in stored
-coordinates, so all pairwise decisions downstream are int64 arithmetic.
+The computation runs in three steps: the sphere search over the cube
+(`enumerate_sphere`, which checks the norm only), one integer check of
+the 275 admissibility conditions on the array of its leaves, and one
+integer matmul over the common denominator D of G^-1 that turns the
+surviving coefficient vectors into integer vectors 3 * y in stored
+coordinates.  All pairwise decisions downstream are int64 arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 import numpy as np
@@ -69,11 +74,19 @@ class DualFrame:
 class CandidateSet:
     vectors3: np.ndarray  # (n, 24) int: 3 * stored candidate coordinates
     dual_coeffs: np.ndarray  # (n, 22) int: coefficients 5 c - 1 over e'
-    stats: EnumerationStats
-    norm_only_leaves: Optional[int]  # leaves passing the 22-cube + norm only
+    stats: EnumerationStats  # solutions: leaves that pass the filter
+
+    @property
+    def rejected_leaves(self) -> int:
+        """Leaves of the right norm that fail the admissibility filter."""
+        return self.stats.leaves - self.stats.solutions
 
 
 def integralize_X1(ws: WeightedPointSet) -> IntegralizedLayer:
+    if len(ws.layers) < 2:
+        raise UniquenessError(
+            f"{len(ws.layers)} layers; the computation needs both shells"
+        )
     layer = ws.layers[0]
     if layer.r2 != Fraction(12, 5) or layer.denom != 5:
         raise UniquenessError("expected the inner shell at squared radius 12/5")
@@ -86,6 +99,24 @@ def integralize_X1(ws: WeightedPointSet) -> IntegralizedLayer:
     if not set(np.unique(off).tolist()) <= {2, -3}:
         raise UniquenessError("integralized inner products are not {2, -3}")
     return out
+
+
+def _checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in int64, refused unless no partial sum can wrap: every one is
+    bounded by (inner dimension) * max|a| * max|b|, computed exactly."""
+    bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    if bound >= 2**63:
+        raise UniquenessError(f"int64 product bound {bound} would overflow")
+    return a @ b
+
+
+def _scaled_inverse(gram_inv: list) -> tuple[np.ndarray, int]:
+    """(D * G^-1 as int64, D) for the common denominator D of G^-1."""
+    den = lcm(*(v.denominator for row in gram_inv for v in row))
+    scaled = [[int(v * den) for v in row] for row in gram_inv]
+    if max(abs(v) for row in scaled for v in row) >= 2**63:
+        raise UniquenessError("D * G^-1 does not fit in int64")
+    return np.array(scaled, dtype=np.int64), den
 
 
 def _lattice_coordinates(pts: np.ndarray) -> np.ndarray:
@@ -195,19 +226,14 @@ def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None
     if np.any(prods_raw % WORK_DEN):
         raise UniquenessError("non-integral inner product against basis")
     prods = prods_raw // WORK_DEN  # <x, e_j>, exact ints
-    coeffs = np.zeros((n, 22), dtype=np.int64)
-    for i in range(n):
-        exact = [
-            sum(gram_inv[r][c] * int(prods[i, c]) for c in range(22))
-            for r in range(22)
-        ]
-        for r, v in enumerate(exact):
-            if v.denominator != 1:
-                raise UniquenessError(
-                    "shell vector has fractional coordinates over the chosen "
-                    "basis even after swap descent"
-                )
-            coeffs[i, r] = int(v)
+    ginv, den = _scaled_inverse(gram_inv)
+    scaled = _checked_matmul(prods, ginv.T)  # D * coefficients
+    if np.any(scaled % den):
+        raise UniquenessError(
+            "shell vector has fractional coordinates over the chosen "
+            "basis even after swap descent"
+        )
+    coeffs = scaled // den
     # Round trip: coeffs @ basis must reproduce the points exactly.
     if not bool((coeffs @ basis == pts).all()):
         raise UniquenessError("dual-frame coefficient round trip failed")
@@ -220,17 +246,12 @@ def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None
     )
 
 
-def enumerate_candidates(
-    frame: DualFrame,
-    layer: IntegralizedLayer,
-    prune_with_constraints: bool = False,
-) -> CandidateSet:
+def enumerate_candidates(frame: DualFrame, layer: IntegralizedLayer) -> CandidateSet:
     """Complete candidate enumeration (see module docstring).
 
-    With prune_with_constraints=False the admissibility filter is applied
-    only at the leaves, so the returned norm_only_leaves counts vectors of
-    the correct norm whose dual coefficients lie in the {0,+-1} cube but
-    whose inner products against the full shell are not all admissible.
+    The sphere search checks the norm only; the admissibility filter then
+    runs once on all of its leaves, and the leaves it rejects are counted
+    in `CandidateSet.rejected_leaves`.
     """
     gram_q = [
         [25 * frame.gram_inv[i][j] for j in range(22)] for i in range(22)
@@ -244,48 +265,34 @@ def enumerate_candidates(
             "can satisfy its admissibility constraint"
         )
     k = (sums - 1) // 5
-    cmat = frame.coeffs.astype(np.int64)
-    clo = (k - 1).astype(np.int64)
-    chi = (k + 1).astype(np.int64)
 
     stats = EnumerationStats()
-    solutions = enumerate_sphere(
-        gram_q,
-        shift,
-        CANDIDATE_NORM,
-        allowed=[(-1, 0, 1)] * 22,
-        int_constraints=(cmat, clo, chi),
-        prune_constraints=prune_with_constraints,
-        stats=stats,
+    leaves = enumerate_sphere(
+        gram_q, shift, CANDIDATE_NORM, allowed=[(-1, 0, 1)] * 22, stats=stats
     )
-    if not solutions:
+    # <y, x> = 5 (c . coeffs_x) - sum(coeffs_x) is in {4, -1, -6} exactly
+    # when c . coeffs_x lies in [k_x - 1, k_x + 1].
+    c_arr = np.array(leaves, dtype=np.int64).reshape(-1, 22)
+    dots = _checked_matmul(c_arr, frame.coeffs.T)
+    c_arr = c_arr[((dots >= k - 1) & (dots <= k + 1)).all(axis=1)]
+    stats.solutions = len(c_arr)
+    if not len(c_arr):
         raise UniquenessError("no candidates found")
-
-    c_arr = np.array(solutions, dtype=np.int64)
     u_arr = 5 * c_arr - 1
 
-    # Ambient: y = sum_i (G^-1 u)_i e_i, materialized as 3 y (integral).
-    vecs3 = np.zeros((len(u_arr), 24), dtype=np.int64)
-    for row, u in enumerate(u_arr):
-        w = [
-            sum(frame.gram_inv[i][j] * int(u[j]) for j in range(22))
-            for i in range(22)
-        ]
-        t3 = [3 * sum(w[i] * int(frame.basis_points[i, col]) for i in range(22)) for col in range(24)]
-        for col, v in enumerate(t3):
-            if v.denominator != 1:
-                raise UniquenessError("candidate is not in (1/3) * stored frame")
-            vecs3[row, col] = int(v)
+    # y = sum_i (G^-1 u)_i e_i, materialized as 3 y (integral).
+    ginv, den = _scaled_inverse(frame.gram_inv)
+    scaled = _checked_matmul(_checked_matmul(u_arr, ginv.T), 3 * frame.basis_points)
+    if np.any(scaled % den):
+        raise UniquenessError("candidate is not in (1/3) * stored frame")
+    vecs3 = scaled // den
 
     order = np.lexsort(vecs3.T[::-1])
     vecs3 = vecs3[order]
     u_arr = u_arr[order]
 
     _verify_candidates(vecs3, u_arr, layer, frame)
-    norm_only = None if prune_with_constraints else stats.leaves
-    return CandidateSet(
-        vectors3=vecs3, dual_coeffs=u_arr, stats=stats, norm_only_leaves=norm_only
-    )
+    return CandidateSet(vectors3=vecs3, dual_coeffs=u_arr, stats=stats)
 
 
 def _verify_candidates(

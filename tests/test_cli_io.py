@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from leechdesign import io as design_io
@@ -29,17 +30,21 @@ def test_design_file_deterministic(tmp_path, design):
 def test_candidates_file_round_trip(tmp_path, candidates):
     path = tmp_path / "candidates.txt"
     design_io.write_candidates(path, candidates.vectors3)
-    back = design_io.read_candidates(path)
+    header, *rows = path.read_text().splitlines()
+    assert header == "# candidates norm=44/3 count=4050"
+    back = np.array([[int(x) for x in row.split()] for row in rows])
     assert bool((back == candidates.vectors3).all())
-    assert path.read_text().startswith("# candidates norm=44/3 count=4050")
 
 
 def test_tensor_file_round_trip(tmp_path):
     t = fixture_tensor()
     path = tmp_path / "tensor.txt"
     design_io.write_tensor(path, t, LABELS)
-    back = design_io.read_tensor(path, LABELS)
-    assert bool((back == t).all())
+    lines = path.read_text().splitlines()
+    assert len(lines) == int((t != 0).sum())
+    for line in lines:
+        a, b, c, v = line.split()
+        assert int(v) == t[LABELS.index(a), LABELS.index(b), LABELS.index(c)] != 0
 
 
 def test_report_canonical_json_deterministic():
@@ -142,6 +147,35 @@ def test_malformed_design_file_is_a_format_error(tmp_path, design, capsys, fault
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: bad input file:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, stop_claim",
+    [
+        ("verify-design", "design/layer-sizes"),
+        ("verify-coherent", "coherent/nine-admissible-products"),
+        ("verify-unique", "unique/integral-shell-products"),
+        ("verify-7design", "seven/z-pair-count"),
+    ],
+)
+@pytest.mark.parametrize("layers", [0, 1])
+def test_design_with_fewer_than_two_layers_fails_a_named_claim(
+    tmp_path, design, capsys, layers, command, stop_claim
+):
+    path = tmp_path / "design.txt"
+    if layers:
+        design_io.write_design(path, WeightedPointSet(layers=design.layers[:1]))
+    else:
+        path.write_text("# design layers=0\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([command, "--in", str(path), "--out", str(out)])
+    assert code == 1
+    assert f"FIRST FAILED CLAIM: {stop_claim} " in capsys.readouterr().err
+    stage = json.loads(next(out.glob("report_*.canonical.json")).read_text())
+    # the stage stops at its first claim that needs two shells
+    assert stage["claims"][-1]["claim"] == stop_claim
+    assert not stage["claims"][-1]["pass"]
 
 
 def test_cli_usage_error_on_missing_file(tmp_path):

@@ -9,7 +9,6 @@ from leechdesign.construct import (
     WeightedPointSet,
     build_design,
     check_X1_equals_PY,
-    gram_solve_2x2,
     project_rows_scaled,
     y_antipodal_pair_count,
     z_value_histogram,
@@ -26,12 +25,6 @@ from leechdesign.lattice import (
 def test_projection_annihilates_anchors():
     anchors = np.stack([A_CANONICAL, B_CANONICAL])
     assert not project_rows_scaled(anchors, A_CANONICAL, B_CANONICAL, mult=1).any()
-
-
-def test_gram_solve_values():
-    assert gram_solve_2x2(Fraction(3), Fraction(-3)) == (Fraction(3, 5), Fraction(-3, 5))
-    assert gram_solve_2x2(Fraction(2), Fraction(0)) == (Fraction(8, 15), Fraction(2, 15))
-    assert gram_solve_2x2(Fraction(2), Fraction(1)) == (Fraction(3, 5), Fraction(2, 5))
 
 
 def test_projected_norms(ctx):

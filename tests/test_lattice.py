@@ -175,41 +175,32 @@ def test_sphere_search_agrees_with_brute_force():
         assert sols == brute
 
 
-def test_sphere_search_constraint_modes_agree_with_brute_force():
+def test_sphere_search_with_allowed_sets_agrees_with_brute_force():
+    # the candidate search's setting: a shift of -1/5 and a finite allowed
+    # set per coordinate, which excludes solutions outside it
     import itertools
     import random
     from fractions import Fraction
 
-    from leechdesign.lattice.fincke_pohst import enumerate_sphere
+    from leechdesign.lattice.fincke_pohst import EnumerationStats, enumerate_sphere
 
     rng = random.Random(77)
     for _ in range(10):
         n = rng.randint(2, 4)
         gram = _random_spd_form(rng, n)
         shift = [Fraction(-1, 5)] * n
-        allowed = [(-1, 0, 1)] * n
-        w0 = [rng.choice([-1, 0, 1]) for _ in range(n)]
+        allowed = [tuple(sorted(rng.sample([-2, -1, 0, 1, 2], 3))) for _ in range(n)]
+        w0 = [rng.choice(allowed[i]) for i in range(n)]
         y = [Fraction(w0[i]) + shift[i] for i in range(n)]
         target = sum(y[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
-        m = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)])
-        lo = np.array([-2, -3])
-        hi = np.array([2, 1])
-        brute = set()
-        for w in itertools.product((-1, 0, 1), repeat=n):
+        brute = []
+        for w in itertools.product(*allowed):
             y = [Fraction(w[i]) + shift[i] for i in range(n)]
             q = sum(y[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
-            d = m @ np.array(w)
-            if q == target and bool(np.all(d >= lo) and np.all(d <= hi)):
-                brute.add(w)
-        for prune in (True, False):
-            sols = set(
-                enumerate_sphere(
-                    gram,
-                    shift,
-                    target,
-                    allowed=allowed,
-                    int_constraints=(m, lo, hi),
-                    prune_constraints=prune,
-                )
-            )
-            assert sols == brute
+            if q == target:
+                brute.append(w)
+        stats = EnumerationStats()
+        sols = enumerate_sphere(gram, shift, target, allowed=allowed, stats=stats)
+        assert tuple(w0) in brute
+        assert sols == sorted(brute)
+        assert stats.leaves == stats.solutions == len(brute)

@@ -1,7 +1,10 @@
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 
+from leechdesign import io as design_io
 from leechdesign.coherent import classify_pairs, compare_with_reference, intersection_numbers
 from leechdesign.construct import project_rows_scaled
 from leechdesign.design import euclidean_strength
@@ -17,6 +20,7 @@ from leechdesign.unique import (
     CANDIDATE_NORM,
     build_dual_frame,
     enumerate_candidates,
+    _verify_candidates,
     generated_lattice_membership,
 )
 
@@ -69,13 +73,34 @@ def test_candidate_admissibility_full_shell(candidates, x1_integral):
 def test_no_norm_leaf_fails_the_filter(candidates):
     # every vector of the right norm in the coefficient cube already
     # satisfies all 275 admissibility constraints
-    assert candidates.norm_only_leaves == 4050
-    assert candidates.stats.constraint_rejected_leaves == 0
+    assert candidates.stats.leaves == 4050
+    assert candidates.rejected_leaves == 0
 
 
-def test_pruned_and_unpruned_searches_agree(dual_frame, x1_integral, candidates):
-    pruned = enumerate_candidates(dual_frame, x1_integral, prune_with_constraints=True)
-    assert bool((pruned.vectors3 == candidates.vectors3).all())
+def test_candidate_search_output_is_pinned(tmp_path, candidates):
+    # work counters and the exact candidate file of the canonical pair
+    assert candidates.stats.nodes == 773264
+    assert candidates.stats.leaves == candidates.stats.solutions == 4050
+    assert candidates.rejected_leaves == 0
+    path = tmp_path / "candidates.txt"
+    design_io.write_candidates(path, candidates.vectors3)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9e7838f43abbc6353f1be6c1d94599a6dcca70b3f39e991b564d77bd1acd3feb"
+    )
+
+
+def test_filter_rejects_leaves_of_a_shifted_frame(dual_frame, x1_integral):
+    # Adding 5 to one coefficient keeps every coefficient sum 1 mod 5 but
+    # moves that shell vector's admissible window, so some norm-passing
+    # leaves must now fail the filter; the survivors are still candidates.
+    coeffs = dual_frame.coeffs.copy()
+    coeffs[0, 0] += 5
+    shifted = dataclasses.replace(dual_frame, coeffs=coeffs)
+    cands = enumerate_candidates(shifted, x1_integral)
+    assert cands.rejected_leaves > 0
+    assert cands.stats.leaves == 4050
+    assert len(cands.vectors3) == cands.stats.solutions == 4050 - cands.rejected_leaves
+    _verify_candidates(cands.vectors3, cands.dual_coeffs, x1_integral, dual_frame)
 
 
 def test_split_sizes_and_equivalence(split):
