@@ -240,6 +240,15 @@ def verify_coherent_claims(
     return tensor
 
 
+def _unique_step(step, *args):
+    """(step(*args), None), or (None, "error: ...") when the step raises
+    UniquenessError: the claim that reads the step then fails."""
+    try:
+        return step(*args), None
+    except UniquenessError as exc:
+        return None, f"error: {exc}"
+
+
 def verify_unique_claims(
     ws: WeightedPointSet,
     report: VerificationReport,
@@ -250,11 +259,8 @@ def verify_unique_claims(
     a, b = anchors if anchors is not None else (A_CANONICAL, B_CANONICAL)
 
     with Timer() as t:
-        try:
-            layer = integralize_X1(ws)
-        except UniquenessError as exc:
-            layer, computed = None, f"error: {exc}"
-        else:
+        layer, computed = _unique_step(integralize_X1, ws)
+        if layer is not None:
             inner = layer.inner_matrix()
             off = inner[~np.eye(len(inner), dtype=bool)]
             computed = (
@@ -266,18 +272,23 @@ def verify_unique_claims(
         return
 
     with Timer() as t:
-        frame = build_dual_frame(layer)
-        biorthogonal = all(
-            sum(frame.gram_inv[i][k] * int(frame.gram[k, j]) for k in range(22))
-            == (1 if i == j else 0)
-            for i in range(22)
-            for j in range(22)
-        )
+        frame, biorthogonal = _unique_step(build_dual_frame, layer)
+        if frame is not None:
+            biorthogonal = all(
+                sum(frame.gram_inv[i][k] * int(frame.gram[k, j]) for k in range(22))
+                == (1 if i == j else 0)
+                for i in range(22)
+                for j in range(22)
+            )
     report.check("unique/dual-frame-biorthogonal", True, biorthogonal, t.ms)
+    if frame is None:
+        return
 
     with Timer() as t:
-        cands = enumerate_candidates(frame, layer)
-    report.check("unique/candidate-count", 4050, len(cands.vectors3), t.ms)
+        cands, error = _unique_step(enumerate_candidates, frame, layer)
+    report.check("unique/candidate-count", 4050, error or len(cands.vectors3), t.ms)
+    if cands is None:
+        return
     report.check("unique/norm-passing-but-filter-failing", 0, cands.rejected_leaves)
     report.note("candidate-search-nodes", cands.stats.nodes)
     coeff_ok = set(np.unique(cands.dual_coeffs).tolist()) <= {-6, -1, 4}
@@ -288,10 +299,15 @@ def verify_unique_claims(
     report.note("candidates-in-literal-generated-lattice", f"{in_m} of 4050")
 
     with Timer() as t:
-        split = split_candidates(cands, ws)
+        split, error = _unique_step(split_candidates, cands, ws)
     report.check(
-        "unique/split-sizes", "2025 + 2025", f"{len(split.part_a)} + {len(split.part_b)}", t.ms
+        "unique/split-sizes",
+        "2025 + 2025",
+        error or f"{len(split.part_a)} + {len(split.part_b)}",
+        t.ms,
     )
+    if split is None:
+        return
     report.check(
         "unique/part-a-equals-second-shell",
         True,

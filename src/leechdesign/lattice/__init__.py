@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..arith import rational_linear_solve
 from .fincke_pohst import EnumerationStats, enumerate_sphere
 from .golay import GolayCode, GolayConstructionError, build_golay
 from .intlinalg import (
@@ -153,20 +154,16 @@ def enumerate_coset_shell(
     k_rows = reduce_basis_rows(k_rows)
     x0 = shorten_against(x0, k_rows)
 
-    gram = (k_rows @ k_rows.T).astype(object)
-    gram_f = [[Fraction(int(gram[i, j])) for j in range(gram.shape[1])] for i in range(gram.shape[0])]
-    rhs = [Fraction(int(v)) for v in (k_rows @ x0)]
-
-    from ..arith import rational_linear_solve
-
-    tau = rational_linear_solve(gram_f, rhs)
+    gram = [[Fraction(int(v)) for v in row] for row in k_rows @ k_rows.T]
+    rhs = [Fraction(int(v)) for v in k_rows @ x0]
+    tau = rational_linear_solve(gram, rhs)
     tau_g_tau = sum(t * r for t, r in zip(tau, rhs))
     x0_sq = Fraction(int(x0 @ x0))
     fp_target = Fraction(target_scaled) - x0_sq + tau_g_tau
     if fp_target < 0:
         return np.zeros((0, 24), dtype=np.int64)
 
-    solutions = enumerate_sphere(gram_f, tau, fp_target, stats=stats)
+    solutions = enumerate_sphere(gram, tau, fp_target, stats=stats)
 
     if not solutions:
         return np.zeros((0, 24), dtype=np.int64)

@@ -5,9 +5,12 @@ Depth-first search over integer coordinate vectors w such that
     (w + shift)^T  G  (w + shift)  ==  target        (exactly)
 
 using the rational Cholesky decomposition
-Q(y) = sum_i d_i (y_i + sum_{j>i} mu_ij y_j)^2.  All pruning bounds are
-computed with integer arithmetic (isqrt on scaled numerators); no floating
-point is involved anywhere, so completeness of the search is unconditional.
+Q(y) = sum_i d_i (y_i + sum_{j>i} mu_ij y_j)^2 (Fincke & Pohst, Math.
+Comp. 44, 1985).  The decomposition is exact; the search then scales
+every level by one common integer, so the remaining radius, each level's
+contribution and the interval bound (an integer isqrt) are Python ints.
+No floating point and no rational arithmetic run inside the search, and
+its completeness is unconditional.
 
 The search can restrict each coordinate to a finite allowed set (the
 candidate search of `unique` uses the cube {0, +-1}^22); every other
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
 
@@ -47,36 +50,8 @@ def rational_cholesky(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
             mu[i][j] = q[i][j] / d[i]
         for k in range(i + 1, n):
             for m in range(k, n):
-                q[k][m] -= q[i][k] * q[i][m] / d[i]
-                q[m][k] = q[k][m]
+                q[k][m] -= q[i][k] * q[i][m] / d[i]  # upper triangle only
     return d, mu
-
-
-def _floor_plus_sqrt(a: int, b: int, p: int, q: int) -> int:
-    """floor(a/b + sqrt(p/q)) for integers with b, q > 0, p >= 0."""
-    t = p * q
-    r = isqrt(t)
-    f = (a * q + b * r) // (b * q)
-    bb_t = b * b * t
-
-    def le(k: int) -> bool:
-        left = (k * b - a) * q
-        if left <= 0:
-            return True
-        return left * left <= bb_t
-
-    while le(f + 1):
-        f += 1
-    while not le(f):
-        f -= 1
-    return f
-
-
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 def enumerate_sphere(
@@ -97,21 +72,21 @@ def enumerate_sphere(
     tau = [Fraction(x) for x in shift]
     target = Fraction(target)
 
-    tden = _lcm([t.denominator for t in tau]) if n else 1
+    tden = lcm(*(t.denominator for t in tau))
     tau_num = [int(t * tden) for t in tau]
-    mden = [
-        _lcm([mu[i][j].denominator for j in range(i + 1, n)] or [1]) for i in range(n)
-    ]
-    munum = [
-        [int(mu[i][j] * mden[i]) for j in range(n)] for i in range(n)
-    ]
+    mden = [lcm(*(mu[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    # mucol[j][i] = mu_ij * mden_i for i < j: what fixing y_j adds to ctr_i
+    mucol = [[int(mu[i][j] * mden[i]) for i in range(j)] for j in range(n)]
     sden = [mden[i] * tden for i in range(n)]
-    d_num = [x.numerator for x in d]
-    d_den = [x.denominator for x in d]
+    # Level i contributes d_i (num / sden_i)^2 with num = w sden_i + ctr_i.
+    # Scaling every level by one integer M turns it into coef_i num^2 and
+    # the remaining radius into the integer R = M * (target - partial sum).
+    scale = lcm(target.denominator, *(x.denominator * s * s for x, s in zip(d, sden)))
+    coef = [int(x * scale) // (s * s) for x, s in zip(d, sden)]
 
     # Preallocated per-level state (valid along the current DFS path only).
     ctr = [[0] * n for _ in range(n)]
-    rstack: list[Fraction] = [Fraction(0)] * n
+    rstack = [0] * n
     wlists: list[list[int]] = [[] for _ in range(n)]
     widx = [0] * n
     wcur = [0] * n
@@ -119,14 +94,13 @@ def enumerate_sphere(
     solutions: list[tuple[int, ...]] = []
 
     def candidate_values(level: int) -> list[int]:
+        # coef num^2 <= R  <=>  |num| <= isqrt(R // coef), num integral
         r = rstack[level]
         if r < 0:
             return []
-        rho = r / d[level]
-        p, q = rho.numerator, rho.denominator
-        a, b = ctr[level][level], sden[level]
-        hi = _floor_plus_sqrt(-a, b, p, q)
-        lo = -_floor_plus_sqrt(a, b, p, q)
+        s = isqrt(r // coef[level])
+        c, den = ctr[level][level], sden[level]
+        lo, hi = -((s + c) // den), (s - c) // den
         if lo > hi:
             return []
         if allowed is not None:
@@ -134,11 +108,9 @@ def enumerate_sphere(
         return list(range(lo, hi + 1))
 
     top = n - 1
-    for i in range(n):
-        ctr[top][i] = tau_num[i] * mden[i]
-    rstack[top] = target
+    ctr[top] = [t * m for t, m in zip(tau_num, mden)]
+    rstack[top] = int(target * scale)
     wlists[top] = candidate_values(top)
-    widx[top] = 0
 
     level = top
     while level <= top:
@@ -150,8 +122,7 @@ def enumerate_sphere(
         stats.nodes += 1
 
         num = w * sden[level] + ctr[level][level]
-        val = Fraction(d_num[level] * num * num, d_den[level] * sden[level] * sden[level])
-        rem = rstack[level] - val
+        rem = rstack[level] - coef[level] * num * num
 
         if level == 0:
             if rem == 0:
@@ -164,10 +135,9 @@ def enumerate_sphere(
         wcur[level] = w
         y_num = w * tden + tau_num[level]
         child = level - 1
-        row_src = ctr[level]
-        row_dst = ctr[child]
+        row_src, row_dst, col = ctr[level], ctr[child], mucol[level]
         for i in range(level):
-            row_dst[i] = row_src[i] + munum[i][level] * y_num
+            row_dst[i] = row_src[i] + col[i] * y_num
         rstack[child] = rem
         wlists[child] = candidate_values(child)
         widx[child] = 0

@@ -178,6 +178,65 @@ def test_design_with_fewer_than_two_layers_fails_a_named_claim(
     assert not stage["claims"][-1]["pass"]
 
 
+@pytest.mark.parametrize(
+    "command, stop_claim",
+    [("verify-unique", "unique/split-sizes"), ("verify-7design", "seven/z-pair-count")],
+)
+def test_deleted_outer_point_fails_a_named_claim(
+    tmp_path, design, capsys, command, stop_claim
+):
+    outer = design.layers[1]
+    broken = WeightedPointSet(
+        layers=(
+            design.layers[0],
+            PointLayer(
+                points=outer.points[:-1], denom=outer.denom, weight=outer.weight, r2=outer.r2
+            ),
+        )
+    )
+    path = tmp_path / "design.txt"
+    design_io.write_design(path, broken)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([command, "--in", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"FIRST FAILED CLAIM: {stop_claim} " in err
+    if command == "verify-7design":
+        # the claim reads the real pair count: 2 * 4598 points lose 4600^2 - 4598^2
+        assert "computed 21141604)" in err
+
+
+@pytest.mark.parametrize(
+    "step, stop_claim",
+    [
+        ("build_dual_frame", "unique/dual-frame-biorthogonal"),
+        ("enumerate_candidates", "unique/candidate-count"),
+    ],
+)
+def test_uniqueness_error_of_a_step_fails_its_claim(
+    tmp_path, design, capsys, monkeypatch, step, stop_claim
+):
+    import leechdesign.cli as cli
+    from leechdesign.unique import UniquenessError
+
+    def fail(*args, **kwargs):
+        raise UniquenessError("injected")
+
+    monkeypatch.setattr(cli, step, fail)
+    path = tmp_path / "design.txt"
+    design_io.write_design(path, design)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["verify-unique", "--in", str(path), "--out", str(out)])
+    assert code == 1
+    assert f"FIRST FAILED CLAIM: {stop_claim} " in capsys.readouterr().err
+    last = json.loads((out / "report_unique.canonical.json").read_text())["claims"][-1]
+    # the stage stops at the failed step's claim
+    assert (last["claim"], last["pass"], last["computed"]) == (stop_claim, False, "error: injected")
+
+
 def test_cli_usage_error_on_missing_file(tmp_path):
     code = main(
         ["verify-design", "--in", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]

@@ -130,6 +130,66 @@ def test_anchor_dependence_guard(ctx):
         )
 
 
+# first anchor pair of seed 1 in the benchmark inputs: a capped reducer left
+# a norm-224 row in its (3, -3) kernel
+SEED1_A = np.array([0, 0, 0, 0, 0, -2, -2, -2, 0, 0, 0, 0, -2, -2, 2, 0, 0, 0, 2, 0, 0, 0, -2, 0])
+SEED1_B = np.array([0, 0, 0, 0, 0, 2, -2, 2, 2, 0, -2, 0, 0, 0, 0, 0, 0, 0, 0, -2, 0, 0, 2, -2])
+
+
+def _exact_gram_schmidt(rows):
+    """mu_ij and |b*_i|^2 of integer rows, in Fractions."""
+    from fractions import Fraction
+
+    gram = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in rows] for u in rows]
+    n = len(rows)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar_sq = []
+    for i in range(n):
+        for j in range(i):
+            # <b_i, b*_j> = <b_i, b_j> - sum_{k<j} mu_jk <b_i, b*_k>
+            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * bstar_sq[k] for k in range(j))) / bstar_sq[j]
+        bstar_sq.append(gram[i][i] - sum(mu[i][k] ** 2 * bstar_sq[k] for k in range(i)))
+    return mu, bstar_sq
+
+
+@pytest.mark.parametrize(
+    "a, b", [(A_CANONICAL, B_CANONICAL), (SEED1_A, SEED1_B)], ids=["canonical", "seed1"]
+)
+@pytest.mark.parametrize("values", [(3, -3), (2, 0)])
+def test_reduced_kernel_rows_are_an_lll_basis_of_norm_32(ctx, a, b, values):
+    from fractions import Fraction
+
+    from leechdesign.arith import rational_matrix_inverse
+    from leechdesign.lattice import _coset_setup
+    from leechdesign.lattice.reduction import reduce_basis_rows
+
+    cons = [CosetConstraint(a, values[0]), CosetConstraint(b, values[1])]
+    _, k_rows = _coset_setup(cons, ctx)
+    out = reduce_basis_rows(k_rows)
+    assert out.shape == k_rows.shape == (22, 24)
+    k = [list(map(int, r)) for r in k_rows]
+    r = [list(map(int, row)) for row in out]
+
+    # same lattice: each output row is an integer combination of the input
+    # rows (U = R K^T (K K^T)^-1 is integral), and the Gram determinants agree
+    gram_k = [[sum(x * y for x, y in zip(u, v)) for v in k] for u in k]
+    gram_r = [[sum(x * y for x, y in zip(u, v)) for v in r] for u in r]
+    inv = rational_matrix_inverse([[Fraction(x) for x in row] for row in gram_k])
+    for row in r:
+        prods = [sum(x * y for x, y in zip(row, v)) for v in k]
+        coeffs = [sum(p * inv[i][j] for i, p in enumerate(prods)) for j in range(22)]
+        assert all(c.denominator == 1 for c in coeffs)
+    assert det_int(gram_r) == det_int(gram_k)
+
+    mu, bstar_sq = _exact_gram_schmidt(r)
+    assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(22) for j in range(i))
+    assert all(
+        bstar_sq[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * bstar_sq[i - 1]
+        for i in range(1, 22)
+    )
+    assert all(sum(x * x for x in row) == 32 for row in r)
+
+
 @pytest.mark.slow
 def test_unconstrained_enumeration_matches_shell_size(ctx):
     shell = enumerate_coset_shell([], 4, ctx)
@@ -173,6 +233,27 @@ def test_sphere_search_agrees_with_brute_force():
                 brute.add(w)
         assert tuple(w0) in brute
         assert sols == brute
+
+
+@pytest.mark.parametrize(
+    "gram, shift, target, expected",
+    [
+        # 3 w^2 = 12: both solutions sit on the bound of the only level
+        ([[3]], [0], 12, [(-2,), (2,)]),
+        # 3 (w + 1/3)^2 = 16/3: w = 1 on the upper end, -5/3 is not integral
+        ([[3]], ["1/3"], "16/3", [(1,)]),
+        # 2 (y0 + y1/2)^2 + 3/2 y1^2 with y = w + (1/2, 0) and target 3/2:
+        # the only solutions put the whole radius on the top level
+        ([[2, 1], [1, 2]], ["1/2", 0], "3/2", [(-1, 1), (0, -1)]),
+    ],
+)
+def test_sphere_search_finds_solutions_exactly_on_the_bound(gram, shift, target, expected):
+    from fractions import Fraction
+
+    from leechdesign.lattice.fincke_pohst import enumerate_sphere
+
+    shift = [Fraction(x) for x in shift]
+    assert enumerate_sphere(gram, shift, Fraction(target)) == expected
 
 
 def test_sphere_search_with_allowed_sets_agrees_with_brute_force():
