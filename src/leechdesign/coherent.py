@@ -1,20 +1,25 @@
 """Pair classification and intersection numbers of the 13-relation
 configuration carried by the two-shell design.
 
-Ordered pairs (x, y) are classified by fiber pair and exact normalized
-inner product; the composition counts p_{a,b}^c are computed for every
-ordered pair of relations by 0/1 matrix products and checked for
-constancy over each target class exhaustively (every pair, not a
-sample).  Counts are accumulated in float32 BLAS products of indicator
-matrices: every partial sum is an integer bounded by the fiber size
-2025 << 2^24, so the products are exact.
+`classify_pairs` gives every ordered pair (x, y) of the 2300 points the
+index in `LABELS` of its relation, decided by fiber pair and exact
+normalized inner product; the result is one (n, n) label matrix.  The
+composition counts p_{a,b}^c are computed for every ordered pair of
+relations by 0/1 matrix products, read at one representative pair per
+relation, and checked against every pair (not a sample) in one
+gather-and-compare.  `check_tensor_identities` is the one structural check
+for any 13x13x13 tensor, computed or reference.
+
+Counts are accumulated in float32 BLAS products of indicator matrices.
+Every partial sum is an integer no larger than a fiber size, so the
+products are exact while each fiber has fewer than 2^24 points, which
+`intersection_numbers` checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -23,13 +28,16 @@ from .coherent_fixture import (
     LABELS,
     LABEL_FIBERS,
     LABEL_INDEX,
+    NORMALIZED_PRODUCTS,
     TRANSPOSE,
+    VALENCIES,
     fixture_tensor,
 )
 
-ALPHA_VALUES = (Fraction(1, 6), Fraction(-1, 4))
-BETA_VALUES = (Fraction(7, 22), Fraction(-1, 44), Fraction(-4, 11))
-GAMMA_SQRT11_VALUES = (Fraction(1), Fraction(-1, 4), Fraction(-3, 2))
+_TRANSPOSE = np.array(TRANSPOSE, dtype=np.int8)
+_IDENTITY = (LABEL_INDEX["11.0"], LABEL_INDEX["22.0"])  # per fiber
+_FIBER_SIZES = (275, 2025)
+_FLOAT32_EXACT = 2**24
 
 
 class RelationClassificationError(RuntimeError):
@@ -37,208 +45,173 @@ class RelationClassificationError(RuntimeError):
 
 
 class ConfigurationAxiomError(RuntimeError):
-    """A composition count is not constant on a relation class."""
+    """A composition count is not constant on a relation class, or a tensor
+    breaks an identity every coherent configuration satisfies."""
 
-    def __init__(self, a: str, b: str, c: str, witness1, witness2, v1: int, v2: int):
-        self.witnesses = (witness1, witness2)
-        super().__init__(
-            f"p_[{a},{b}]^[{c}] not well defined: pair {witness1} sees {v1}, "
-            f"pair {witness2} sees {v2}"
-        )
+    def __init__(self, message: str, witnesses: tuple = ()):
+        super().__init__(message)
+        self.witnesses = witnesses
 
 
 @dataclass(frozen=True)
 class RelationPartition:
-    """Block label matrices with local indices; fiber 1 first."""
+    """labels[p, q] is the index in LABELS of the relation of the ordered
+    pair (p, q); fiber 1 first."""
 
-    block_labels: dict  # (i, j) -> int8 array of local labels
+    labels: np.ndarray  # (n, n) int8
     fiber_sizes: tuple[int, int]
 
-    def global_label_matrix(self) -> np.ndarray:
-        n1, n2 = self.fiber_sizes
-        n = n1 + n2
-        out = np.zeros((n, n), dtype=np.int8)
-        out[:n1, :n1] = self.block_labels[(0, 0)]
-        out[:n1, n1:] = self.block_labels[(0, 1)] + 7
-        out[n1:, :n1] = self.block_labels[(1, 0)] + 10
-        out[n1:, n1:] = self.block_labels[(1, 1)] + 3
-        return out
+
+def _fiber_slices(fiber_sizes) -> tuple[slice, slice]:
+    n1, n2 = fiber_sizes
+    return slice(0, n1), slice(n1, n1 + n2)
 
 
-def _expected_dot_values(ws: WeightedPointSet, i: int, j: int) -> list[int]:
-    """Stored-integer dot values for the admissible normalized products of
-    block (i, j), identity value first for diagonal blocks."""
-    scale = ws.dot_scale(i, j)
+def _block_dots(ws: WeightedPointSet, i: int, j: int) -> list[tuple[int, int]]:
+    """(relation, stored-integer dot) for every relation of block (i, j)."""
     r2i, r2j = ws.layers[i].r2, ws.layers[j].r2
-    if i == j:
-        values = ALPHA_VALUES if i == 0 else BETA_VALUES
-        diag = r2i * scale
-        rest = [u * r2i * scale for u in values]
-        out = [diag, *rest]
-    else:
-        if r2j / r2i not in (Fraction(11), Fraction(1, 11)):
-            raise RelationClassificationError("cross radii are not in ratio 11")
-        geom = r2i if r2j / r2i == 11 else r2j  # sqrt(r2i r2j / 11)
-        out = [u * geom * scale for u in GAMMA_SQRT11_VALUES]
-    ints = []
-    for v in out:
-        if v.denominator != 1:
-            raise RelationClassificationError(f"non-integer expected dot {v}")
-        ints.append(int(v))
-    return ints
+    if i != j and r2j / r2i not in (Fraction(11), Fraction(1, 11)):
+        raise RelationClassificationError("cross radii are not in ratio 11")
+    # |x| |y| is r2i within a fiber and sqrt(r2i r2j) = sqrt(11) min(r2i, r2j)
+    # across, where the normalized products are listed times sqrt(11).
+    unit = min(r2i, r2j) * ws.dot_scale(i, j)
+    out = []
+    for c, fibers in enumerate(LABEL_FIBERS):
+        if fibers == (i + 1, j + 1):
+            dot = NORMALIZED_PRODUCTS[c] * unit
+            if dot.denominator != 1:
+                raise RelationClassificationError(f"non-integer expected dot {dot}")
+            out.append((c, int(dot)))
+    return out
 
 
 def classify_pairs(ws: WeightedPointSet) -> RelationPartition:
     """Label every ordered pair; fatal if any inner product is off-list."""
     if len(ws.layers) != 2:
         raise RelationClassificationError("expected exactly two layers")
-    n1, n2 = ws.layers[0].size, ws.layers[1].size
-    blocks = {}
-    for i in range(2):
-        for j in range(2):
-            gram = ws.gram_block(i, j)
-            expected = _expected_dot_values(ws, i, j)
-            labels = np.full(gram.shape, -1, dtype=np.int8)
-            if i == j:
-                eye = np.eye(gram.shape[0], dtype=bool)
-                if not bool((gram[eye] == expected[0]).all()):
-                    raise RelationClassificationError("diagonal norm mismatch")
-                if bool((gram[~eye] == expected[0]).any()):
-                    raise RelationClassificationError(
-                        "duplicate point: off-diagonal pair at full norm"
-                    )
-                labels[eye] = 0
-                for k, val in enumerate(expected[1:], start=1):
-                    labels[(~eye) & (gram == val)] = k
-            else:
-                for k, val in enumerate(expected):
-                    labels[gram == val] = k
-            if bool((labels < 0).any()):
-                bad = np.argwhere(labels < 0)[0]
+    sizes = (ws.layers[0].size, ws.layers[1].size)
+    fiber = _fiber_slices(sizes)
+    labels = np.full((sum(sizes), sum(sizes)), -1, dtype=np.int8)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        gram = ws.gram_block(i, j)
+        block = labels[fiber[i], fiber[j]]  # a view: writes go to labels
+        for c, dot in _block_dots(ws, i, j):
+            block[gram == dot] = c
+        if i == j:
+            # The identity relation is exactly the diagonal.
+            on_identity = block == _IDENTITY[i]
+            if not np.array_equal(on_identity, np.eye(len(block), dtype=bool)):
                 raise RelationClassificationError(
-                    f"inner product {gram[bad[0], bad[1]]}/{ws.dot_scale(i, j)} in "
-                    f"block ({i},{j}) is outside the admissible set"
+                    "duplicate point: off-diagonal pair at full norm"
+                    if on_identity.diagonal().all()
+                    else "diagonal norm mismatch"
                 )
-            blocks[(i, j)] = labels
-    part = RelationPartition(block_labels=blocks, fiber_sizes=(n1, n2))
-    _check_partition_consistency(part)
-    return part
-
-
-def _check_partition_consistency(part: RelationPartition) -> None:
-    lab01 = part.block_labels[(0, 1)]
-    lab10 = part.block_labels[(1, 0)]
-    if not bool((lab01 == lab10.T).all()):
-        raise RelationClassificationError("cross blocks are not transposes")
-    for key in ((0, 0), (1, 1)):
-        lab = part.block_labels[key]
-        if not bool((lab == lab.T).all()):
-            raise RelationClassificationError("within-fiber relations not symmetric")
-
-
-_BLOCK_OF_LABEL = {}
-for _idx, (_rf, _cf) in enumerate(LABEL_FIBERS):
-    _BLOCK_OF_LABEL[_idx] = (_rf - 1, _cf - 1)
-
-_LOCAL_INDEX = [0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2]
+        if bool((block < 0).any()):
+            bad = np.argwhere(block < 0)[0]
+            raise RelationClassificationError(
+                f"inner product {gram[bad[0], bad[1]]}/{ws.dot_scale(i, j)} in "
+                f"block ({i},{j}) is outside the admissible set"
+            )
+    flipped = _TRANSPOSE[labels]
+    if not np.array_equal(labels.T, flipped):
+        p, q = np.argwhere(labels.T != flipped)[0]
+        raise RelationClassificationError(
+            "within-fiber relations not symmetric"
+            if (p < sizes[0]) == (q < sizes[0])
+            else "cross blocks are not transposes"
+        )
+    return RelationPartition(labels=labels, fiber_sizes=sizes)
 
 
 def intersection_numbers(part: RelationPartition) -> np.ndarray:
     """The full 13x13x13 tensor, with exhaustive well-definedness checks."""
-    indicators = {}
-    for a in range(13):
-        bi, bj = _BLOCK_OF_LABEL[a]
-        labels = part.block_labels[(bi, bj)]
-        indicators[a] = (labels == _LOCAL_INDEX[a]).astype(np.float32)
+    if max(part.fiber_sizes) >= _FLOAT32_EXACT:
+        raise ConfigurationAxiomError(
+            f"a fiber of {max(part.fiber_sizes)} points: float32 counts are "
+            f"exact only below 2^24"
+        )
+    labels = part.labels
+    fiber = _fiber_slices(part.fiber_sizes)
+    offset = (0, part.fiber_sizes[0])
+    indicator = [
+        (labels[fiber[r - 1], fiber[c - 1]] == a).astype(np.float32)
+        for a, (r, c) in enumerate(LABEL_FIBERS)
+    ]
+    # One representative pair per relation, local to the relation's block;
+    # None for a relation no pair carries.
+    flat = labels.ravel()
+    rep = []
+    for c, (rf, cf) in enumerate(LABEL_FIBERS):
+        k = int(np.argmax(flat == c))
+        p, q = divmod(k, len(labels))
+        rep.append((p - offset[rf - 1], q - offset[cf - 1]) if flat[k] == c else None)
 
-    offsets = (0, part.fiber_sizes[0])
     tensor = np.zeros((13, 13, 13), dtype=np.int64)
-    for a in range(13):
-        a_bi, a_bj = _BLOCK_OF_LABEL[a]
-        for b in range(13):
-            b_bi, b_bj = _BLOCK_OF_LABEL[b]
-            if a_bj != b_bi:
+    for a, (ra, ca) in enumerate(LABEL_FIBERS):
+        for b, (rb, cb) in enumerate(LABEL_FIBERS):
+            if rb != ca:
                 continue
-            prod = indicators[a] @ indicators[b]
-            counts = np.rint(prod).astype(np.int64)
-            target_block = (a_bi, b_bj)
-            target_labels = part.block_labels[target_block]
-            for c in range(13):
-                if _BLOCK_OF_LABEL[c] != target_block:
-                    continue
-                mask = target_labels == _LOCAL_INDEX[c]
-                vals = counts[mask]
-                if vals.size == 0:
-                    continue
-                v0 = int(vals[0])
-                if not bool((vals == v0).all()):
-                    where = np.argwhere(mask)
-                    flat = vals != v0
-                    first_bad = where[np.argmax(flat)]
-                    first_good = where[0]
-                    w1 = (
-                        int(first_good[0]) + offsets[a_bi],
-                        int(first_good[1]) + offsets[b_bj],
-                    )
-                    w2 = (
-                        int(first_bad[0]) + offsets[a_bi],
-                        int(first_bad[1]) + offsets[b_bj],
-                    )
-                    raise ConfigurationAxiomError(
-                        LABELS[a], LABELS[b], LABELS[c], w1, w2, v0,
-                        int(vals[flat][0]),
-                    )
-                tensor[a, b, c] = v0
+            counts = np.rint(indicator[a] @ indicator[b])
+            lut = np.zeros(13, dtype=np.float32)
+            for c, fibers in enumerate(LABEL_FIBERS):
+                if fibers == (ra, cb) and rep[c] is not None:
+                    lut[c] = counts[rep[c]]
+            target = labels[fiber[ra - 1], fiber[cb - 1]]
+            bad = counts != lut[target]
+            if bool(bad.any()):
+                p, q = np.unravel_index(np.argmax(bad), bad.shape)
+                c = int(target[p, q])
+                w1 = (rep[c][0] + offset[ra - 1], rep[c][1] + offset[cb - 1])
+                w2 = (int(p) + offset[ra - 1], int(q) + offset[cb - 1])
+                raise ConfigurationAxiomError(
+                    f"p_[{LABELS[a]},{LABELS[b]}]^[{LABELS[c]}] not well defined: "
+                    f"pair {w1} sees {int(lut[c])}, pair {w2} sees {int(counts[p, q])}",
+                    (w1, w2),
+                )
+            tensor[a, b] = lut
     return tensor
 
 
-def compare_with_reference(
-    tensor: np.ndarray, reference: Optional[np.ndarray] = None
-) -> list[tuple[str, str, str, int, int]]:
-    """Entrywise comparison; returns mismatches (a, b, c, got, expected)."""
-    if reference is None:
-        reference = fixture_tensor()
-    mismatches = []
-    diff = np.argwhere(tensor != reference)
-    for a, b, c in diff:
-        mismatches.append(
-            (
-                LABELS[a],
-                LABELS[b],
-                LABELS[c],
-                int(tensor[a, b, c]),
-                int(reference[a, b, c]),
-            )
+def compare_with_reference(tensor: np.ndarray) -> list[tuple[str, str, str, int, int]]:
+    """Entrywise comparison with the reference tables; returns mismatches
+    (a, b, c, got, expected)."""
+    reference = fixture_tensor()
+    return [
+        (LABELS[a], LABELS[b], LABELS[c], int(tensor[a, b, c]), int(reference[a, b, c]))
+        for a, b, c in np.argwhere(tensor != reference)
+    ]
+
+
+def check_tensor_identities(tensor: np.ndarray) -> list[int]:
+    """Structural identities every coherent configuration on fibers of 275
+    and 2025 points must satisfy; returns the valencies k_a in LABELS order.
+
+    Transpose symmetry p_{a,b}^c = p_{b^T,a^T}^{c^T}; the valencies
+    k_a = p_{a,a^T}^{identity of a's source fiber}; the valencies of the
+    relations from fiber i to fiber j sum to |X_j|; and the column sums
+    sum_b p_{a,b}^c = k_a over the b that compose a into c.
+    """
+    swapped = tensor[np.ix_(_TRANSPOSE, _TRANSPOSE, _TRANSPOSE)].transpose(1, 0, 2)
+    bad = np.argwhere(tensor != swapped)
+    if len(bad):
+        a, b, c = bad[0]
+        raise ConfigurationAxiomError(
+            f"transpose symmetry fails at p_[{LABELS[a]},{LABELS[b]}]^[{LABELS[c]}]: "
+            f"{tensor[a, b, c]} != {swapped[a, b, c]}"
         )
-    return mismatches
-
-
-def check_tensor_identities(tensor: np.ndarray, fiber_sizes=(275, 2025)) -> None:
-    """Structural identities every coherent configuration must satisfy."""
-    for a in range(13):
-        for b in range(13):
-            for c in range(13):
-                if tensor[a, b, c] != tensor[TRANSPOSE[b], TRANSPOSE[a], TRANSPOSE[c]]:
-                    raise ConfigurationAxiomError(
-                        LABELS[a], LABELS[b], LABELS[c], None, None,
-                        int(tensor[a, b, c]),
-                        int(tensor[TRANSPOSE[b], TRANSPOSE[a], TRANSPOSE[c]]),
-                    )
-    # Valencies: k_a = p_{a, aT}^{identity of the source fiber}.
-    valency = {}
-    for a in range(13):
-        rf, _ = LABEL_FIBERS[a]
-        ident = LABEL_INDEX["11.0"] if rf == 1 else LABEL_INDEX["22.0"]
-        valency[a] = int(tensor[a, TRANSPOSE[a], ident])
-    if sum(valency[a] for a in range(3)) != fiber_sizes[0]:
-        raise AssertionError("fiber-1 valencies do not sum to |X1|")
-    if sum(valency[a] for a in range(3, 7)) != fiber_sizes[1]:
-        raise AssertionError("fiber-2 valencies do not sum to |X2|")
-    # Column sums: sum_b p_{a,b}^c = k_a whenever fibers are compatible.
-    for a in range(13):
-        ra, ca = LABEL_FIBERS[a]
-        for c in range(13):
-            rc, cc = LABEL_FIBERS[c]
+    valency = [
+        int(tensor[a, TRANSPOSE[a], _IDENTITY[r - 1]])
+        for a, (r, _) in enumerate(LABEL_FIBERS)
+    ]
+    for rf, cf in ((1, 1), (2, 2), (1, 2), (2, 1)):
+        total = sum(k for k, f in zip(valency, LABEL_FIBERS) if f == (rf, cf))
+        if total != _FIBER_SIZES[cf - 1]:
+            raise ConfigurationAxiomError(
+                f"valencies of the {rf}{cf}.* relations sum to {total}, "
+                f"not |X{cf}| = {_FIBER_SIZES[cf - 1]}"
+            )
+    for a, (ra, ca) in enumerate(LABEL_FIBERS):
+        for c, (rc, cc) in enumerate(LABEL_FIBERS):
             if rc != ra:
                 continue
             s = sum(
@@ -247,6 +220,18 @@ def check_tensor_identities(tensor: np.ndarray, fiber_sizes=(275, 2025)) -> None
                 if LABEL_FIBERS[b] == (ca, cc)
             )
             if s != valency[a]:
-                raise AssertionError(
+                raise ConfigurationAxiomError(
                     f"column sum {s} != valency {valency[a]} at a={LABELS[a]}, c={LABELS[c]}"
                 )
+    return valency
+
+
+def fixture_self_test() -> None:
+    """Transcription guard for the reference tables: they pass
+    `check_tensor_identities`, and the valencies they give are `VALENCIES`."""
+    valency = check_tensor_identities(fixture_tensor())
+    listed = [VALENCIES[name] for name in LABELS]
+    if valency != listed:
+        raise ConfigurationAxiomError(
+            f"reference valencies {valency} differ from VALENCIES {listed}"
+        )

