@@ -42,7 +42,6 @@ from .coherent import (
 )
 from .coherent_fixture import LABELS, LABEL_INDEX
 from .design import (
-    design_probes,
     euclidean_strength,
     float_polynomial_check,
     moment_spot_check,
@@ -76,24 +75,16 @@ EXIT_USAGE = 2
 
 def _normalized_value_sets(ws: WeightedPointSet):
     """Off-diagonal normalized inner-product sets per block; the cross set
-    is reported multiplied by sqrt(11) (which makes it rational)."""
+    is reported multiplied by sqrt(11) (which makes it rational).  A
+    diagonal block's off-diagonal histogram is its histogram less the n
+    diagonal entries at the layer's stored squared norm."""
     out = {}
     for (i, j), key in (((0, 0), "11"), ((1, 1), "22"), ((0, 1), "12")):
-        gram = ws.gram_block(i, j)
-        scale = ws.dot_scale(i, j)
-        if i == j:
-            mask = ~np.eye(gram.shape[0], dtype=bool)
-            vals = np.unique(gram[mask])
-            out[key] = sorted(
-                (Fraction(int(v), scale) / ws.layers[i].r2 for v in vals),
-                reverse=True,
-            )
-        else:
-            vals = np.unique(gram)
-            out[key] = sorted(
-                (Fraction(int(v), scale) / ws.layers[i].r2 for v in vals),
-                reverse=True,
-            )
+        st = ws.pair_stats[(i, j)]
+        scale, r2 = ws.dot_scale(i, j), ws.layers[i].r2
+        diagonal = (st.values == int(scale * r2)) * ws.layers[i].size if i == j else 0
+        vals = st.values[st.counts > diagonal].tolist()
+        out[key] = sorted((Fraction(v, scale) / r2 for v in vals), reverse=True)
     return out
 
 
@@ -163,7 +154,7 @@ def verify_design_claims(
     )
 
     with Timer() as t:
-        s1 = spherical_strength(ws.layers[0], 5)
+        s1 = spherical_strength(ws, 0, 5)
     report.check(
         "design/shell1-spherical-4",
         "pass k=1..4, fail k=5",
@@ -173,7 +164,7 @@ def verify_design_claims(
         t.ms,
     )
     with Timer() as t:
-        s2 = spherical_strength(ws.layers[1], 4)
+        s2 = spherical_strength(ws, 1, 4)
     report.check(
         "design/shell2-spherical-4",
         True,
@@ -182,8 +173,7 @@ def verify_design_claims(
     )
 
     with Timer() as t:
-        probes = design_probes(ws)
-        moments = moment_spot_check(ws, 6, probes)
+        moments = moment_spot_check(ws, 6)
         all_ok = all(m.passed for m in moments)
     report.check("design/probe-moment-oracle", True, all_ok, t.ms)
     report.note("probe-moment-conditions-checked", len(moments))
@@ -301,24 +291,20 @@ def verify_unique_claims(
 
     with Timer() as t:
         split, error = _unique_step(split_candidates, cands, ws)
-    report.check(
+    sizes_ok = report.check(
         "unique/split-sizes",
         "2025 + 2025",
         error or f"{len(split.part_a)} + {len(split.part_b)}",
         t.ms,
     )
-    if split is None:
+    if not sizes_ok:
         return
     report.check(
         "unique/part-a-equals-second-shell",
         True,
         rows_as_set(split.part_a) == rows_as_set(ws.layers[1].points),
     )
-    report.check(
-        "unique/parts-disjoint",
-        True,
-        not (rows_as_set(split.part_a) & rows_as_set(split.part_b)),
-    )
+    report.check("unique/parts-disjoint", True, split.disjoint and split.covering)
     report.note("cross-part-products", [str(v) for v in split.cross_products])
 
     with Timer() as t:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -46,6 +47,12 @@ A2_SQ = Fraction(4, 45)  # a_2 = 2/(3 sqrt5)
 B2_SQ = Fraction(1, 45)  # b_2 = 1/(3 sqrt5)
 
 
+# Input bounds that make every int64 product of stored rows exact (see
+# WeightedPointSet.gram_block).
+COORD_BOUND = 2**29
+NORM_BOUND = 2**62
+
+
 class DesignConstructionError(RuntimeError):
     pass
 
@@ -60,8 +67,15 @@ class PointLayer:
     r2: Fraction  # conventional squared radius
 
     def __post_init__(self):
-        norms = (self.points.astype(np.int64) ** 2).sum(axis=1)
+        pts = self.points
+        if pts.max(initial=0) >= COORD_BOUND or pts.min(initial=0) <= -COORD_BOUND:
+            raise DesignConstructionError("coordinate out of range: |c| must be below 2^29")
         expect = self.r2 * 8 * self.denom * self.denom
+        if not 0 < expect < NORM_BOUND:
+            raise DesignConstructionError(
+                f"stored squared norm {expect} out of range: 8 r2 denom^2 must be in (0, 2^62)"
+            )
+        norms = (pts.astype(np.int64) ** 2).sum(axis=1)
         if expect.denominator != 1 or not bool((norms == int(expect)).all()):
             raise DesignConstructionError(
                 f"layer norm check failed (expected {expect})"
@@ -87,7 +101,77 @@ class WeightedPointSet:
         return 8 * self.layers[i].denom * self.layers[j].denom
 
     def gram_block(self, i: int, j: int) -> np.ndarray:
+        """Stored-integer inner products of the rows of layer i with those of
+        layer j, exact in int64.
+
+        `PointLayer` admits coordinates below 2^29 in absolute value, so its
+        24-term int64 norm cannot wrap and its norm check is exact; the
+        stored squared norm N = 8 r2 denom^2 is then below 2^62.  By
+        Cauchy-Schwarz, every entry u.v, and every partial sum of one (the
+        product of the sub-vectors on a subset of coordinates), is at most
+        |u| |v| <= max(N_u, N_v) < 2^62 in absolute value.  So no int64
+        product of stored rows, here or in any later stage, can wrap.
+        """
         return self.layers[i].points @ self.layers[j].points.T
+
+    @cached_property
+    def pair_stats(self) -> dict[tuple[int, int], BlockStats]:
+        """`BlockStats` of every layer block (i, j), i <= j; each Gram block
+        is built once per design and dropped after."""
+        p = len(self.layers)
+        return {
+            (i, j): BlockStats.of(self.gram_block(i, j), symmetric=i == j)
+            for i in range(p)
+            for j in range(i, p)
+        }
+
+
+@dataclass(frozen=True)
+class RowProfiles:
+    """The rows of a Gram block grouped by their multiset of values (their
+    inner-product profile): rows in one group hold the same values with the
+    same multiplicities."""
+
+    group: np.ndarray  # (n,) group index of each row
+    hists: tuple[tuple[np.ndarray, np.ndarray], ...]  # per group: (values, counts)
+
+    @classmethod
+    def of(cls, gram: np.ndarray) -> RowProfiles:
+        """Profiles of the rows of `gram`, which is sorted row by row in place."""
+        # Sorted rows are equal exactly when their multisets are.  Ordering
+        # them as byte strings puts equal rows next to each other, with no
+        # copy of the block however many distinct values it holds.
+        gram.sort(axis=1)
+        keys = gram.view(np.dtype((np.void, gram.itemsize * gram.shape[1]))).ravel()
+        order = np.argsort(keys)
+        starts = np.ones(len(keys), dtype=bool)
+        starts[1:] = [keys[a] != keys[b] for a, b in zip(order[1:], order[:-1])]
+        group = np.empty(len(keys), dtype=np.int64)
+        group[order] = np.cumsum(starts) - 1
+        hists = tuple(np.unique(gram[r], return_counts=True) for r in order[starts])
+        return cls(group=group, hists=hists)
+
+
+@dataclass(frozen=True)
+class BlockStats:
+    """Inner-product statistics of the layer block (i, j), i <= j."""
+
+    values: np.ndarray  # distinct stored dots, ascending
+    counts: np.ndarray  # occurrences of each value in the block
+    rows: RowProfiles  # the points of layer i against layer j
+    cols: RowProfiles  # the points of layer j against layer i
+
+    @classmethod
+    def of(cls, gram: np.ndarray, symmetric: bool) -> BlockStats:
+        """Statistics of the block `gram`, which they consume: its rows are
+        sorted in place, so that no second block-sized array is live."""
+        values, counts = np.unique(gram, return_counts=True)
+        if symmetric:
+            rows = cols = RowProfiles.of(gram)
+        else:
+            cols = RowProfiles.of(np.array(gram.T, order="C"))  # before gram is sorted
+            rows = RowProfiles.of(gram)
+        return cls(values=values, counts=counts, rows=rows, cols=cols)
 
 
 def check_anchor_pair(a, b, ctx: Optional[LeechContext] = None) -> None:
@@ -133,6 +217,27 @@ def project_out_single(rows: np.ndarray, a, mult: int) -> np.ndarray:
     return out4 // 4
 
 
+# Coset shells enumerated in this process, keyed by the anchor bytes and
+# value of each constraint and by the norm: `build_design` and `build_Y`
+# both need {(x,a)=2, (x,b)=0} at norm 4.  Every LeechContext describes the
+# same lattice, so the context is not part of the key.
+_SHELLS: dict[tuple, np.ndarray] = {}
+
+
+def _coset_shell(constraints: list[CosetConstraint], norm, ctx: LeechContext) -> np.ndarray:
+    """`enumerate_coset_shell`, run once per key; the result is shared, so
+    it is read-only."""
+    key = (
+        tuple((np.asarray(c.anchor, dtype=np.int64).tobytes(), c.value) for c in constraints),
+        Fraction(norm),
+    )
+    if key not in _SHELLS:
+        shell = enumerate_coset_shell(constraints, norm, ctx)
+        shell.setflags(write=False)
+        _SHELLS[key] = shell
+    return _SHELLS[key]
+
+
 def build_design(
     a=None,
     b=None,
@@ -147,12 +252,8 @@ def build_design(
     b = B_CANONICAL if b is None else np.asarray(b, dtype=np.int64)
     check_anchor_pair(a, b, ctx)
 
-    shell1 = enumerate_coset_shell(
-        [CosetConstraint(a, 3), CosetConstraint(b, -3)], 6, ctx
-    )
-    shell2 = enumerate_coset_shell(
-        [CosetConstraint(a, 2), CosetConstraint(b, 0)], 4, ctx
-    )
+    shell1 = _coset_shell([CosetConstraint(a, 3), CosetConstraint(b, -3)], 6, ctx)
+    shell2 = _coset_shell([CosetConstraint(a, 2), CosetConstraint(b, 0)], 4, ctx)
     if shell1.shape[0] != 275 or shell2.shape[0] != 2025:
         raise DesignConstructionError(
             f"wrong shell cardinalities: {shell1.shape[0]}, {shell2.shape[0]}"
@@ -186,9 +287,7 @@ def build_Y(a=None, b=None, ctx: Optional[LeechContext] = None):
     b_value = {1: 1, 2: 0, -2: -1, -1: -2}
     out = {}
     for key, bval in b_value.items():
-        shell = enumerate_coset_shell(
-            [CosetConstraint(a, 2), CosetConstraint(b, bval)], 4, ctx
-        )
+        shell = _coset_shell([CosetConstraint(a, 2), CosetConstraint(b, bval)], 4, ctx)
         if shell.shape[0] != expected[key]:
             raise DesignConstructionError(
                 f"Y[{key}] has {shell.shape[0]} points, expected {expected[key]}"
@@ -256,17 +355,17 @@ _AB_PRODUCTS = {
 
 def z_value_histogram(design: WeightedPointSet) -> dict[Fraction, int]:
     """Multiset of inner products over all ordered pairs of the antipodal
-    cover Z, from the integer Gram blocks; `seven/z-pair-count` checks its total."""
+    cover Z, from the Gram histograms of the design's pair statistics;
+    `seven/z-pair-count` checks its total."""
     hist: dict[Fraction, int] = {}
     for i in (0, 1):
         for j in (0, 1):
             aa, bb = _AB_PRODUCTS[(i + 1, j + 1)]
-            block = design.gram_block(i, j)
+            st = design.pair_stats[(min(i, j), max(i, j))]  # (1, 0) has the values of (0, 1)
             scale = design.dot_scale(i, j)
-            vals, counts = np.unique(block, return_counts=True)
-            for d, c in zip(vals, counts):
-                base = aa * Fraction(int(d), scale) / R1_SQ + bb
+            for d, c in zip(st.values.tolist(), st.counts.tolist()):
+                base = aa * Fraction(d, scale) / R1_SQ + bb
                 # sign product +1 occurs twice (+/+, -/-), -1 twice (+/-, -/+)
                 for v, mult in ((base, 2), (-base, 2)):
-                    hist[v] = hist.get(v, 0) + mult * int(c)
+                    hist[v] = hist.get(v, 0) + mult * c
     return hist

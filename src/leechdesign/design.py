@@ -17,6 +17,17 @@ any radicals, for arbitrary rational input layers.
 Two independent oracles accompany the kernel route: an exact probe-moment
 check (necessary conditions from powers of linear forms) and a seeded
 floating-point random-polynomial comparison in an orthonormalized frame.
+
+Every exact check reads the pair statistics of the design
+(`WeightedPointSet.pair_stats`), computed once: per layer block, the
+histogram of stored inner products and the grouping of the rows by their
+inner-product profile.  The kernel sums need only the histograms.  The
+probe-moment oracle probes with every design point y, and its moment sum
+sum_x w(x) (x.y)^k depends on y only through the multiset of y's inner
+products with each layer, its row profile (Delsarte, Goethals and Seidel
+1977).  So it is evaluated exactly once per distinct profile and copied to
+every probe with that profile: an identity, not a sample, and each probe
+is still checked and named by its index.
 """
 
 from __future__ import annotations
@@ -101,13 +112,6 @@ class GegenbauerEvaluator:
         return acc
 
 
-def _layer_pair_histogram(ws: WeightedPointSet, i: int, j: int):
-    """Distinct stored dot values and counts for the (i, j) layer block."""
-    block = ws.gram_block(i, j)
-    vals, counts = np.unique(block, return_counts=True)
-    return [(int(v), int(c)) for v, c in zip(vals, counts)]
-
-
 def euclidean_strength(
     ws: WeightedPointSet, t: int, dimension: int = 22
 ) -> list[StrengthCondition]:
@@ -124,11 +128,6 @@ def euclidean_strength(
         raise ValueError("layers must have distinct positive radii")
     ev = GegenbauerEvaluator(dimension, t)
 
-    hists = {}
-    for i in range(p):
-        for j in range(i, p):
-            hists[(i, j)] = _layer_pair_histogram(ws, i, j)
-
     out: list[StrengthCondition] = []
     for l in range(1, t + 1):
         for j in range(0, min((t - l) // 2, p - 1) + 1):
@@ -140,7 +139,8 @@ def euclidean_strength(
                     nx2ny2 = ws.layers[bi].r2 * ws.layers[bj].r2
                     radial = nx2ny2**j
                     sym = 1 if bi == bj else 2
-                    for d, c in hists[(bi, bj)]:
+                    st = ws.pair_stats[(bi, bj)]
+                    for d, c in zip(st.values.tolist(), st.counts.tolist()):
                         dot = Fraction(d, scale)
                         term = ev.homogeneous_pair_value(l, dot, nx2ny2)
                         total += sym * c * w2 * radial * term
@@ -172,20 +172,13 @@ def spherical_strength_from_values(
 
 
 def spherical_strength(
-    layer: PointLayer, t: int, dimension: int = 22
+    ws: WeightedPointSet, i: int, t: int, dimension: int = 22
 ) -> list[StrengthCondition]:
-    """Spherical design strength of one equal-norm layer (unweighted)."""
-    if t > MAX_STRENGTH:
-        raise ValueError(f"strength capped at {MAX_STRENGTH}")
-    gram = layer.points @ layer.points.T
-    norms = (layer.points**2).sum(axis=1)
-    if len(np.unique(norms)) != 1:
-        raise ValueError("mixed radii: spherical strength needs one sphere")
-    scale = 8 * layer.denom * layer.denom
-    vals, counts = np.unique(gram, return_counts=True)
-    hist = [
-        (Fraction(int(v), scale) / layer.r2, int(c)) for v, c in zip(vals, counts)
-    ]
+    """Spherical design strength of layer i on its own (unweighted), from
+    the histogram of its Gram block; `PointLayer` holds one radius."""
+    st = ws.pair_stats[(i, i)]
+    unit = ws.dot_scale(i, i) * ws.layers[i].r2  # the stored squared norm
+    hist = [(Fraction(v) / unit, c) for v, c in zip(st.values.tolist(), st.counts.tolist())]
     return spherical_strength_from_values(hist, t, dimension)
 
 
@@ -221,56 +214,54 @@ class ProbeMomentResult:
 
 
 def moment_spot_check(
-    ws: WeightedPointSet,
-    t: int,
-    probes: Sequence[tuple[np.ndarray, int]],
-    dimension: int = 22,
+    ws: WeightedPointSet, t: int, dimension: int = 22
 ) -> list[ProbeMomentResult]:
     """Necessary-condition oracle, independent of the kernel route.
 
-    For each probe y and each k <= t the design property forces
+    Every design point y is a probe.  For each k <= t the design property
+    forces
 
         sum_x w(x) (x.y)^k  ==  [k even] (k-1)!! / prod_{j<k/2}(n+2j)
                                 * |y|^k * sum_i w_i |X_i| r_i^k.
 
-    Probes are (stored integer vector, denominator) pairs.
+    Probes are numbered layer by layer, in stored order.  The left side is
+    evaluated once per distinct row profile of a layer (module docstring),
+    the right side once per layer, since |y|^2 is the layer's r2.
     """
-    results: list[ProbeMomentResult] = []
-    layer_weight_counts = [
-        (layer.weight, layer.size, layer.r2) for layer in ws.layers
+    p = len(ws.layers)
+    # the right side without |y|^k: the sphere average of u^k times the radial sum
+    radial = [
+        sphere_monomial_average([k], dimension)
+        * sum(layer.weight * layer.size * layer.r2 ** (k // 2) for layer in ws.layers)
+        for k in range(t + 1)
     ]
-    for idx, (vec, dy) in enumerate(probes):
-        vec = np.asarray(vec, dtype=np.int64)
-        if not vec.any():
-            raise ValueError("probes must be nonzero")
-        y_norm2 = Fraction(int(vec @ vec), 8 * dy * dy)
-        per_layer = []
-        for layer in ws.layers:
-            dots = layer.points @ vec
-            vals, counts = np.unique(dots, return_counts=True)
-            scale = 8 * layer.denom * dy
-            per_layer.append(
-                (layer.weight, [(Fraction(int(v), scale), int(c)) for v, c in zip(vals, counts)])
+    results: list[ProbeMomentResult] = []
+    first_index = 0
+    for m, probe_layer in enumerate(ws.layers):
+        profiles = [
+            ws.pair_stats[(m, i)].rows if m <= i else ws.pair_stats[(i, m)].cols
+            for i in range(p)
+        ]
+        keys, inverse = np.unique(
+            np.stack([prof.group for prof in profiles], axis=1), axis=0, return_inverse=True
+        )
+        lhs = []
+        for key in keys.tolist():
+            sums = [Fraction(0)] * (t + 1)
+            for i, (prof, g) in enumerate(zip(profiles, key)):
+                vals, counts = prof.hists[g]
+                scale, w = ws.dot_scale(i, m), ws.layers[i].weight
+                for v, c in zip(vals.tolist(), counts.tolist()):
+                    u = Fraction(v, scale)
+                    for k in range(t + 1):
+                        sums[k] += w * c * u**k
+            lhs.append(sums)
+        rhs = [radial[k] * probe_layer.r2 ** (k // 2) for k in range(t + 1)]
+        for q, g in enumerate(inverse.reshape(-1).tolist()):
+            results.extend(
+                ProbeMomentResult(first_index + q, k, lhs[g][k], rhs[k]) for k in range(t + 1)
             )
-        for k in range(0, t + 1):
-            lhs = Fraction(0)
-            for w, hist in per_layer:
-                for u, c in hist:
-                    lhs += w * c * u**k
-            if k % 2:
-                rhs = Fraction(0)
-            else:
-                num = 1
-                for odd in range(1, k, 2):
-                    num *= odd
-                den = 1
-                for j in range(k // 2):
-                    den *= dimension + 2 * j
-                radial = sum(
-                    w * cnt * r2 ** (k // 2) for w, cnt, r2 in layer_weight_counts
-                )
-                rhs = Fraction(num, den) * y_norm2 ** (k // 2) * radial
-            results.append(ProbeMomentResult(idx, k, lhs, rhs))
+        first_index += probe_layer.size
     return results
 
 
@@ -334,15 +325,6 @@ def float_polynomial_check(
                 rhs += coef * float(layer.weight) * layer.size * r_pow * float(avg)
         out.append((lhs, rhs))
     return out
-
-
-def design_probes(ws: WeightedPointSet) -> list[tuple[np.ndarray, int]]:
-    """Every design point as a probe (stored vector, denominator)."""
-    probes = []
-    for layer in ws.layers:
-        for row in layer.points:
-            probes.append((row, layer.denom))
-    return probes
 
 
 def mutate_design(

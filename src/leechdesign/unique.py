@@ -343,19 +343,23 @@ def generated_lattice_membership(frame: DualFrame, u_arr: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class CandidateSplit:
-    part_a: np.ndarray  # (2025, 24) ints, 3 * stored coords
+    part_a: np.ndarray  # 3 * stored coords, canonical order
     part_b: np.ndarray
     cross_products: tuple[Fraction, ...]  # distinct <y, y'> across parts
+    disjoint: bool  # no pair across the parts is compatible, so none is shared
+    covering: bool  # every candidate lies in a part
 
 
 def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> CandidateSplit:
     """Partition by the compatibility relation: same part iff the pairwise
     normalized inner product is one of the three second-shell values.
 
-    Verifies the relation is an equivalence with exactly two classes of
-    2025 (exhaustively: all 4050^2 ordered pairs).  Part A is the class
-    that shares more points with the given second shell; whether it equals
-    that shell, and whether the parts are disjoint, is left to the caller.
+    One part is the class of candidate 0, the other the class of the first
+    candidate outside it; each must be a clique of the relation (checked
+    exhaustively).  Part A is the class that shares more points with the
+    given second shell.  The sizes of the parts, whether they equal that
+    shell, and whether they are disjoint and cover all candidates are left
+    to the caller.
     """
     vec = candidates.vectors3
     n = len(vec)
@@ -363,7 +367,6 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
         raise UniquenessError(f"expected 4050 candidates, got {n}")
     dots = vec @ vec.T  # 9 * 40 * <y, y'>
     scale = 9 * WORK_DEN
-    norm_dot = int(CANDIDATE_NORM * scale)
     beta_dots = {
         int(Fraction(7, 22) * CANDIDATE_NORM * scale),
         int(Fraction(-1, 44) * CANDIDATE_NORM * scale),
@@ -373,21 +376,15 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     same = np.isin(dots, sorted(beta_dots))
     np.fill_diagonal(same, True)
 
-    # Two classes: grow from candidate 0, check the complement is one class.
     in_a = same[0]
-    size_a = int(in_a.sum())
-    in_b = ~in_a
-    size_b = int(in_b.sum())
-    if size_a != 2025 or size_b != 2025:
-        raise UniquenessError(f"split sizes {size_a}/{size_b}, expected 2025/2025")
-    # Exhaustive transitivity: within parts everything compatible, across
-    # parts nothing compatible.
+    outside = np.flatnonzero(~in_a)
+    if not len(outside):
+        raise UniquenessError("every candidate is compatible with candidate 0")
+    in_b = same[outside[0]]
     if not bool(same[np.ix_(in_a, in_a)].all()):
         raise UniquenessError("compatibility is not transitive on part A")
     if not bool(same[np.ix_(in_b, in_b)].all()):
         raise UniquenessError("compatibility is not transitive on part B")
-    if bool(same[np.ix_(in_a, in_b)].any()):
-        raise UniquenessError("cross-part pair is compatible")
 
     cross_vals = sorted(
         {Fraction(int(v), scale) for v in np.unique(dots[np.ix_(in_a, in_b)])}
@@ -398,7 +395,13 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     x2_stored = rows_as_set(ws.layers[1].points)
     if len(rows_as_set(part_b) & x2_stored) > len(rows_as_set(part_a) & x2_stored):
         part_a, part_b = part_b, part_a
-    return CandidateSplit(part_a=part_a, part_b=part_b, cross_products=tuple(cross_vals))
+    return CandidateSplit(
+        part_a=part_a,
+        part_b=part_b,
+        cross_products=tuple(cross_vals),
+        disjoint=not same[np.ix_(in_a, in_b)].any(),
+        covering=bool((in_a | in_b).all()),
+    )
 
 
 def twin_design(ws: WeightedPointSet, split: CandidateSplit) -> WeightedPointSet:

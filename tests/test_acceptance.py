@@ -23,7 +23,6 @@ from leechdesign.construct import (
     z_value_histogram,
 )
 from leechdesign.design import (
-    design_probes,
     euclidean_strength,
     float_polynomial_check,
     moment_spot_check,
@@ -107,8 +106,8 @@ def test_criterion_3_design_strength(design):
 
 def test_criterion_4_spherical_strengths(design):
     t0 = time.monotonic()
-    s1 = spherical_strength(design.layers[0], 5)
-    s2 = spherical_strength(design.layers[1], 4)
+    s1 = spherical_strength(design, 0, 5)
+    s2 = spherical_strength(design, 1, 4)
     hist = z_value_histogram(design)
     sz = spherical_strength_from_values(list(hist.items()), 7, 23)
     dt = time.monotonic() - t0
@@ -214,8 +213,7 @@ def test_criterion_8_anchor_independence(design, alt_design, tensor, alt_tensor)
 def test_criterion_9_oracle_agreement(design):
     t0 = time.monotonic()
     kern_good = all(c.passed for c in euclidean_strength(design, 6))
-    probes = design_probes(design)
-    probe_good = all(m.passed for m in moment_spot_check(design, 6, probes))
+    probe_good = all(m.passed for m in moment_spot_check(design, 6))
     float_good = (
         max(abs(l - r) for l, r in float_polynomial_check(design, 6, seed=20240601))
         <= 1e-9
@@ -223,7 +221,7 @@ def test_criterion_9_oracle_agreement(design):
 
     bad = mutate_design(design, 0, 0)
     kern_bad = all(c.passed for c in euclidean_strength(bad, 6))
-    probe_bad = all(m.passed for m in moment_spot_check(bad, 6, design_probes(bad)[:200]))
+    probe_bad = all(m.passed for m in moment_spot_check(bad, 6))
     float_bad = (
         max(abs(l - r) for l, r in float_polynomial_check(bad, 6, seed=20240601))
         <= 1e-9

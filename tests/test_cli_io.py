@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -84,6 +85,9 @@ def test_cli_verify_design_from_file(tmp_path, design):
     assert notes["degree-7-values"] == str(
         {"l=5,j=1": "1992646656/115", "l=7,j=0": "1107025920/23"}
     )
+    # the whole canonical report, as written before the pair statistics
+    digest = hashlib.sha256((out / "report_design.canonical.json").read_bytes()).hexdigest()
+    assert digest == "270d2d1806d9bf78384110f49c0dd29c0d0fb66cc54c0136e166460b806c4a78"
 
 
 def test_cli_detects_deleted_point(tmp_path, design):
@@ -147,6 +151,31 @@ def test_malformed_design_file_is_a_format_error(tmp_path, design, capsys, fault
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: bad input file:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["verify-design", "verify-coherent", "verify-unique", "verify-7design"]
+)
+def test_int64_wraparound_forgery_is_rejected(tmp_path, design, capsys, command):
+    # Subtracting 2^63 from two non-negative coordinates of one outer point
+    # changes every int64 square and product by a multiple of 2^64, so an
+    # unchecked norm and Gram would not see it.
+    path = tmp_path / "design.txt"
+    design_io.write_design(path, design)
+    lines = path.read_text().splitlines()
+    outer_rows = range(2 + 275 + 1, len(lines))  # past both headers and the inner layer
+    row = next(i for i in outer_rows if sum(int(x) >= 0 for x in lines[i].split()) >= 2)
+    tokens = [int(x) for x in lines[row].split()]
+    for col in [c for c, x in enumerate(tokens) if x >= 0][:2]:
+        tokens[col] -= 2**63
+    lines[row] = " ".join(map(str, tokens))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main([command, "--in", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "coordinate out of range" in err
 
 
 @pytest.mark.parametrize(

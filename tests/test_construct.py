@@ -3,11 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from leechdesign import construct
 from leechdesign.construct import (
     DesignConstructionError,
     PointLayer,
     WeightedPointSet,
     build_design,
+    build_Y,
     check_X1_equals_PY,
     project_rows_scaled,
     y_antipodal_pair_count,
@@ -88,6 +90,38 @@ def test_rebuild_with_other_anchor_pair_same_gram_multiset(design, alt_design):
             va, ca = np.unique(a, return_counts=True)
             vb, cb = np.unique(b, return_counts=True)
             assert bool((va == vb).all()) and bool((ca == cb).all())
+
+
+def test_layer_bounds_keep_int64_products_exact(design):
+    inner = design.layers[0]
+    points = inner.points.copy()
+    points[0, 0] = -(2**29)
+    with pytest.raises(DesignConstructionError, match="coordinate out of range"):
+        PointLayer(points, inner.denom, inner.weight, inner.r2)
+    # 8 r2 denom^2 = 2^62 reaches the bound, which is excluded
+    with pytest.raises(DesignConstructionError, match="squared norm"):
+        PointLayer(inner.points, 1, inner.weight, Fraction(2**59))
+    with pytest.raises(DesignConstructionError, match="squared norm"):
+        PointLayer(inner.points, inner.denom, inner.weight, Fraction(0))
+
+
+def test_each_coset_shell_is_enumerated_once(ctx, design, ys, monkeypatch):
+    keys = []
+
+    def counted(constraints, norm, ctx=None, stats=None):
+        keys.append((tuple((c.anchor.tobytes(), c.value) for c in constraints), norm))
+        return enumerate_coset_shell(constraints, norm, ctx, stats)
+
+    monkeypatch.setattr(construct, "_SHELLS", {})
+    monkeypatch.setattr(construct, "enumerate_coset_shell", counted)
+    rebuilt = build_design(A_CANONICAL, B_CANONICAL, ctx)
+    ys_again = build_Y(A_CANONICAL, B_CANONICAL, ctx)
+    # (a,2),(b,0) at norm 4 serves both the outer shell and Y[+2]
+    assert len(keys) == len(set(keys)) == 5
+    assert all(not shell.flags.writeable for shell in construct._SHELLS.values())
+    for mine, theirs in zip(rebuilt.layers, design.layers):
+        assert bool((mine.points == theirs.points).all())
+    assert all(bool((ys_again[k] == ys[k]).all()) for k in ys)
 
 
 def test_anchor_preconditions_enforced(ctx):

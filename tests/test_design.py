@@ -1,13 +1,19 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
-from leechdesign.construct import PointLayer, WeightedPointSet, z_value_histogram
+from leechdesign.cli import verify_design_claims
+from leechdesign.construct import (
+    DesignConstructionError,
+    PointLayer,
+    WeightedPointSet,
+    z_value_histogram,
+)
 from leechdesign.design import (
     GegenbauerEvaluator,
-    design_probes,
     euclidean_strength,
     float_polynomial_check,
     moment_spot_check,
@@ -17,6 +23,7 @@ from leechdesign.design import (
     sphere_monomial_average,
     tightness_check,
 )
+from leechdesign.report import VerificationReport
 
 
 def test_gegenbauer_normalization():
@@ -69,15 +76,11 @@ def test_single_point_is_not_a_1_design():
 
 
 def test_spherical_strength_rejects_mixed_radii(design):
-    # the PointLayer constructor already rejects mixed norms, so feed the
-    # checker a hand-made stand-in carrying two radii at once
-    class MixedLayer:
-        points = np.concatenate([design.layers[0].points, design.layers[1].points])
-        denom = 5
-        r2 = Fraction(12, 5)
-
-    with pytest.raises(ValueError):
-        spherical_strength(MixedLayer(), 4)
+    # spherical strength reads one layer's histogram at that layer's radius;
+    # a layer holding two radii is rejected where it is built
+    points = np.concatenate([design.layers[0].points, design.layers[1].points])
+    with pytest.raises(DesignConstructionError):
+        PointLayer(points=points, denom=5, weight=Fraction(1), r2=Fraction(12, 5))
 
 
 def test_euclidean_strength_six_all_zero(design):
@@ -98,15 +101,15 @@ def test_degree_seven_condition_nonzero(design):
 def test_strength_values_nonnegative_as_floats(design):
     for c in euclidean_strength(design, 7):
         assert float(c.value) >= -1e-9
-    for layer, t in ((design.layers[0], 5), (design.layers[1], 5)):
-        for c in spherical_strength(layer, t):
+    for i in (0, 1):
+        for c in spherical_strength(design, i, 5):
             assert float(c.value) >= -1e-9
 
 
 def test_spherical_strengths(design):
-    s1 = spherical_strength(design.layers[0], 5)
+    s1 = spherical_strength(design, 0, 5)
     assert [c.passed for c in s1] == [True, True, True, True, False]
-    s2 = spherical_strength(design.layers[1], 4)
+    s2 = spherical_strength(design, 1, 4)
     assert all(c.passed for c in s2)
 
 
@@ -140,8 +143,11 @@ def test_tightness(design):
 
 
 def test_probe_moment_oracle_passes(design):
-    probes = design_probes(design)[:100]
-    results = moment_spot_check(design, 6, probes)
+    results = moment_spot_check(design, 6)
+    # every design point is a probe, checked at k = 0..6
+    assert [(r.probe_index, r.k) for r in results] == [
+        (q, k) for q in range(2300) for k in range(7)
+    ]
     assert all(r.passed for r in results)
     # k = 0 reproduces the total weight 275 + 2025/729
     k0 = [r for r in results if r.k == 0]
@@ -173,8 +179,7 @@ def test_all_three_oracles_agree_on_mutated_design(design):
     conds = euclidean_strength(bad, 6)
     assert any(not c.passed for c in conds)
 
-    probes = design_probes(bad)[:50]
-    moments = moment_spot_check(bad, 6, probes)
+    moments = moment_spot_check(bad, 6)
     assert any(not m.passed for m in moments)
 
     pairs = float_polynomial_check(bad, 6, seed=20240601, trials=40)
@@ -190,9 +195,61 @@ def test_float_oracle_on_design(design):
 
 def test_probe_and_kernel_oracles_agree_on_design(design):
     conds = euclidean_strength(design, 6)
-    probes = design_probes(design)[::37]
-    moments = moment_spot_check(design, 6, probes)
+    moments = moment_spot_check(design, 6)
     assert all(c.passed for c in conds) == all(m.passed for m in moments)
+
+
+def _probe_moments(ws, y, dy, t, n=22):
+    """Direct reference for one probe: (lhs, rhs) of every k <= t, from
+    the histogram of the probe's own dot products with each layer."""
+    hists = []
+    for layer in ws.layers:
+        vals, counts = np.unique(layer.points @ y, return_counts=True)
+        scale = 8 * layer.denom * dy
+        hists += [(layer.weight, Fraction(int(v), scale), int(c)) for v, c in zip(vals, counts)]
+    y_norm2 = Fraction(int(y @ y), 8 * dy * dy)
+    out = []
+    for k in range(t + 1):
+        lhs = sum(w * c * u**k for w, u, c in hists)
+        rhs = Fraction(0)
+        if k % 2 == 0:
+            average = Fraction(prod(range(1, k, 2)), prod(n + 2 * j for j in range(k // 2)))
+            radial = sum(
+                layer.weight * layer.size * layer.r2 ** (k // 2) for layer in ws.layers
+            )
+            rhs = average * y_norm2 ** (k // 2) * radial
+        out.append((lhs, rhs))
+    return out
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_moment_spot_check_matches_per_probe_reference(design, mutated):
+    ws = mutate_design(design, 0, 0) if mutated else design
+    results = moment_spot_check(ws, 6)
+    probes = [(row, layer.denom) for layer in ws.layers for row in layer.points]
+    assert len(results) == 7 * len(probes)
+    for q in range(0, len(probes), 59):  # 39 probes from every layer
+        got = [(r.lhs, r.rhs) for r in results[7 * q : 7 * q + 7]]
+        assert [r.probe_index for r in results[7 * q : 7 * q + 7]] == [q] * 7
+        assert got == _probe_moments(ws, *probes[q], 6)
+    if mutated:  # the last probe is the moved point, alone in its layer
+        got = [(r.lhs, r.rhs) for r in results[-7:]]
+        assert got == _probe_moments(ws, *probes[-1], 6)
+
+
+def test_verify_design_builds_each_gram_block_once(design, monkeypatch):
+    calls = []
+    gram_block = WeightedPointSet.gram_block
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return gram_block(self, i, j)
+
+    monkeypatch.setattr(WeightedPointSet, "gram_block", counted)
+    report = VerificationReport(name="design")
+    verify_design_claims(WeightedPointSet(layers=design.layers), report)
+    assert report.passed
+    assert sorted(calls) == [(0, 0), (0, 1), (1, 1)]
 
 
 def test_strength_cap():

@@ -22,6 +22,7 @@ from leechdesign.unique import (
     enumerate_candidates,
     _verify_candidates,
     generated_lattice_membership,
+    split_candidates,
 )
 
 
@@ -107,6 +108,20 @@ def test_split_sizes_and_equivalence(split):
     assert split.part_a.shape == (2025, 24)
     assert split.part_b.shape == (2025, 24)
     assert not (rows_as_set(split.part_a) & rows_as_set(split.part_b))
+
+
+def test_parts_disjoint_fails_on_a_copied_candidate(candidates, split, design):
+    # The last part-B candidate becomes a copy of candidate 0: it is then
+    # compatible with neither class row, so the parts no longer cover the
+    # 4050 candidates and unique/parts-disjoint must fail.
+    assert split.disjoint and split.covering
+    vec = candidates.vectors3.copy()
+    part_b = rows_as_set(split.part_b)
+    last_b = max(i for i, row in enumerate(vec.tolist()) if tuple(row) in part_b)
+    vec[last_b] = vec[0]
+    broken = split_candidates(dataclasses.replace(candidates, vectors3=vec), design)
+    assert not (broken.disjoint and broken.covering)
+    assert sorted([len(broken.part_a), len(broken.part_b)]) == [2024, 2025]
 
 
 def test_part_a_is_the_constructed_second_shell(split, design):
