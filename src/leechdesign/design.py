@@ -14,9 +14,8 @@ Because Q_l has the parity of l, each term is a polynomial in the exact
 rationals (x.y) and |x|^2 |y|^2, so every T(l,j) is computed in Q without
 any radicals, for arbitrary rational input layers.
 
-Two independent oracles accompany the kernel route: an exact probe-moment
-check (necessary conditions from powers of linear forms) and a seeded
-floating-point random-polynomial comparison in an orthonormalized frame.
+An exact probe-moment check (necessary conditions from powers of linear
+forms) accompanies the kernel route as an independent oracle.
 
 Every exact check reads the pair statistics of the design
 (`WeightedPointSet.pair_stats`), computed once: per layer block, the
@@ -39,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .construct import PointLayer, WeightedPointSet
+from .construct import DesignConstructionError, PointLayer, WeightedPointSet
 
 MAX_STRENGTH = 8
 
@@ -125,7 +124,7 @@ def euclidean_strength(
     p = len(ws.layers)
     radii = [layer.r2 for layer in ws.layers]
     if len(set(radii)) != p or any(r <= 0 for r in radii):
-        raise ValueError("layers must have distinct positive radii")
+        raise DesignConstructionError("layers must have distinct positive radii")
     ev = GegenbauerEvaluator(dimension, t)
 
     out: list[StrengthCondition] = []
@@ -268,63 +267,6 @@ def moment_spot_check(
 def tightness_check(ws: WeightedPointSet, e: int, dimension: int = 22) -> bool:
     """Cardinality meets the dim P_e(R^n) bound: |X| = C(n+e, e)."""
     return ws.size == comb(dimension + e, e)
-
-
-def float_polynomial_check(
-    ws: WeightedPointSet,
-    t: int,
-    seed: int = 20240601,
-    trials: int = 40,
-    dimension: int = 22,
-) -> list[tuple[float, float]]:
-    """Seeded random-polynomial oracle in an orthonormalized frame.
-
-    Draws sparse polynomials of degree <= t, compares the weighted point
-    sum against the exact layered sphere averages (converted to float at
-    the end).  Returns (lhs, rhs) pairs for the caller to compare.
-    """
-    rng = np.random.default_rng(seed)
-    stacked = np.concatenate([layer.points / layer.denom for layer in ws.layers])
-    u, s, vt = np.linalg.svd(stacked, full_matrices=False)
-    rank = int((s > 1e-8 * s[0]).sum())
-    if rank != dimension:
-        raise ValueError(f"point span has rank {rank}, expected {dimension}")
-    frame = vt[:dimension]  # orthonormal rows spanning the design subspace
-    coords = [
-        (layer.points / layer.denom) @ frame.T / np.sqrt(8.0) for layer in ws.layers
-    ]
-
-    out: list[tuple[float, float]] = []
-    for _ in range(trials):
-        n_monomials = int(rng.integers(1, 6))
-        monos = []
-        for _ in range(n_monomials):
-            deg = int(rng.integers(0, t + 1))
-            alpha = np.zeros(dimension, dtype=np.int64)
-            for _ in range(deg):
-                alpha[int(rng.integers(0, dimension))] += 1
-            coef = float(rng.normal())
-            monos.append((coef, alpha))
-        lhs = 0.0
-        for layer, pts in zip(ws.layers, coords):
-            vals = np.zeros(len(pts))
-            for coef, alpha in monos:
-                mono = np.ones(len(pts))
-                for i in np.nonzero(alpha)[0]:
-                    mono *= pts[:, i] ** int(alpha[i])
-                vals += coef * mono
-            lhs += float(layer.weight) * float(vals.sum())
-        rhs = 0.0
-        for coef, alpha in monos:
-            deg = int(alpha.sum())
-            avg = sphere_monomial_average([int(x) for x in alpha], dimension)
-            if avg == 0:
-                continue
-            for layer in ws.layers:
-                r_pow = float(layer.r2) ** (deg / 2.0)
-                rhs += coef * float(layer.weight) * layer.size * r_pow * float(avg)
-        out.append((lhs, rhs))
-    return out
 
 
 def mutate_design(

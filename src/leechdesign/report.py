@@ -10,7 +10,6 @@ keeps them for humans.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -92,12 +91,3 @@ class VerificationReport:
         (out_dir / f"{stem}.canonical.json").write_text(self.to_canonical_json() + "\n")
         (out_dir / f"{stem}.txt").write_text(self.summary_text() + "\n")
 
-
-class Timer:
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = int((time.monotonic() - self.t0) * 1000)
-        return False

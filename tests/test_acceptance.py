@@ -13,6 +13,7 @@ from math import comb
 
 import numpy as np
 
+from float_oracle import float_polynomial_check
 from leechdesign.coherent import classify_pairs, compare_with_reference, intersection_numbers
 from leechdesign.coherent_fixture import LABEL_INDEX
 from leechdesign.construct import (
@@ -24,7 +25,6 @@ from leechdesign.construct import (
 )
 from leechdesign.design import (
     euclidean_strength,
-    float_polynomial_check,
     moment_spot_check,
     mutate_design,
     spherical_strength,

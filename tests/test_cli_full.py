@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from leechdesign.cli import main
@@ -12,8 +14,21 @@ def test_cli_all_passes_end_to_end(tmp_path):
         assert (out / f"report_{stage}.json").exists()
         assert (out / f"report_{stage}.canonical.json").exists()
     assert (out / "design.txt").exists()
-    assert (out / "tensor.txt").exists()
-    assert (out / "candidates.txt").exists()
+    # the outputs on the canonical anchors, as written before the claim runner
+    digests = {
+        "report_design.canonical.json":
+            "270d2d1806d9bf78384110f49c0dd29c0d0fb66cc54c0136e166460b806c4a78",
+        "report_coherent.canonical.json":
+            "dfff756ba5701b79b061eb7f79e575420ac300d26d5eb6edc6bad1a7045d8beb",
+        "report_unique.canonical.json":
+            "44b6febdd270d4a030a0bd13851bbd67b834eaaf7130504a214838a188b695fd",
+        "report_seven.canonical.json":
+            "adbc90ce68aefdf28832577984aff207bbd7eae82f7e70b2b83ca41495b2cc0a",
+        "tensor.txt": "539e2f77573d9fb473e5a4961c67d76dfe5644cb93756b99c64eb4447245d476",
+        "candidates.txt": "9e7838f43abbc6353f1be6c1d94599a6dcca70b3f39e991b564d77bd1acd3feb",
+    }
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.slow

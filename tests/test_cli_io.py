@@ -6,9 +6,11 @@ import pytest
 
 from leechdesign import io as design_io
 from leechdesign.cli import main
-from leechdesign.construct import PointLayer, WeightedPointSet
+from leechdesign.coherent import RelationClassificationError
 from leechdesign.coherent_fixture import LABELS, fixture_tensor
+from leechdesign.construct import DesignConstructionError, PointLayer, WeightedPointSet
 from leechdesign.report import VerificationReport
+from leechdesign.unique import UniquenessError
 
 
 def test_design_file_round_trip(tmp_path, design):
@@ -241,30 +243,78 @@ def test_deleted_outer_point_fails_a_named_claim(
 
 
 @pytest.mark.parametrize(
-    "step, stop_claim",
+    "command, stage, first_fail",
     [
-        ("build_dual_frame", "unique/dual-frame-biorthogonal"),
-        ("enumerate_candidates", "unique/candidate-count"),
+        ("verify-design", "design", "design/layer-sizes"),
+        ("verify-coherent", "coherent", "coherent/nine-admissible-products"),
+        ("verify-unique", "unique", "unique/part-a-equals-second-shell"),
+        ("verify-7design", "seven", "seven/z-pair-count"),
     ],
 )
+def test_two_layers_of_one_radius_fail_named_claims(
+    tmp_path, design, capsys, command, stage, first_fail
+):
+    # the canonical inner layer written as both layers
+    path = tmp_path / "design.txt"
+    design_io.write_design(path, WeightedPointSet(layers=(design.layers[0],) * 2))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([command, "--in", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"FIRST FAILED CLAIM: {first_fail} " in err
+    last = json.loads((out / f"report_{stage}.canonical.json").read_text())["claims"][-1]
+    # a step that raises the program's own error fails its claim and ends the stage
+    ends = {
+        "design": ("design/strength-6-zero-conditions",
+                   "error: layers must have distinct positive radii"),
+        "unique": ("unique/twin-strength-6", "error: layer norm check failed (expected 480)"),
+    }
+    if stage in ends:
+        assert (last["claim"], last["computed"]) == ends[stage]
+
+
+STEP_FAULTS = [
+    # command, patched step, error it raises, claim at which the stage stops
+    ("verify-unique", "build_dual_frame", UniquenessError, "unique/dual-frame-biorthogonal"),
+    ("verify-unique", "enumerate_candidates", UniquenessError, "unique/candidate-count"),
+    ("verify-coherent", "classify_pairs", RelationClassificationError,
+     "coherent/nine-admissible-products"),
+    ("verify-unique", "twin_design", DesignConstructionError, "unique/twin-strength-6"),
+    ("verify-coherent", "classify_pairs", KeyError, None),
+]
+
+
+@pytest.mark.parametrize(
+    "command, step, error, stop_claim",
+    STEP_FAULTS,
+    ids=[f"{step}-{claim or error.__name__}" for _, step, error, claim in STEP_FAULTS],
+)
 def test_uniqueness_error_of_a_step_fails_its_claim(
-    tmp_path, design, capsys, monkeypatch, step, stop_claim
+    tmp_path, design, capsys, monkeypatch, command, step, error, stop_claim
 ):
     import leechdesign.cli as cli
-    from leechdesign.unique import UniquenessError
 
     def fail(*args, **kwargs):
-        raise UniquenessError("injected")
+        raise error("injected")
 
     monkeypatch.setattr(cli, step, fail)
     path = tmp_path / "design.txt"
     design_io.write_design(path, design)
     out = tmp_path / "out"
+    argv = [command, "--in", str(path), "--out", str(out)]
+    if stop_claim is None:
+        # any other exception is a bug: it must never be reported as a failed claim
+        with pytest.raises(error):
+            main(argv)
+        return
     capsys.readouterr()
-    code = main(["verify-unique", "--in", str(path), "--out", str(out)])
+    code = main(argv)
     assert code == 1
     assert f"FIRST FAILED CLAIM: {stop_claim} " in capsys.readouterr().err
-    last = json.loads((out / "report_unique.canonical.json").read_text())["claims"][-1]
+    stage = command.removeprefix("verify-")
+    last = json.loads((out / f"report_{stage}.canonical.json").read_text())["claims"][-1]
     # the stage stops at the failed step's claim
     assert (last["claim"], last["pass"], last["computed"]) == (stop_claim, False, "error: injected")
 

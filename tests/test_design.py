@@ -5,6 +5,7 @@ from math import prod
 import numpy as np
 import pytest
 
+from float_oracle import float_polynomial_check
 from leechdesign.cli import verify_design_claims
 from leechdesign.construct import (
     DesignConstructionError,
@@ -15,7 +16,6 @@ from leechdesign.construct import (
 from leechdesign.design import (
     GegenbauerEvaluator,
     euclidean_strength,
-    float_polynomial_check,
     moment_spot_check,
     mutate_design,
     spherical_strength,
