@@ -34,6 +34,7 @@ from .construct import (
     WeightedPointSet,
     build_design,
     build_Y,
+    check_orthogonal_to_anchors,
     check_X1_equals_PY,
     project_rows_scaled,
     y_antipodal_pair_count,
@@ -265,6 +266,7 @@ def verify_unique_claims(
         report.note("cross-part-products", [str(v) for v in split.cross_products])
 
         with stage.claim("unique/part-b-equals-projected-coset", True) as c:
+            check_orthogonal_to_anchors(ws, a, b)
             shell = enumerate_coset_shell(
                 [CosetConstraint(a, 0), CosetConstraint(b, -2)], 4, default_context()
             )
@@ -311,16 +313,22 @@ def verify_seven_claims(
             c.computed = y_antipodal_pair_count(ys)
 
         with stage.claim("seven/shell1-equals-projected-y-family", True) as c:
+            check_orthogonal_to_anchors(ws, a, b)
             c.computed = check_X1_equals_PY(ws, ys[1], a, b)
 
         # The sphere model and the single-projection model agree: the Gram
         # value histogram of the 4600 projected points, normalized by their
-        # common squared radius 3, equals the symbolic histogram.
+        # common squared radius 3, equals the symbolic histogram.  Every
+        # stored point has squared norm 96 (checked by `build_Y`), so by
+        # Cauchy-Schwarz each int64 dot lies in [-96, 96].
         with stage.claim("seven/z-matches-projected-model", True) as c:
-            stacked = np.concatenate([ys[1], ys[2], ys[-1], ys[-2]]).astype(np.float32)
-            gram = stacked @ stacked.T
-            vals, counts = np.unique(gram.astype(np.int64), return_counts=True)
-            y_hist = {Fraction(int(v), 8 * 2 * 2 * 3): int(n) for v, n in zip(vals, counts)}
+            fams = [ys[1], ys[2], ys[-1], ys[-2]]
+            counts = np.zeros(193, dtype=np.int64)  # dots -96..96
+            for i, f in enumerate(fams):
+                for j in range(i, 4):  # block (j, i) holds the values of (i, j)
+                    dots = (f @ fams[j].T).ravel() + 96
+                    counts += (1 if i == j else 2) * np.bincount(dots, minlength=193)
+            y_hist = {Fraction(v - 96, 96): int(n) for v, n in enumerate(counts.tolist()) if n}
             c.computed = y_hist == hist
 
 

@@ -185,6 +185,19 @@ def check_anchor_pair(a, b, ctx: Optional[LeechContext] = None) -> None:
         raise DesignConstructionError("anchors must have inner product -1")
 
 
+def check_orthogonal_to_anchors(ws: WeightedPointSet, a, b) -> None:
+    """A design built from the anchors a, b lies in their orthogonal
+    complement.  One built from other anchors does not, and a claim that
+    rebuilds its lattice side from a, b has nothing to compare it with."""
+    check_anchor_pair(a, b)
+    ab = np.stack([np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)], axis=1)
+    # exact: stored norms are below 2^62 and anchor norms 32, so |x . a| < 2^34
+    if any(np.any(layer.points @ ab) for layer in ws.layers):
+        raise DesignConstructionError(
+            "design is not orthogonal to the anchors; replay with the --anchors it was built from"
+        )
+
+
 def project_rows_scaled(rows: np.ndarray, a, b, mult: int) -> np.ndarray:
     """mult * P(row) for every row, verified integral."""
     rows = np.asarray(rows, dtype=np.int64)

@@ -85,20 +85,10 @@ class GegenbauerEvaluator:
             raise ValueError(f"degree {k} out of range")
         return self._coeffs[k]
 
-    def eval(self, k: int, u: Fraction) -> Fraction:
-        """Q_k(u) for a rational argument, exact."""
-        coeffs = self.coefficients(k)
-        u = Fraction(u)
-        acc = Fraction(0)
-        power = Fraction(1)
-        for c in coeffs:
-            acc += c * power
-            power *= u
-        return acc
-
     def homogeneous_pair_value(self, k: int, dot: Fraction, nx2ny2: Fraction) -> Fraction:
         """(|x||y|)^k Q_k(x.y / |x||y|) as a polynomial in dot = x.y and
-        nx2ny2 = |x|^2 |y|^2 (exact; uses that Q_k has the parity of k)."""
+        nx2ny2 = |x|^2 |y|^2 (exact; uses that Q_k has the parity of k).
+        With nx2ny2 = 1 it is Q_k(dot)."""
         coeffs = self.coefficients(k)
         acc = Fraction(0)
         for power, c in enumerate(coeffs):
@@ -163,7 +153,7 @@ def spherical_strength_from_values(
     for k in range(1, t + 1):
         total = Fraction(0)
         for u, c in vals:
-            total += c * ev.eval(k, Fraction(u))
+            total += c * ev.homogeneous_pair_value(k, Fraction(u), Fraction(1))
         out.append(
             StrengthCondition(label=f"k={k}", value=total, passed=total == 0)
         )

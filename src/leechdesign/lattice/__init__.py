@@ -4,8 +4,8 @@ The public surface: build the Golay code and lattice context once, then
 enumerate {x in Lambda : (x,x) = norm, (x, anchor_k) = value_k} exactly.
 The enumerator reduces the problem to the rank-(24-k) sublattice
 orthogonal to the anchors (integer kernel of the inner-product map), finds
-one particular solution of the inhomogeneous integer system, and runs the
-exact sphere search on that coset.
+one particular solution of the inhomogeneous integer system, both from one
+Hermite normal form, and runs the exact sphere search on that coset.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..arith import rational_linear_solve
-from .fincke_pohst import EnumerationStats, enumerate_sphere
+from .fincke_pohst import EnumerationStats, enumerate_sphere, ldl_solve, rational_cholesky
 from .golay import GolayCode, GolayConstructionError, build_golay
-from .intlinalg import (
-    integer_row_kernel,
-    rank_rational,
-    solve_integer_combination,
-)
+from .intlinalg import hnf_coordinates, hnf_rows
 from .leech import (
     A_ALTERNATE,
     A_CANONICAL,
@@ -95,33 +90,37 @@ def default_context() -> LeechContext:
 def _coset_setup(
     constraints: Sequence[CosetConstraint], ctx: LeechContext
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Particular solution x0 and sublattice rows K for the constraint set."""
+    """Particular solution x0 and sublattice rows K for the constraint set.
+
+    One row HNF H = U M of the 24 x k inner-product matrix M gives all
+    three: its rank (M has the rank of the anchors, the basis being
+    regular), the kernel (the rows of U at the zero rows of H), and x0
+    (y U for the y with y H = target).
+    """
     basis = ctx.basis
     if not constraints:
         return np.zeros(24, dtype=np.int64), basis.copy()
 
-    anchors = [np.asarray(c.anchor, dtype=np.int64) for c in constraints]
-    if rank_rational([list(a) for a in anchors]) != len(anchors):
-        raise ValueError("constraint anchors must be linearly independent")
-
     cols = []
-    for a in anchors:
-        prod = basis @ a
+    for c in constraints:
+        prod = basis @ np.asarray(c.anchor, dtype=np.int64)
         if np.any(prod % 8):
             raise ValueError("anchor is not in the lattice dual (scaled by 8)")
         cols.append(prod // 8)
-    mat = [list(row) for row in np.stack(cols, axis=1)]  # 24 x k
+    h, u = hnf_rows(np.stack(cols, axis=1).tolist())  # 24 x k
+    zero = [not any(row) for row in h]
+    if 24 - sum(zero) != len(constraints):
+        raise ValueError("constraint anchors must be linearly independent")
 
     target = [c.value for c in constraints]
-    part = solve_integer_combination(mat, target)
-    if part is None:
+    y = hnf_coordinates(h, target)
+    if y is None:
         raise InfeasibleCosetError(
             f"no lattice point satisfies inner products {target}"
         )
-    kernel = integer_row_kernel(mat)
-    if len(kernel) != 24 - len(anchors):
-        raise LeechConstructionError("unexpected kernel rank")
+    kernel = [row for row, z in zip(u, zero) if z]
 
+    part = [sum(q * row[j] for q, row in zip(y, u) if q) for j in range(24)]
     x0 = np.asarray(part, dtype=np.int64) @ basis
     k_rows = np.array(kernel, dtype=np.int64) @ basis
     return x0, k_rows
@@ -152,16 +151,18 @@ def enumerate_coset_shell(
     k_rows = reduce_basis_rows(k_rows)
     x0 = shorten_against(x0, k_rows)
 
-    gram = [[Fraction(int(v)) for v in row] for row in k_rows @ k_rows.T]
-    rhs = [Fraction(int(v)) for v in k_rows @ x0]
-    tau = rational_linear_solve(gram, rhs)
+    # one LDL^T of the Gram gives both the centre tau = G^-1 (K x0) and
+    # the search
+    ldl = rational_cholesky((k_rows @ k_rows.T).tolist())
+    rhs = (k_rows @ x0).tolist()
+    tau = ldl_solve(ldl, rhs)
     tau_g_tau = sum(t * r for t, r in zip(tau, rhs))
     x0_sq = Fraction(int(x0 @ x0))
     fp_target = Fraction(target_scaled) - x0_sq + tau_g_tau
     if fp_target < 0:
         return np.zeros((0, 24), dtype=np.int64)
 
-    solutions = enumerate_sphere(gram, tau, fp_target, stats=stats)
+    solutions = enumerate_sphere(ldl, tau, fp_target, stats=stats)
 
     if not solutions:
         return np.zeros((0, 24), dtype=np.int64)

@@ -1,7 +1,8 @@
-"""Small exact integer linear algebra: row HNF, kernels, integral solves.
+"""Small exact linear algebra: row HNF and its back-substitution, the
+Bareiss determinant, and one rational Gauss-Jordan for ranks and inverses.
 
-Everything here works on Python ints (no overflow) in plain nested lists;
-the matrices involved are at most a few dozen rows.
+Everything here works on Python ints and Fractions (no overflow) in plain
+nested lists; the matrices involved are at most a few hundred rows.
 """
 
 from __future__ import annotations
@@ -62,38 +63,25 @@ def hnf_rows(mat) -> tuple[list[list[int]], list[list[int]]]:
     return a, u
 
 
-def integer_row_kernel(mat) -> list[list[int]]:
-    """Basis of {v : v @ mat = 0} over Z (rows of a unimodular transform
-    aligned with the zero rows of the HNF)."""
-    h, u = hnf_rows(mat)
-    kernel = [u[r] for r in range(len(h)) if all(x == 0 for x in h[r])]
-    return kernel
-
-
-def solve_integer_combination(rows, target) -> Optional[list[int]]:
-    """Find integer x with x @ rows = target, or None if infeasible."""
-    h, u = hnf_rows(rows)
-    t = [int(v) for v in target]
-    n = len(t)
+def hnf_coordinates(h, vec) -> Optional[list[int]]:
+    """Integer y with y @ h == vec, one entry per row of the row HNF `h`
+    (as `hnf_rows` returns it; zero rows get 0), or None when vec lies
+    outside the lattice the rows of h generate."""
+    resid = [int(v) for v in vec]
     y = [0] * len(h)
-    resid = t[:]
-    for r, hrow in enumerate(h):
-        piv = next((c for c in range(n) if hrow[c] != 0), None)
-        if piv is None:
-            break
-        if resid[piv] % hrow[piv] != 0:
+    piv = 0
+    for r, row in enumerate(h):
+        while piv < len(row) and row[piv] == 0:  # pivots strictly increase
+            piv += 1
+        if piv == len(row):
+            break  # only zero rows follow
+        q, rem = divmod(resid[piv], row[piv])
+        if rem:
             return None
-        q = resid[piv] // hrow[piv]
-        y[r] = q
-        resid = [x - q * hx for x, hx in zip(resid, hrow)]
-    if any(resid):
-        return None
-    m = len(u)
-    x = [0] * m
-    for r, yr in enumerate(y):
-        if yr:
-            x = [xi + yr * ui for xi, ui in zip(x, u[r])]
-    return x
+        if q:
+            y[r] = q
+            resid = [x - q * hx for x, hx in zip(resid, row)]
+    return None if any(resid) else y
 
 
 def det_int(mat) -> int:
@@ -117,8 +105,8 @@ def det_int(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank_rational(mat) -> int:
-    """Rank over Q of an integer/rational matrix."""
+def gauss_jordan(mat) -> tuple[list[list[Fraction]], int]:
+    """Reduced row echelon form over Q of a rational matrix, and its rank."""
     a = [[Fraction(x) for x in row] for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
@@ -137,4 +125,19 @@ def rank_rational(mat) -> int:
         rank += 1
         if rank == m:
             break
-    return rank
+    return a, rank
+
+
+def rank_rational(mat) -> int:
+    """Rank over Q of an integer/rational matrix."""
+    return gauss_jordan(mat)[1]
+
+
+def rational_matrix_inverse(mat) -> list[list[Fraction]]:
+    """Exact inverse of a square rational matrix: Gauss-Jordan on [M | I]."""
+    n = len(mat)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    a, _ = gauss_jordan([list(row) + e for row, e in zip(mat, eye)])
+    if [row[:n] for row in a] != eye:  # the left block reduces to I iff M is regular
+        raise ValueError("singular matrix")
+    return [row[n:] for row in a]

@@ -33,11 +33,16 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import rational_matrix_inverse
 from .construct import PointLayer, WeightedPointSet
 from .lattice import canonical_sort, rows_as_set
-from .lattice.fincke_pohst import EnumerationStats, enumerate_sphere
-from .lattice.intlinalg import det_int, hnf_rows, rank_rational
+from .lattice.fincke_pohst import EnumerationStats, enumerate_sphere, rational_cholesky
+from .lattice.intlinalg import (
+    det_int,
+    hnf_coordinates,
+    hnf_rows,
+    rank_rational,
+    rational_matrix_inverse,
+)
 
 WORK_DEN = 40  # stored dot / 40 = lattice inner product
 CANDIDATE_NORM = Fraction(44, 3)
@@ -122,24 +127,14 @@ def _scaled_inverse(gram_inv: list) -> tuple[np.ndarray, int]:
 def _lattice_coordinates(pts: np.ndarray) -> np.ndarray:
     """Integer coordinates of every shell vector over an HNF basis of the
     lattice the whole shell generates (exact back-substitution)."""
-    h, _ = hnf_rows([list(map(int, r)) for r in pts])
+    h, _ = hnf_rows(pts.tolist())
     hrows = [r for r in h if any(r)]
     if len(hrows) != 22:
         raise UniquenessError(f"shell lattice has rank {len(hrows)}, expected 22")
-    pivots = [next(c for c in range(24) if row[c] != 0) for row in hrows]
-    coords = np.zeros((len(pts), 22), dtype=np.int64)
-    for i, p in enumerate(pts):
-        resid = [int(x) for x in p]
-        for r, (row, piv) in enumerate(zip(hrows, pivots)):
-            if resid[piv] % row[piv]:
-                raise UniquenessError("point outside its own generated lattice")
-            q = resid[piv] // row[piv]
-            coords[i, r] = q
-            if q:
-                resid = [x - q * hx for x, hx in zip(resid, row)]
-        if any(resid):
-            raise UniquenessError("point outside its own generated lattice")
-    return coords
+    coords = [hnf_coordinates(hrows, p) for p in pts.tolist()]
+    if None in coords:
+        raise UniquenessError("point outside its own generated lattice")
+    return np.array(coords, dtype=np.int64).reshape(-1, 22)
 
 
 def _unimodular_point_subset(coords: np.ndarray, pref: list[int]) -> list[int]:
@@ -268,7 +263,7 @@ def enumerate_candidates(frame: DualFrame, layer: IntegralizedLayer) -> Candidat
 
     stats = EnumerationStats()
     leaves = enumerate_sphere(
-        gram_q, shift, CANDIDATE_NORM, allowed=[(-1, 0, 1)] * 22, stats=stats
+        rational_cholesky(gram_q), shift, CANDIDATE_NORM, allowed=[(-1, 0, 1)] * 22, stats=stats
     )
     # <y, x> = 5 (c . coeffs_x) - sum(coeffs_x) is in {4, -1, -6} exactly
     # when c . coeffs_x lies in [k_x - 1, k_x + 1].
@@ -322,23 +317,7 @@ def generated_lattice_membership(frame: DualFrame, u_arr: np.ndarray) -> int:
     gen_rows = [[5 * int(frame.gram[i, j]) for j in range(22)] for i in range(22)]
     gen_rows.append([-1] * 22)
     h, _ = hnf_rows(gen_rows)
-    h = [row for row in h if any(row)]
-    count = 0
-    for u in u_arr:
-        resid = [int(x) for x in u]
-        ok = True
-        for hrow in h:
-            piv = next(c for c in range(22) if hrow[c] != 0)
-            if resid[piv] % hrow[piv]:
-                ok = False
-                break
-            q = resid[piv] // hrow[piv]
-            if q:
-                resid = [x - q * hx for x, hx in zip(resid, hrow)]
-        if ok and any(resid):
-            ok = False
-        count += ok
-    return count
+    return sum(hnf_coordinates(h, u) is not None for u in u_arr.tolist())
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from leechdesign.arith import (
-    SingularMatrixError,
-    rat_from_text,
-    rat_to_text,
-    rational_linear_solve,
-    rational_matrix_inverse,
+from leechdesign.arith import rat_from_text, rat_to_text
+from leechdesign.lattice.fincke_pohst import (
+    NotPositiveDefiniteError,
+    ldl_solve,
+    rational_cholesky,
 )
+from leechdesign.lattice.intlinalg import hnf_coordinates, hnf_rows, rational_matrix_inverse
 
 
 def test_text_round_trip():
@@ -17,35 +17,52 @@ def test_text_round_trip():
 
 
 def test_gram_solve_examples():
-    m = [[Fraction(4), Fraction(-1)], [Fraction(-1), Fraction(4)]]
-    assert rational_linear_solve(m, [Fraction(3), Fraction(-3)]) == [Fraction(3, 5), Fraction(-3, 5)]
-    assert rational_linear_solve(m, [Fraction(2), Fraction(0)]) == [Fraction(8, 15), Fraction(2, 15)]
-    eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert rational_linear_solve(eye, [Fraction(9), Fraction(-2)]) == [Fraction(9), Fraction(-2)]
+    ldl = rational_cholesky([[4, -1], [-1, 4]])
+    assert ldl_solve(ldl, [3, -3]) == [Fraction(3, 5), Fraction(-3, 5)]
+    assert ldl_solve(ldl, [2, 0]) == [Fraction(8, 15), Fraction(2, 15)]
+    assert ldl_solve(rational_cholesky([[1, 0], [0, 1]]), [9, -2]) == [9, -2]
 
 
 def test_solve_compose_identity():
+    # G = A^T A + I is symmetric positive definite; G x = rhs must hold exactly
     rng = random.Random(7)
     for _ in range(25):
-        n = rng.randint(1, 5)
-        m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        n = rng.randint(1, 6)
+        a = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        g = [
+            [sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)]
+            for i in range(n)
+        ]
         rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-        try:
-            x = rational_linear_solve(m, rhs)
-        except SingularMatrixError:
-            continue
-        back = [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)]
-        assert back == rhs
+        x = ldl_solve(rational_cholesky(g), rhs)
+        assert [sum(g[i][j] * x[j] for j in range(n)) for i in range(n)] == rhs
 
 
 def test_singular_matrix_reports_rank():
-    m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    with pytest.raises(SingularMatrixError) as err:
-        rational_linear_solve(m, [Fraction(1), Fraction(1)])
-    assert err.value.rank == 1
+    # rank 1: the LDL^T stops at the second pivot, which is 0
+    with pytest.raises(NotPositiveDefiniteError, match="pivot 1 is 0"):
+        rational_cholesky([[1, 2], [2, 4]])
 
 
 def test_matrix_inverse_exact():
     m = [[Fraction(4), Fraction(-1)], [Fraction(-1), Fraction(4)]]
     inv = rational_matrix_inverse(m)
     assert inv == [[Fraction(4, 15), Fraction(1, 15)], [Fraction(1, 15), Fraction(4, 15)]]
+    with pytest.raises(ValueError, match="singular"):
+        rational_matrix_inverse([[1, 2], [2, 4]])
+
+
+def test_hnf_coordinates_inside_and_outside_the_lattice():
+    rows = [[2, 4, 6, 0], [0, 3, 3, 3], [2, 7, 9, 3], [4, 2, 0, 0]]  # row 3 = row 1 + row 2
+    h, u = hnf_rows(rows)
+    assert not any(h[-1])  # rank 3: the zero row sinks to the bottom
+    vec = [sum(c * r[k] for c, r in zip((3, -2, 0, 5), rows)) for k in range(4)]
+    y = hnf_coordinates(h, vec)
+    assert y is not None and y[-1] == 0
+    assert [sum(q * hr[k] for q, hr in zip(y, h)) for k in range(4)] == vec
+    x = [sum(q * ur[i] for q, ur in zip(y, u)) for i in range(4)]
+    assert [sum(c * r[k] for c, r in zip(x, rows)) for k in range(4)] == vec
+    # the lattice has even first coordinates, and no vector outside the row
+    # space is in it
+    assert hnf_coordinates(h, [1, 0, 0, 0]) is None
+    assert hnf_coordinates(h, [0, 0, 0, 1]) is None

@@ -9,6 +9,7 @@ from leechdesign.cli import main
 from leechdesign.coherent import RelationClassificationError
 from leechdesign.coherent_fixture import LABELS, fixture_tensor
 from leechdesign.construct import DesignConstructionError, PointLayer, WeightedPointSet
+from leechdesign.lattice import A_ALTERNATE, B_ALTERNATE
 from leechdesign.report import VerificationReport
 from leechdesign.unique import UniquenessError
 
@@ -273,6 +274,34 @@ def test_two_layers_of_one_radius_fail_named_claims(
     }
     if stage in ends:
         assert (last["claim"], last["computed"]) == ends[stage]
+
+
+@pytest.mark.parametrize(
+    "command, claim",
+    [
+        ("verify-unique", "unique/part-b-equals-projected-coset"),
+        ("verify-7design", "seven/shell1-equals-projected-y-family"),
+    ],
+)
+def test_design_of_other_anchors_is_replayed_with_them(
+    tmp_path, alt_design, capsys, command, claim
+):
+    path = tmp_path / "design.txt"
+    design_io.write_design(path, alt_design)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    # the anchor-dependent claim cannot compare a design of other anchors
+    assert main([command, "--in", str(path), "--out", str(out)]) == 1
+    assert f"FIRST FAILED CLAIM: {claim} " in capsys.readouterr().err
+    last = json.loads(next(out.glob("report_*.canonical.json")).read_text())["claims"][-1]
+    assert (last["claim"], last["computed"]) == (
+        claim,
+        "error: design is not orthogonal to the anchors; "
+        "replay with the --anchors it was built from",
+    )
+    anchors = ";".join(",".join(map(str, v)) for v in (A_ALTERNATE, B_ALTERNATE))
+    argv = [command, "--in", str(path), "--out", str(tmp_path / "anchored"), "--anchors", anchors]
+    assert main(argv) == 0
 
 
 STEP_FAULTS = [

@@ -10,6 +10,7 @@ from leechdesign.construct import (
     WeightedPointSet,
     build_design,
     build_Y,
+    check_orthogonal_to_anchors,
     check_X1_equals_PY,
     project_rows_scaled,
     y_antipodal_pair_count,
@@ -127,6 +128,15 @@ def test_each_coset_shell_is_enumerated_once(ctx, design, ys, monkeypatch):
 def test_anchor_preconditions_enforced(ctx):
     with pytest.raises(DesignConstructionError):
         build_design(A_CANONICAL, A_CANONICAL, ctx)
+
+
+def test_orthogonality_check_validates_the_anchors(design, alt_design):
+    check_orthogonal_to_anchors(design, A_CANONICAL, B_CANONICAL)
+    with pytest.raises(DesignConstructionError, match="not orthogonal to the anchors"):
+        check_orthogonal_to_anchors(alt_design, A_CANONICAL, B_CANONICAL)
+    # an invalid pair is named, before any product with it is taken
+    with pytest.raises(DesignConstructionError, match="inner product -1"):
+        check_orthogonal_to_anchors(design, A_CANONICAL, A_CANONICAL)
 
 
 def test_Y_family(ys):

@@ -30,14 +30,14 @@ def test_gegenbauer_normalization():
     for n in (22, 23):
         ev = GegenbauerEvaluator(n, 7)
         for k in range(8):
-            assert ev.eval(k, Fraction(1)) == 1
+            assert ev.homogeneous_pair_value(k, Fraction(1), 1) == 1
 
 
 def test_gegenbauer_degree_zero_and_two():
     ev = GegenbauerEvaluator(22, 3)
     for u in (Fraction(0), Fraction(2, 7), Fraction(-3)):
-        assert ev.eval(0, u) == 1
-        assert ev.eval(2, u) == Fraction(22 * u * u - 1, 21)
+        assert ev.homogeneous_pair_value(0, u, 1) == 1
+        assert ev.homogeneous_pair_value(2, u, 1) == Fraction(22 * u * u - 1, 21)
 
 
 def test_gegenbauer_against_direct_expansion():
@@ -49,8 +49,8 @@ def test_gegenbauer_against_direct_expansion():
         u = Fraction(rng.randint(-50, 50), rng.randint(1, 25))
         q2 = Fraction(n, n - 1) * u * u - Fraction(1, n - 1)
         q3 = ((2 + n) * u * q2 - 2 * u) / n
-        assert ev.eval(2, u) == q2
-        assert ev.eval(3, u) == q3
+        assert ev.homogeneous_pair_value(2, u, 1) == q2
+        assert ev.homogeneous_pair_value(3, u, 1) == q3
 
 
 def test_sphere_monomial_average_examples():

@@ -164,7 +164,7 @@ def _exact_gram_schmidt(rows):
 def test_reduced_kernel_rows_are_an_lll_basis_of_norm_32(ctx, a, b, values):
     from fractions import Fraction
 
-    from leechdesign.arith import rational_matrix_inverse
+    from leechdesign.lattice.intlinalg import rational_matrix_inverse
     from leechdesign.lattice import _coset_setup
     from leechdesign.lattice.reduction import reduce_basis_rows
 
@@ -218,7 +218,7 @@ def test_sphere_search_agrees_with_brute_force():
     import random
     from fractions import Fraction
 
-    from leechdesign.lattice.fincke_pohst import enumerate_sphere
+    from leechdesign.lattice.fincke_pohst import enumerate_sphere, rational_cholesky
 
     rng = random.Random(2024)
     for _ in range(15):
@@ -228,7 +228,7 @@ def test_sphere_search_agrees_with_brute_force():
         w0 = [rng.randint(-2, 2) for _ in range(n)]
         y = [Fraction(w0[i]) + shift[i] for i in range(n)]
         target = sum(y[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
-        sols = set(enumerate_sphere(gram, shift, target))
+        sols = set(enumerate_sphere(rational_cholesky(gram), shift, target))
         bound = math.isqrt(int(target)) + 5
         brute = set()
         for w in itertools.product(range(-bound, bound + 1), repeat=n):
@@ -255,10 +255,10 @@ def test_sphere_search_agrees_with_brute_force():
 def test_sphere_search_finds_solutions_exactly_on_the_bound(gram, shift, target, expected):
     from fractions import Fraction
 
-    from leechdesign.lattice.fincke_pohst import enumerate_sphere
+    from leechdesign.lattice.fincke_pohst import enumerate_sphere, rational_cholesky
 
     shift = [Fraction(x) for x in shift]
-    assert enumerate_sphere(gram, shift, Fraction(target)) == expected
+    assert enumerate_sphere(rational_cholesky(gram), shift, Fraction(target)) == expected
 
 
 def test_sphere_search_with_allowed_sets_agrees_with_brute_force():
@@ -268,7 +268,11 @@ def test_sphere_search_with_allowed_sets_agrees_with_brute_force():
     import random
     from fractions import Fraction
 
-    from leechdesign.lattice.fincke_pohst import EnumerationStats, enumerate_sphere
+    from leechdesign.lattice.fincke_pohst import (
+        EnumerationStats,
+        enumerate_sphere,
+        rational_cholesky,
+    )
 
     rng = random.Random(77)
     for _ in range(10):
@@ -286,7 +290,9 @@ def test_sphere_search_with_allowed_sets_agrees_with_brute_force():
             if q == target:
                 brute.append(w)
         stats = EnumerationStats()
-        sols = enumerate_sphere(gram, shift, target, allowed=allowed, stats=stats)
+        sols = enumerate_sphere(
+            rational_cholesky(gram), shift, target, allowed=allowed, stats=stats
+        )
         assert tuple(w0) in brute
         assert sols == sorted(brute)
         assert stats.leaves == stats.solutions == len(brute)

@@ -1,0 +1,128 @@
+"""Property test over mutated certificates (hypothesis, MacIver et al., JOSS
+2019): whatever the mutation, reading the file and running the first claim
+of each verify stage ends in a report, a `FormatError` or a
+`DesignConstructionError`, never in another exception."""
+
+import re
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import leechdesign.cli as cli
+from leechdesign import io as design_io
+from leechdesign.construct import DesignConstructionError
+from leechdesign.report import VerificationReport
+
+# (stage, its first claim)
+STAGES = [
+    (cli.verify_design_claims, "design/layer-sizes"),
+    (cli.verify_coherent_claims, "coherent/nine-admissible-products"),
+    (cli.verify_unique_claims, "unique/integral-shell-products"),
+    (cli.verify_seven_claims, "seven/z-pair-count"),
+]
+
+
+class FirstClaimOnly(cli.Stage):
+    """The stage runner, ended after the first claim."""
+
+    @contextmanager
+    def claim(self, *args, **kwargs):
+        with super().claim(*args, **kwargs) as c:
+            yield c
+        raise cli._StageEnd
+
+
+# Line layout of a written two-layer design: the design header, then per
+# layer its header line and its points.
+LAYER_HEADER = {0: 1, 1: 2 + 275}
+LAYER_SIZE = {0: 275, 1: 2025}
+
+POINT = st.tuples(st.sampled_from([0, 1]), st.integers(0, 2024))
+HEADER_FIELD = st.sampled_from(
+    [(0, "layers")]
+    + [(LAYER_HEADER[i], f) for i in (0, 1) for f in ("weight", "r2", "denom", "count")]
+)
+HEADER_VALUE = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "2024", "0/1", "1/0", "-1/5", "1/729", "12/5", "132/5", "x", ""]
+)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("delete"), POINT),
+    st.tuples(st.just("duplicate"), POINT),
+    st.tuples(st.just("negate"), POINT),
+    st.tuples(st.just("perturb"), POINT, st.integers(0, 23), st.sampled_from([-2, -1, 1, 2])),
+    st.tuples(
+        st.just("shift"), POINT, st.integers(0, 23), st.integers(0, 64), st.sampled_from([-1, 1])
+    ),
+    st.tuples(st.just("header"), HEADER_FIELD, HEADER_VALUE),
+)
+
+
+def _set_field(line: str, field: str, value: str) -> str:
+    return re.sub(rf"\b{field}=\S*", f"{field}={value}", line)
+
+
+def mutate(lines: list[str], mutation) -> list[str]:
+    lines = list(lines)
+    kind = mutation[0]
+    if kind == "header":
+        (row, field), value = mutation[1:]
+        lines[row] = _set_field(lines[row], field, value)
+        return lines
+    layer, index = mutation[1]
+    head = LAYER_HEADER[layer]
+    row = head + 1 + index % LAYER_SIZE[layer]
+    coords = [int(x) for x in lines[row].split()]
+    count = LAYER_SIZE[layer]
+    if kind == "delete":
+        del lines[row]
+        count -= 1
+    elif kind == "duplicate":
+        lines.insert(row, lines[row])
+        count += 1
+    elif kind == "negate":
+        lines[row] = " ".join(str(-x) for x in coords)
+    else:
+        col = mutation[2]
+        coords[col] += mutation[3] if kind == "perturb" else mutation[4] * 2 ** mutation[3]
+        lines[row] = " ".join(map(str, coords))
+    lines[head] = _set_field(lines[head], "count", str(count))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def certificate(design, tmp_path_factory):
+    path = tmp_path_factory.mktemp("mutated") / "design.txt"
+    design_io.write_design(path, design)
+    return path, path.read_text().splitlines()
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutation=MUTATIONS)
+# run whatever is drawn: a one-layer header, swapped weights, a duplicated
+# and a negated outer point, and a coordinate shifted out of int64
+@example(mutation=("header", (0, "layers"), "1"))
+@example(mutation=("header", (LAYER_HEADER[0], "weight"), "1/729"))
+@example(mutation=("duplicate", (1, 5)))
+@example(mutation=("negate", (1, 5)))
+@example(mutation=("shift", (1, 5), 3, 63, -1))
+def test_mutated_certificate_ends_in_a_report_or_an_input_error(certificate, mutation):
+    path, lines = certificate
+    path.write_text("\n".join(mutate(lines, mutation)) + "\n")
+    try:
+        ws = design_io.read_design(path)
+    except (design_io.FormatError, DesignConstructionError):
+        return
+    with mock.patch.object(cli, "Stage", FirstClaimOnly):
+        for stage, first_claim in STAGES:
+            report = VerificationReport(name=first_claim.split("/")[0])
+            stage(ws, report)
+            assert [r.claim for r in report.results] == [first_claim]
