@@ -3,7 +3,10 @@ configuration carried by the two-shell design.
 
 `classify_pairs` gives every ordered pair (x, y) of the 2300 points the
 index in `LABELS` of its relation, decided by fiber pair and exact
-normalized inner product; the result is one (n, n) label matrix.  The
+normalized inner product; the result is one (n, n) label matrix.  It
+builds no Gram block of its own: it reads the design's pair statistics,
+one table lookup per block, and transposes the (1, 2) labels into the
+(2, 1) block, so the matrix is transpose-consistent by construction.  The
 composition counts p_{a,b}^c are computed for every ordered pair of
 relations by 0/1 matrix products, read at one representative pair per
 relation, and checked against every pair (not a sample) in one
@@ -86,40 +89,34 @@ def _block_dots(ws: WeightedPointSet, i: int, j: int) -> list[tuple[int, int]]:
 
 
 def classify_pairs(ws: WeightedPointSet) -> RelationPartition:
-    """Label every ordered pair; fatal if any inner product is off-list."""
+    """Label every ordered pair; fatal if any inner product is off-list.
+    Each block is one lookup: a table from its distinct values to relations,
+    read at every entry's position among them."""
     if len(ws.layers) != 2:
         raise RelationClassificationError("expected exactly two layers")
     sizes = (ws.layers[0].size, ws.layers[1].size)
     fiber = _fiber_slices(sizes)
-    labels = np.full((sum(sizes), sum(sizes)), -1, dtype=np.int8)
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        gram = ws.gram_block(i, j)
-        block = labels[fiber[i], fiber[j]]  # a view: writes go to labels
-        for c, dot in _block_dots(ws, i, j):
-            block[gram == dot] = c
-        if i == j:
-            # The identity relation is exactly the diagonal.
-            on_identity = block == _IDENTITY[i]
-            if not np.array_equal(on_identity, np.eye(len(block), dtype=bool)):
-                raise RelationClassificationError(
-                    "duplicate point: off-diagonal pair at full norm"
-                    if on_identity.diagonal().all()
-                    else "diagonal norm mismatch"
-                )
-        if bool((block < 0).any()):
-            bad = np.argwhere(block < 0)[0]
+    labels = np.empty((sum(sizes), sum(sizes)), dtype=np.int8)
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        dots = _block_dots(ws, i, j)
+        st = ws.pair_stats(i, j)
+        lut = np.full(len(st.values), -1, dtype=np.int8)
+        for c, dot in dots:
+            lut[st.values == dot] = c
+        # The identity relation is exactly the diagonal, which holds the
+        # layer's norm (`PointLayer` checks it): any more entries at it are
+        # pairs of equal points.
+        if i == j and st.counts[lut == _IDENTITY[i]].sum() != ws.layers[i].size:
+            raise RelationClassificationError("duplicate point: off-diagonal pair at full norm")
+        block = lut[st.index]
+        if bool((lut < 0).any()):
+            p, q = np.argwhere(block < 0)[0]
             raise RelationClassificationError(
-                f"inner product {gram[bad[0], bad[1]]}/{ws.dot_scale(i, j)} in "
+                f"inner product {st.values[st.index[p, q]]}/{ws.dot_scale(i, j)} in "
                 f"block ({i},{j}) is outside the admissible set"
             )
-    flipped = _TRANSPOSE[labels]
-    if not np.array_equal(labels.T, flipped):
-        p, q = np.argwhere(labels.T != flipped)[0]
-        raise RelationClassificationError(
-            "within-fiber relations not symmetric"
-            if (p < sizes[0]) == (q < sizes[0])
-            else "cross blocks are not transposes"
-        )
+        labels[fiber[i], fiber[j]] = block
+    labels[fiber[1], fiber[0]] = _TRANSPOSE[labels[fiber[0], fiber[1]].T]
     return RelationPartition(labels=labels, fiber_sizes=sizes)
 
 

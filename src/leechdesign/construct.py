@@ -8,15 +8,20 @@ here all denominators are 5 (the A,B-projection has denominator 15 and the
 outer shell is rescaled by 3), so every pairwise quantity downstream is an
 exact integer computation.
 
+Every claim about a design reads the exact inner products of its pairs
+from one Gram pass: `WeightedPointSet.pair_stats(i, j)` keeps of each
+block only its value histogram and each entry's position in it, so every
+classification of the block's pairs is one lookup.
+
 The companions are the four norm-4 families Y projected along one anchor,
 and the antipodal double cover of the design on S^22.  The cover is never
-materialized: its inner products follow from the design's integer Gram
-blocks, and every one of them is rational.
+materialized: its inner products follow from the design's Gram histograms,
+and every one of them is rational.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -91,6 +96,7 @@ class PointLayer:
 @dataclass(frozen=True)
 class WeightedPointSet:
     layers: tuple[PointLayer, ...]
+    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -114,21 +120,27 @@ class WeightedPointSet:
         """
         return self.layers[i].points @ self.layers[j].points.T
 
-    @cached_property
-    def pair_stats(self) -> dict[tuple[int, int], BlockStats]:
-        """`BlockStats` of every layer block (i, j), i <= j; each Gram block
-        is built once per design and dropped after."""
-        p = len(self.layers)
-        return {
-            (i, j): BlockStats.of(self.gram_block(i, j), symmetric=i == j)
-            for i in range(p)
-            for j in range(i, p)
-        }
+    def pair_stats(self, i: int, j: int) -> BlockStats:
+        """`BlockStats` of the layer block (i, j), i <= j.  The Gram block is
+        built and classified the first time it is asked for, and dropped
+        after: a check that fails in one block never builds the others."""
+        if (i, j) not in self._stats:
+            self._stats[(i, j)] = BlockStats.of(self.gram_block(i, j), symmetric=i == j)
+        return self._stats[(i, j)]
+
+    def pair_values(self, i: int, j: int) -> np.ndarray:
+        """The distinct stored dots of pairs of distinct points in block
+        (i, j), i <= j: a diagonal block's histogram less its n diagonal
+        entries, which hold the layer's stored squared norm."""
+        st = self.pair_stats(i, j)
+        norm = int(self.dot_scale(i, i) * self.layers[i].r2)
+        on_diagonal = (st.values == norm) * self.layers[i].size if i == j else 0
+        return st.values[st.counts > on_diagonal]
 
 
 @dataclass(frozen=True)
 class RowProfiles:
-    """The rows of a Gram block grouped by their multiset of values (their
+    """The rows of a block grouped by their multiset of values (their
     inner-product profile): rows in one group hold the same values with the
     same multiplicities."""
 
@@ -136,42 +148,55 @@ class RowProfiles:
     hists: tuple[tuple[np.ndarray, np.ndarray], ...]  # per group: (values, counts)
 
     @classmethod
-    def of(cls, gram: np.ndarray) -> RowProfiles:
-        """Profiles of the rows of `gram`, which is sorted row by row in place."""
+    def of(cls, index: np.ndarray, values: np.ndarray) -> RowProfiles:
+        """Profiles of the rows of the block `values[index]`."""
         # Sorted rows are equal exactly when their multisets are.  Ordering
-        # them as byte strings puts equal rows next to each other, with no
-        # copy of the block however many distinct values it holds.
-        gram.sort(axis=1)
-        keys = gram.view(np.dtype((np.void, gram.itemsize * gram.shape[1]))).ravel()
+        # them as byte strings puts equal rows next to each other, however
+        # many distinct values the block holds.
+        rows = np.array(index, order="C")
+        rows.sort(axis=1, kind="stable")  # a radix sort on small unsigned ints
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         order = np.argsort(keys)
         starts = np.ones(len(keys), dtype=bool)
         starts[1:] = [keys[a] != keys[b] for a, b in zip(order[1:], order[:-1])]
         group = np.empty(len(keys), dtype=np.int64)
         group[order] = np.cumsum(starts) - 1
-        hists = tuple(np.unique(gram[r], return_counts=True) for r in order[starts])
+        hists = tuple(np.unique(values[rows[r]], return_counts=True) for r in order[starts])
         return cls(group=group, hists=hists)
 
 
 @dataclass(frozen=True)
 class BlockStats:
-    """Inner-product statistics of the layer block (i, j), i <= j."""
+    """Inner-product statistics of one Gram block: its value histogram, and
+    the position of each entry in it, from which every classification of
+    the block's pairs is one lookup."""
 
     values: np.ndarray  # distinct stored dots, ascending
     counts: np.ndarray  # occurrences of each value in the block
-    rows: RowProfiles  # the points of layer i against layer j
-    cols: RowProfiles  # the points of layer j against layer i
+    index: np.ndarray  # values[index] is the block; the smallest unsigned dtype
+    symmetric: bool  # a diagonal block, its own transpose
 
     @classmethod
     def of(cls, gram: np.ndarray, symmetric: bool) -> BlockStats:
-        """Statistics of the block `gram`, which they consume: its rows are
-        sorted in place, so that no second block-sized array is live."""
-        values, counts = np.unique(gram, return_counts=True)
-        if symmetric:
-            rows = cols = RowProfiles.of(gram)
-        else:
-            cols = RowProfiles.of(np.array(gram.T, order="C"))  # before gram is sorted
-            rows = RowProfiles.of(gram)
-        return cls(values=values, counts=counts, rows=rows, cols=cols)
+        # Slabs of 256 rows, so that no second block-sized array is live.
+        slabs = [slice(r, r + 256) for r in range(0, len(gram), 256)]
+        hists = [np.unique(gram[s], return_counts=True) for s in slabs]
+        values = np.unique(np.concatenate([v for v, _ in hists]))
+        counts = np.zeros(len(values), dtype=np.int64)
+        index = np.empty(gram.shape, dtype=np.min_scalar_type(len(values) - 1))
+        for s, (v, c) in zip(slabs, hists):
+            counts[np.searchsorted(values, v)] += c
+            index[s] = np.searchsorted(values, gram[s])
+        return cls(values=values, counts=counts, index=index, symmetric=symmetric)
+
+    @cached_property
+    def rows(self) -> RowProfiles:
+        """Built on first use: only the probe-moment oracle reads profiles."""
+        return RowProfiles.of(self.index, self.values)
+
+    @cached_property
+    def cols(self) -> RowProfiles:
+        return self.rows if self.symmetric else RowProfiles.of(self.index.T, self.values)
 
 
 def check_anchor_pair(a, b, ctx: Optional[LeechContext] = None) -> None:
@@ -319,26 +344,14 @@ def build_Y(a=None, b=None, ctx: Optional[LeechContext] = None):
 
 def y_antipodal_pair_count(y_sets) -> int:
     """Number of {v, -v} pairs in the union of the four projected families."""
-    union = (
-        rows_as_set(y_sets[1])
-        | rows_as_set(y_sets[2])
-        | rows_as_set(y_sets[-1])
-        | rows_as_set(y_sets[-2])
-    )
-    seen = set()
-    pairs = 0
+    union = set().union(*(rows_as_set(y_sets[k]) for k in (1, 2, -1, -2)))
     for v in union:
-        if v in seen:
-            continue
         neg = tuple(-c for c in v)
         if neg == v:
             raise DesignConstructionError("self-antipodal point in Y union")
         if neg not in union:
             raise DesignConstructionError("Y union is not antipode-closed")
-        seen.add(v)
-        seen.add(neg)
-        pairs += 1
-    return pairs
+    return len(union) // 2
 
 
 def check_X1_equals_PY(ws: WeightedPointSet, y_plus1: np.ndarray, a, b) -> bool:
@@ -374,7 +387,7 @@ def z_value_histogram(design: WeightedPointSet) -> dict[Fraction, int]:
     for i in (0, 1):
         for j in (0, 1):
             aa, bb = _AB_PRODUCTS[(i + 1, j + 1)]
-            st = design.pair_stats[(min(i, j), max(i, j))]  # (1, 0) has the values of (0, 1)
+            st = design.pair_stats(min(i, j), max(i, j))  # (1, 0) has the values of (0, 1)
             scale = design.dot_scale(i, j)
             for d, c in zip(st.values.tolist(), st.counts.tolist()):
                 base = aa * Fraction(d, scale) / R1_SQ + bb

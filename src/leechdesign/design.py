@@ -18,10 +18,11 @@ An exact probe-moment check (necessary conditions from powers of linear
 forms) accompanies the kernel route as an independent oracle.
 
 Every exact check reads the pair statistics of the design
-(`WeightedPointSet.pair_stats`), computed once: per layer block, the
-histogram of stored inner products and the grouping of the rows by their
-inner-product profile.  The kernel sums need only the histograms.  The
-probe-moment oracle probes with every design point y, and its moment sum
+(`WeightedPointSet.pair_stats`), built once per layer block.  The kernel
+sums need only the histograms of stored inner products.  The probe-moment
+oracle also needs the grouping of the rows by their inner-product
+profile, which the statistics build on first use, so no other check pays
+for it.  It probes with every design point y, and its moment sum
 sum_x w(x) (x.y)^k depends on y only through the multiset of y's inner
 products with each layer, its row profile (Delsarte, Goethals and Seidel
 1977).  So it is evaluated exactly once per distinct profile and copied to
@@ -128,7 +129,7 @@ def euclidean_strength(
                     nx2ny2 = ws.layers[bi].r2 * ws.layers[bj].r2
                     radial = nx2ny2**j
                     sym = 1 if bi == bj else 2
-                    st = ws.pair_stats[(bi, bj)]
+                    st = ws.pair_stats(bi, bj)
                     for d, c in zip(st.values.tolist(), st.counts.tolist()):
                         dot = Fraction(d, scale)
                         term = ev.homogeneous_pair_value(l, dot, nx2ny2)
@@ -165,7 +166,7 @@ def spherical_strength(
 ) -> list[StrengthCondition]:
     """Spherical design strength of layer i on its own (unweighted), from
     the histogram of its Gram block; `PointLayer` holds one radius."""
-    st = ws.pair_stats[(i, i)]
+    st = ws.pair_stats(i, i)
     unit = ws.dot_scale(i, i) * ws.layers[i].r2  # the stored squared norm
     hist = [(Fraction(v) / unit, c) for v, c in zip(st.values.tolist(), st.counts.tolist())]
     return spherical_strength_from_values(hist, t, dimension)
@@ -228,7 +229,7 @@ def moment_spot_check(
     first_index = 0
     for m, probe_layer in enumerate(ws.layers):
         profiles = [
-            ws.pair_stats[(m, i)].rows if m <= i else ws.pair_stats[(i, m)].cols
+            ws.pair_stats(m, i).rows if m <= i else ws.pair_stats(i, m).cols
             for i in range(p)
         ]
         keys, inverse = np.unique(

@@ -21,7 +21,9 @@ The computation runs in three steps: the sphere search over the cube
 the 275 admissibility conditions on the array of its leaves, and one
 integer matmul over the common denominator D of G^-1 that turns the
 surviving coefficient vectors into integer vectors 3 * y in stored
-coordinates.  All pairwise decisions downstream are int64 arithmetic.
+coordinates.  All pairwise decisions downstream are int64 arithmetic,
+read from pair statistics (`construct.BlockStats`): the shell's products
+from the design's, the two-class split from the candidates'.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .construct import PointLayer, WeightedPointSet
+from .construct import BlockStats, PointLayer, WeightedPointSet
 from .lattice import canonical_sort, rows_as_set
 from .lattice.fincke_pohst import EnumerationStats, enumerate_sphere, rational_cholesky
 from .lattice.intlinalg import (
@@ -58,12 +60,8 @@ class IntegralizedLayer:
     """The inner shell as an integral lattice generating set."""
 
     points: np.ndarray  # (275, 24) stored ints
-
-    def inner_matrix(self) -> np.ndarray:
-        d = self.points @ self.points.T
-        if np.any(d % WORK_DEN):
-            raise UniquenessError("non-integral lattice inner product")
-        return d // WORK_DEN
+    norm: int  # lattice squared norm of every point
+    products: tuple[int, ...]  # lattice inner products of distinct points, descending
 
 
 @dataclass(frozen=True)
@@ -88,6 +86,8 @@ class CandidateSet:
 
 
 def integralize_X1(ws: WeightedPointSet) -> IntegralizedLayer:
+    """The inner shell with its lattice inner products, read from the
+    histogram of its Gram block."""
     if len(ws.layers) < 2:
         raise UniquenessError(
             f"{len(ws.layers)} layers; the computation needs both shells"
@@ -95,15 +95,15 @@ def integralize_X1(ws: WeightedPointSet) -> IntegralizedLayer:
     layer = ws.layers[0]
     if layer.r2 != Fraction(12, 5) or layer.denom != 5:
         raise UniquenessError("expected the inner shell at squared radius 12/5")
-    out = IntegralizedLayer(points=layer.points.copy())
-    inner = out.inner_matrix()
-    diag = np.diag(inner)
-    if not bool((diag == 12).all()):
-        raise UniquenessError("integralized norms are not 12")
-    off = inner[~np.eye(len(inner), dtype=bool)]
-    if not set(np.unique(off).tolist()) <= {2, -3}:
+    # the diagonal, left out, holds the stored norm 480 that `PointLayer` checked
+    off = ws.pair_values(0, 0)
+    if np.any(off % WORK_DEN):
+        raise UniquenessError("non-integral lattice inner product")
+    off //= WORK_DEN
+    if not set(off.tolist()) <= {2, -3}:
         raise UniquenessError("integralized inner products are not {2, -3}")
-    return out
+    norm = int(layer.r2 * ws.dot_scale(0, 0)) // WORK_DEN
+    return IntegralizedLayer(points=layer.points, norm=norm, products=tuple(off.tolist()[::-1]))
 
 
 def _checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -344,15 +344,10 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     n = len(vec)
     if n != 4050:
         raise UniquenessError(f"expected 4050 candidates, got {n}")
-    dots = vec @ vec.T  # 9 * 40 * <y, y'>
+    st = BlockStats.of(vec @ vec.T, symmetric=True)  # dots 9 * 40 * <y, y'>
     scale = 9 * WORK_DEN
-    beta_dots = {
-        int(Fraction(7, 22) * CANDIDATE_NORM * scale),
-        int(Fraction(-1, 44) * CANDIDATE_NORM * scale),
-        int(Fraction(-4, 11) * CANDIDATE_NORM * scale),
-    }
-
-    same = np.isin(dots, sorted(beta_dots))
+    shell2 = (Fraction(7, 22), Fraction(-1, 44), Fraction(-4, 11))  # normalized products
+    same = np.isin(st.values, [int(u * CANDIDATE_NORM * scale) for u in shell2])[st.index]
     np.fill_diagonal(same, True)
 
     in_a = same[0]
@@ -365,9 +360,7 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     if not bool(same[np.ix_(in_b, in_b)].all()):
         raise UniquenessError("compatibility is not transitive on part B")
 
-    cross_vals = sorted(
-        {Fraction(int(v), scale) for v in np.unique(dots[np.ix_(in_a, in_b)])}
-    )
+    cross = st.values[np.unique(st.index[np.ix_(in_a, in_b)])]
 
     part_a = canonical_sort(vec[in_a])
     part_b = canonical_sort(vec[in_b])
@@ -377,7 +370,7 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     return CandidateSplit(
         part_a=part_a,
         part_b=part_b,
-        cross_products=tuple(cross_vals),
+        cross_products=tuple(Fraction(int(v), scale) for v in cross),
         disjoint=not same[np.ix_(in_a, in_b)].any(),
         covering=bool((in_a | in_b).all()),
     )

@@ -1,7 +1,7 @@
 import pytest
 
 from leechdesign.coherent import classify_pairs, intersection_numbers
-from leechdesign.construct import build_design, build_Y
+from leechdesign.construct import WeightedPointSet, build_design, build_Y
 from leechdesign.lattice import (
     A_ALTERNATE,
     A_CANONICAL,
@@ -16,6 +16,20 @@ from leechdesign.unique import (
     split_candidates,
     twin_design,
 )
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """The (i, j) of every Gram block built while the test runs."""
+    calls = []
+    gram_block = WeightedPointSet.gram_block
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return gram_block(self, i, j)
+
+    monkeypatch.setattr(WeightedPointSet, "gram_block", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

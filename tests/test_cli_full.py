@@ -3,13 +3,26 @@ import hashlib
 import pytest
 
 from leechdesign.cli import main
+from leechdesign.construct import BlockStats
 
 
 @pytest.mark.slow
-def test_cli_all_passes_end_to_end(tmp_path):
+def test_cli_all_passes_end_to_end(tmp_path, monkeypatch, gram_calls):
+    stats = []
+    of = BlockStats.of
+
+    def counted(cls, gram, symmetric):
+        stats.append(gram.shape)
+        return of(gram, symmetric)
+
+    monkeypatch.setattr(BlockStats, "of", classmethod(counted))
     out = tmp_path / "out"
     code = main(["all", "--out", str(out)])
     assert code == 0
+    # one Gram pass per point set (the design and its twin), and one
+    # product of the 4050 candidates
+    assert sorted(gram_calls) == [(0, 0), (0, 0), (0, 1), (0, 1), (1, 1), (1, 1)]
+    assert stats.count((4050, 4050)) == 1 and len(stats) == 7
     for stage in ("design", "coherent", "unique", "seven"):
         assert (out / f"report_{stage}.json").exists()
         assert (out / f"report_{stage}.canonical.json").exists()

@@ -241,6 +241,10 @@ def test_deleted_outer_point_fails_a_named_claim(
     if command == "verify-7design":
         # the claim reads the real pair count: 2 * 4598 points lose 4600^2 - 4598^2
         assert "computed 21141604)" in err
+        # and the cardinality claim counts the points of the file
+        claims = json.loads((out / "report_seven.canonical.json").read_text())["claims"]
+        bound = next(c for c in claims if c["claim"] == "seven/z-cardinality-meets-antipodal-bound")
+        assert (bound["pass"], bound["expected"], bound["computed"]) == (False, "4600", "4598")
 
 
 @pytest.mark.parametrize(
@@ -361,9 +365,14 @@ def test_cli_usage_error_on_bad_threads(tmp_path):
     assert code == 2
 
 
-def test_cli_usage_error_on_malformed_anchors(tmp_path):
-    code = main(["build", "--anchors", "1,2,3;4,5", "--out", str(tmp_path)])
-    assert code == 2
+def test_cli_usage_error_on_malformed_anchors(tmp_path, capsys):
+    beyond_int64 = ",".join(["99999999999999999999"] * 24) + ";" + ",".join(["0"] * 24)
+    for anchors in ("1,2,3;4,5", beyond_int64):
+        capsys.readouterr()
+        code = main(["build", "--anchors", anchors, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --anchors value: ") and err.count("\n") == 1
 
 
 def test_cli_usage_error_on_invalid_anchor_pair(tmp_path):

@@ -5,6 +5,7 @@ from leechdesign.coherent import (
     ConfigurationAxiomError,
     RelationClassificationError,
     RelationPartition,
+    _block_dots,
     check_tensor_identities,
     classify_pairs,
     compare_with_reference,
@@ -20,7 +21,9 @@ from leechdesign.coherent_fixture import (
     fixture_matrices,
     fixture_tensor,
 )
+from leechdesign.cli import verify_coherent_claims
 from leechdesign.construct import PointLayer, WeightedPointSet
+from leechdesign.report import VerificationReport
 
 
 def test_fixture_self_test_passes():
@@ -199,3 +202,49 @@ def test_fixture_matrices_block_structure():
         a = LABEL_INDEX[name]
         ident = LABEL_INDEX["11.0"] if name.startswith(("11", "12")) else LABEL_INDEX["22.0"]
         assert t[a, TRANSPOSE[a], ident] == k
+
+
+def _per_entry_labels(ws) -> np.ndarray:
+    """Reference labelling: every Gram block, the (2, 1) block too, built on
+    its own and compared entry by entry with each relation's dot."""
+    n1 = ws.layers[0].size
+    fiber = (slice(0, n1), slice(n1, ws.size))
+    labels = np.full((ws.size, ws.size), -1, dtype=np.int8)
+    for i in (0, 1):
+        for j in (0, 1):
+            gram = ws.gram_block(i, j)
+            block = labels[fiber[i], fiber[j]]
+            for c, dot in _block_dots(ws, i, j):
+                block[gram == dot] = c
+    return labels
+
+
+@pytest.mark.parametrize("fixture", ["design", "alt_design"])
+def test_labels_match_the_per_entry_reference(request, fixture):
+    ws = request.getfixturevalue(fixture)
+    labels = classify_pairs(ws).labels
+    assert bool((labels >= 0).all())
+    assert np.array_equal(labels, _per_entry_labels(ws))
+
+
+def test_negated_inner_point_fails_in_the_first_block(design, gram_calls):
+    inner, outer = design.layers
+    points = inner.points.copy()
+    points[100] = -points[100]
+    ws = WeightedPointSet(
+        layers=(PointLayer(points, inner.denom, inner.weight, inner.r2), outer)
+    )
+    # the message of the per-entry labelling: the first off-list entry in row order
+    with pytest.raises(
+        RelationClassificationError,
+        match=r"^inner product -80/200 in block \(0,0\) is outside the admissible set$",
+    ):
+        classify_pairs(ws)
+    assert gram_calls == [(0, 0)]  # the other blocks are never built
+
+
+def test_verify_coherent_builds_each_gram_block_once(design, gram_calls):
+    report = VerificationReport(name="coherent")
+    verify_coherent_claims(WeightedPointSet(layers=design.layers), report)
+    assert report.passed
+    assert sorted(gram_calls) == [(0, 0), (0, 1), (1, 1)]

@@ -148,6 +148,14 @@ def test_Y_family(ys):
     assert y_antipodal_pair_count(ys) == 2300
 
 
+def test_antipodal_pair_count_rejects_an_open_union(ys):
+    with pytest.raises(DesignConstructionError, match="^Y union is not antipode-closed$"):
+        y_antipodal_pair_count({**ys, -1: ys[-1][1:]})
+    with_zero = np.vstack([ys[1], np.zeros((1, 24), dtype=np.int64)])
+    with pytest.raises(DesignConstructionError, match="^self-antipodal point in Y union$"):
+        y_antipodal_pair_count({**ys, 1: with_zero})
+
+
 def test_X1_equals_projected_Y_plus_one(design, ys):
     assert check_X1_equals_PY(design, ys[1], A_CANONICAL, B_CANONICAL)
 

@@ -7,9 +7,11 @@ import pytest
 
 from float_oracle import float_polynomial_check
 from leechdesign.cli import verify_design_claims
+from leechdesign.coherent import classify_pairs
 from leechdesign.construct import (
     DesignConstructionError,
     PointLayer,
+    RowProfiles,
     WeightedPointSet,
     z_value_histogram,
 )
@@ -237,19 +239,29 @@ def test_moment_spot_check_matches_per_probe_reference(design, mutated):
         assert got == _probe_moments(ws, *probes[-1], 6)
 
 
-def test_verify_design_builds_each_gram_block_once(design, monkeypatch):
-    calls = []
-    gram_block = WeightedPointSet.gram_block
-
-    def counted(self, i, j):
-        calls.append((i, j))
-        return gram_block(self, i, j)
-
-    monkeypatch.setattr(WeightedPointSet, "gram_block", counted)
+def test_verify_design_builds_each_gram_block_once(design, gram_calls):
     report = VerificationReport(name="design")
     verify_design_claims(WeightedPointSet(layers=design.layers), report)
     assert report.passed
-    assert sorted(calls) == [(0, 0), (0, 1), (1, 1)]
+    assert sorted(gram_calls) == [(0, 0), (0, 1), (1, 1)]
+
+
+def test_only_the_probe_moment_oracle_builds_row_profiles(design, monkeypatch):
+    built = []
+    of = RowProfiles.of
+
+    def counted(index, values):
+        built.append(index.shape)
+        return of(index, values)
+
+    monkeypatch.setattr(RowProfiles, "of", counted)
+    ws = WeightedPointSet(layers=design.layers)
+    euclidean_strength(ws, 6)
+    classify_pairs(ws)
+    z_value_histogram(ws)
+    assert built == []
+    moment_spot_check(ws, 6)
+    assert sorted(built) == [(275, 275), (275, 2025), (2025, 275), (2025, 2025)]
 
 
 def test_strength_cap():

@@ -27,10 +27,14 @@ from leechdesign.unique import (
 
 
 def test_integralized_layer(x1_integral):
-    inner = x1_integral.inner_matrix()
+    # the histogram reading agrees with the whole 275 x 275 lattice Gram matrix
+    d = x1_integral.points @ x1_integral.points.T
+    assert bool((d % 40 == 0).all())
+    inner = d // 40
     assert bool((np.diag(inner) == 12).all())
     off = inner[~np.eye(275, dtype=bool)]
     assert set(np.unique(off).tolist()) == {2, -3}
+    assert (x1_integral.norm, x1_integral.products) == (12, (2, -3))
 
 
 def test_dual_frame_biorthogonality(dual_frame):
