@@ -294,7 +294,7 @@ def verify_seven_claims(
             c.computed = all(x.passed for x in strength)
 
         with stage.claim("seven/y-family-sizes", "[275, 2025, 2025, 275]") as c:
-            ys = build_Y(a, b, default_context())
+            ys = build_Y(a, b)
             c.computed = [ys[i].shape[0] for i in (1, 2, -2, -1)]
         union = set().union(*(rows_as_set(ys[i]) for i in (1, 2, -1, -2)))
         report.check("seven/y-union-size", 4600, len(union))
@@ -341,11 +341,11 @@ def _parse_anchors(text: str):
 
 def _load_or_build(args, anchors) -> WeightedPointSet:
     if args.design_file:
-        path = Path(args.design_file)
-        if not path.exists():
-            print(f"error: no such design file: {path}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        return design_io.read_design(path)
+        try:
+            return design_io.read_design(Path(args.design_file))
+        except OSError as exc:  # no such file, a directory, no permission
+            print(f"error: cannot read design file: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE) from exc
     a, b = anchors
     return build_design(a, b)
 

@@ -11,7 +11,8 @@ exact integer computation.
 Every claim about a design reads the exact inner products of its pairs
 from one Gram pass: `WeightedPointSet.pair_stats(i, j)` keeps of each
 block only its value histogram and each entry's position in it, so every
-classification of the block's pairs is one lookup.
+classification of the block's pairs is one lookup, and the probe-moment
+oracle groups its probes from the sorted rows of that index.
 
 The companions are the four norm-4 families Y projected along one anchor,
 and the antipodal double cover of the design on S^22.  The cover is never
@@ -23,14 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .lattice import (
     CosetConstraint,
-    LeechContext,
     canonical_sort,
     default_context,
     enumerate_coset_shell,
@@ -125,7 +123,7 @@ class WeightedPointSet:
         built and classified the first time it is asked for, and dropped
         after: a check that fails in one block never builds the others."""
         if (i, j) not in self._stats:
-            self._stats[(i, j)] = BlockStats.of(self.gram_block(i, j), symmetric=i == j)
+            self._stats[(i, j)] = BlockStats.of(self.gram_block(i, j))
         return self._stats[(i, j)]
 
     def pair_values(self, i: int, j: int) -> np.ndarray:
@@ -139,33 +137,6 @@ class WeightedPointSet:
 
 
 @dataclass(frozen=True)
-class RowProfiles:
-    """The rows of a block grouped by their multiset of values (their
-    inner-product profile): rows in one group hold the same values with the
-    same multiplicities."""
-
-    group: np.ndarray  # (n,) group index of each row
-    hists: tuple[tuple[np.ndarray, np.ndarray], ...]  # per group: (values, counts)
-
-    @classmethod
-    def of(cls, index: np.ndarray, values: np.ndarray) -> RowProfiles:
-        """Profiles of the rows of the block `values[index]`."""
-        # Sorted rows are equal exactly when their multisets are.  Ordering
-        # them as byte strings puts equal rows next to each other, however
-        # many distinct values the block holds.
-        rows = np.array(index, order="C")
-        rows.sort(axis=1, kind="stable")  # a radix sort on small unsigned ints
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        order = np.argsort(keys)
-        starts = np.ones(len(keys), dtype=bool)
-        starts[1:] = [keys[a] != keys[b] for a, b in zip(order[1:], order[:-1])]
-        group = np.empty(len(keys), dtype=np.int64)
-        group[order] = np.cumsum(starts) - 1
-        hists = tuple(np.unique(values[rows[r]], return_counts=True) for r in order[starts])
-        return cls(group=group, hists=hists)
-
-
-@dataclass(frozen=True)
 class BlockStats:
     """Inner-product statistics of one Gram block: its value histogram, and
     the position of each entry in it, from which every classification of
@@ -174,10 +145,9 @@ class BlockStats:
     values: np.ndarray  # distinct stored dots, ascending
     counts: np.ndarray  # occurrences of each value in the block
     index: np.ndarray  # values[index] is the block; the smallest unsigned dtype
-    symmetric: bool  # a diagonal block, its own transpose
 
     @classmethod
-    def of(cls, gram: np.ndarray, symmetric: bool) -> BlockStats:
+    def of(cls, gram: np.ndarray) -> BlockStats:
         # Slabs of 256 rows, so that no second block-sized array is live.
         slabs = [slice(r, r + 256) for r in range(0, len(gram), 256)]
         hists = [np.unique(gram[s], return_counts=True) for s in slabs]
@@ -187,22 +157,12 @@ class BlockStats:
         for s, (v, c) in zip(slabs, hists):
             counts[np.searchsorted(values, v)] += c
             index[s] = np.searchsorted(values, gram[s])
-        return cls(values=values, counts=counts, index=index, symmetric=symmetric)
-
-    @cached_property
-    def rows(self) -> RowProfiles:
-        """Built on first use: only the probe-moment oracle reads profiles."""
-        return RowProfiles.of(self.index, self.values)
-
-    @cached_property
-    def cols(self) -> RowProfiles:
-        return self.rows if self.symmetric else RowProfiles.of(self.index.T, self.values)
+        return cls(values=values, counts=counts, index=index)
 
 
-def check_anchor_pair(a, b, ctx: Optional[LeechContext] = None) -> None:
-    ctx = ctx or default_context()
+def check_anchor_pair(a, b) -> None:
     pair = np.stack([np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)])
-    if not bool(membership_mask(pair, ctx.code).all()):
+    if not bool(membership_mask(pair, default_context().code).all()):
         raise DesignConstructionError("anchors must be lattice members")
     if conventional_inner(a, a) != 4 or conventional_inner(b, b) != 4:
         raise DesignConstructionError("anchors must have norm 4")
@@ -257,12 +217,11 @@ def project_out_single(rows: np.ndarray, a, mult: int) -> np.ndarray:
 
 # Coset shells enumerated in this process, keyed by the anchor bytes and
 # value of each constraint and by the norm: `build_design` and `build_Y`
-# both need {(x,a)=2, (x,b)=0} at norm 4.  Every LeechContext describes the
-# same lattice, so the context is not part of the key.
+# both need {(x,a)=2, (x,b)=0} at norm 4.
 _SHELLS: dict[tuple, np.ndarray] = {}
 
 
-def _coset_shell(constraints: list[CosetConstraint], norm, ctx: LeechContext) -> np.ndarray:
+def _coset_shell(constraints: list[CosetConstraint], norm) -> np.ndarray:
     """`enumerate_coset_shell`, run once per key; the result is shared, so
     it is read-only."""
     key = (
@@ -270,28 +229,20 @@ def _coset_shell(constraints: list[CosetConstraint], norm, ctx: LeechContext) ->
         Fraction(norm),
     )
     if key not in _SHELLS:
-        shell = enumerate_coset_shell(constraints, norm, ctx)
+        shell = enumerate_coset_shell(constraints, norm)
         shell.setflags(write=False)
         _SHELLS[key] = shell
     return _SHELLS[key]
 
 
-def build_design(
-    a=None,
-    b=None,
-    ctx: Optional[LeechContext] = None,
-) -> WeightedPointSet:
+def build_design(a, b) -> WeightedPointSet:
     """The weighted configuration: 275 points at squared radius 12/5 with
     weight 1, and 2025 points at squared radius 132/5 with weight 1/729."""
-    ctx = ctx or default_context()
-    from .lattice import A_CANONICAL, B_CANONICAL
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    check_anchor_pair(a, b)
 
-    a = A_CANONICAL if a is None else np.asarray(a, dtype=np.int64)
-    b = B_CANONICAL if b is None else np.asarray(b, dtype=np.int64)
-    check_anchor_pair(a, b, ctx)
-
-    shell1 = _coset_shell([CosetConstraint(a, 3), CosetConstraint(b, -3)], 6, ctx)
-    shell2 = _coset_shell([CosetConstraint(a, 2), CosetConstraint(b, 0)], 4, ctx)
+    shell1 = _coset_shell([CosetConstraint(a, 3), CosetConstraint(b, -3)], 6)
+    shell2 = _coset_shell([CosetConstraint(a, 2), CosetConstraint(b, 0)], 4)
     if shell1.shape[0] != 275 or shell2.shape[0] != 2025:
         raise DesignConstructionError(
             f"wrong shell cardinalities: {shell1.shape[0]}, {shell2.shape[0]}"
@@ -308,37 +259,25 @@ def build_design(
     return WeightedPointSet(layers=(layer1, layer2))
 
 
-def build_Y(a=None, b=None, ctx: Optional[LeechContext] = None):
+def build_Y(a, b):
     """The four norm-4 families with (x, a) = 2 and (x, b) in {1, 0, -1, -2},
     projected along a only; stored as 2 * P0(x) with denominator 2.
 
     Returns dict keyed by +1, +2, -2, -1 mapping to (n, 24) int arrays.
+    Their sizes and the size of their union are left to the caller.
     """
-    ctx = ctx or default_context()
-    from .lattice import A_CANONICAL, B_CANONICAL
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    check_anchor_pair(a, b)
 
-    a = A_CANONICAL if a is None else np.asarray(a, dtype=np.int64)
-    b = B_CANONICAL if b is None else np.asarray(b, dtype=np.int64)
-    check_anchor_pair(a, b, ctx)
-
-    expected = {1: 275, 2: 2025, -2: 2025, -1: 275}
     b_value = {1: 1, 2: 0, -2: -1, -1: -2}
     out = {}
     for key, bval in b_value.items():
-        shell = _coset_shell([CosetConstraint(a, 2), CosetConstraint(b, bval)], 4, ctx)
-        if shell.shape[0] != expected[key]:
-            raise DesignConstructionError(
-                f"Y[{key}] has {shell.shape[0]} points, expected {expected[key]}"
-            )
+        shell = _coset_shell([CosetConstraint(a, 2), CosetConstraint(b, bval)], 4)
         proj = canonical_sort(project_out_single(shell, a, mult=2))
         norms = (proj**2).sum(axis=1)
         if not bool((norms == 8 * 4 * 3).all()):  # r^2 = 3 at denom 2
             raise DesignConstructionError("Y projection radius is not 3")
         out[key] = proj
-
-    union = rows_as_set(out[1]) | rows_as_set(out[2]) | rows_as_set(out[-1]) | rows_as_set(out[-2])
-    if len(union) != 4600:
-        raise DesignConstructionError(f"Y union has {len(union)} points, expected 4600")
     return out
 
 

@@ -19,15 +19,15 @@ forms) accompanies the kernel route as an independent oracle.
 
 Every exact check reads the pair statistics of the design
 (`WeightedPointSet.pair_stats`), built once per layer block.  The kernel
-sums need only the histograms of stored inner products.  The probe-moment
-oracle also needs the grouping of the rows by their inner-product
-profile, which the statistics build on first use, so no other check pays
-for it.  It probes with every design point y, and its moment sum
+sums need only the histograms of stored inner products, and every kernel
+value comes from one three-term recurrence (`zonal_values`).  The
+probe-moment oracle probes with every design point y.  Its moment sum
 sum_x w(x) (x.y)^k depends on y only through the multiset of y's inner
-products with each layer, its row profile (Delsarte, Goethals and Seidel
-1977).  So it is evaluated exactly once per distinct profile and copied to
-every probe with that profile: an identity, not a sample, and each probe
-is still checked and named by its index.
+products with each layer, its profile (Delsarte, Goethals and Seidel
+1977), and the oracle groups the probes by profile from the sorted rows
+of each block's index.  So the sum is evaluated exactly once per distinct
+profile and copied to every probe with that profile: an identity, not a
+sample, and each probe is still checked and named by its index.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ import numpy as np
 
 from .construct import DesignConstructionError, PointLayer, WeightedPointSet
 
-MAX_STRENGTH = 8
-
 
 @dataclass(frozen=True)
 class StrengthCondition:
@@ -51,55 +49,19 @@ class StrengthCondition:
     passed: bool  # value exactly zero
 
 
-class GegenbauerEvaluator:
-    """Normalized degree-k zonal kernels on S^(n-1): Q_0 = 1, Q_1 = u,
-    Q_k = ((2k+n-4) u Q_{k-1} - (k-1) Q_{k-2}) / (k+n-3); Q_k(1) = 1."""
+def zonal_values(t: int, n: int, dot: Fraction, nx2ny2: Fraction) -> list[Fraction]:
+    """H_k = (|x||y|)^k Q_k(x.y / |x||y|) for k = 0..t, from dot = x.y and
+    nx2ny2 = |x|^2 |y|^2, where Q_k is the normalized degree-k zonal kernel
+    on S^(n-1).  The Gegenbauer recurrence multiplied through by (|x||y|)^k,
 
-    def __init__(self, dimension: int, max_degree: int = MAX_STRENGTH):
-        if dimension < 2:
-            raise ValueError("dimension must be at least 2")
-        if max_degree > MAX_STRENGTH:
-            raise ValueError(f"degree capped at {MAX_STRENGTH}")
-        self.dimension = dimension
-        self.max_degree = max_degree
-        self._coeffs: list[list[Fraction]] = []  # poly coeffs, low power first
-        self._build()
+        H_k = ((2k+n-4) dot H_{k-1} - (k-1) nx2ny2 H_{k-2}) / (k+n-3),
 
-    def _build(self) -> None:
-        n = self.dimension
-        polys = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-        for k in range(2, self.max_degree + 1):
-            prev = polys[k - 1]
-            prev2 = polys[k - 2]
-            shifted = [Fraction(0)] + list(prev)  # u * Q_{k-1}
-            coeffs = []
-            for i in range(k + 1):
-                c = Fraction(2 * k + n - 4) * shifted[i] if i < len(shifted) else Fraction(0)
-                if i < len(prev2):
-                    c -= (k - 1) * prev2[i]
-                coeffs.append(c / (k + n - 3))
-            polys.append(coeffs)
-        self._coeffs = polys
-
-    def coefficients(self, k: int) -> list[Fraction]:
-        if not 0 <= k <= self.max_degree:
-            raise ValueError(f"degree {k} out of range")
-        return self._coeffs[k]
-
-    def homogeneous_pair_value(self, k: int, dot: Fraction, nx2ny2: Fraction) -> Fraction:
-        """(|x||y|)^k Q_k(x.y / |x||y|) as a polynomial in dot = x.y and
-        nx2ny2 = |x|^2 |y|^2 (exact; uses that Q_k has the parity of k).
-        With nx2ny2 = 1 it is Q_k(dot)."""
-        coeffs = self.coefficients(k)
-        acc = Fraction(0)
-        for power, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            rem = k - power
-            if rem % 2:
-                raise ArithmeticError("kernel parity violated")
-            acc += c * dot**power * nx2ny2 ** (rem // 2)
-        return acc
+    stays rational even where |x||y| is not.  With nx2ny2 = 1 it gives Q_k(dot).
+    """
+    h = [Fraction(1), Fraction(dot)]
+    for k in range(2, t + 1):
+        h.append(((2 * k + n - 4) * dot * h[k - 1] - (k - 1) * nx2ny2 * h[k - 2]) / (k + n - 3))
+    return h[: t + 1]
 
 
 def euclidean_strength(
@@ -110,55 +72,43 @@ def euclidean_strength(
     The l = 0 conditions are omitted: they hold identically for any union
     of concentric layers (see module docstring).
     """
-    if t > MAX_STRENGTH:
-        raise ValueError(f"strength capped at {MAX_STRENGTH}")
     p = len(ws.layers)
     radii = [layer.r2 for layer in ws.layers]
     if len(set(radii)) != p or any(r <= 0 for r in radii):
         raise DesignConstructionError("layers must have distinct positive radii")
-    ev = GegenbauerEvaluator(dimension, t)
-
-    out: list[StrengthCondition] = []
-    for l in range(1, t + 1):
-        for j in range(0, min((t - l) // 2, p - 1) + 1):
-            total = Fraction(0)
-            for bi in range(p):
-                for bj in range(bi, p):
-                    w2 = ws.layers[bi].weight * ws.layers[bj].weight
-                    scale = ws.dot_scale(bi, bj)
-                    nx2ny2 = ws.layers[bi].r2 * ws.layers[bj].r2
-                    radial = nx2ny2**j
-                    sym = 1 if bi == bj else 2
-                    st = ws.pair_stats(bi, bj)
-                    for d, c in zip(st.values.tolist(), st.counts.tolist()):
-                        dot = Fraction(d, scale)
-                        term = ev.homogeneous_pair_value(l, dot, nx2ny2)
-                        total += sym * c * w2 * radial * term
-            out.append(
-                StrengthCondition(
-                    label=f"l={l},j={j}",
-                    value=total,
-                    passed=total == 0,
-                )
-            )
-    return out
+    totals = {
+        (l, j): Fraction(0) for l in range(1, t + 1) for j in range(min((t - l) // 2, p - 1) + 1)
+    }
+    for bi in range(p):
+        for bj in range(bi, p):
+            nx2ny2 = ws.layers[bi].r2 * ws.layers[bj].r2
+            scale = ws.dot_scale(bi, bj)
+            st = ws.pair_stats(bi, bj)
+            sums = [Fraction(0)] * (t + 1)  # sum over the block of c * H_l
+            for d, c in zip(st.values.tolist(), st.counts.tolist()):
+                for l, h in enumerate(zonal_values(t, dimension, Fraction(d, scale), nx2ny2)):
+                    sums[l] += c * h
+            w2 = (1 if bi == bj else 2) * ws.layers[bi].weight * ws.layers[bj].weight
+            for l, j in totals:
+                totals[(l, j)] += w2 * nx2ny2**j * sums[l]
+    return [
+        StrengthCondition(label=f"l={l},j={j}", value=total, passed=total == 0)
+        for (l, j), total in totals.items()
+    ]
 
 
 def spherical_strength_from_values(
     values: Iterable[tuple[Fraction, int]], t: int, dimension: int
 ) -> list[StrengthCondition]:
     """Kernel sums sum Q_k(u) over a histogram of unit-sphere cosines."""
-    ev = GegenbauerEvaluator(dimension, t)
-    vals = list(values)
-    out = []
-    for k in range(1, t + 1):
-        total = Fraction(0)
-        for u, c in vals:
-            total += c * ev.homogeneous_pair_value(k, Fraction(u), Fraction(1))
-        out.append(
-            StrengthCondition(label=f"k={k}", value=total, passed=total == 0)
-        )
-    return out
+    totals = [Fraction(0)] * (t + 1)
+    for u, c in values:
+        for k, h in enumerate(zonal_values(t, dimension, Fraction(u), Fraction(1))):
+            totals[k] += c * h
+    return [
+        StrengthCondition(label=f"k={k}", value=totals[k], passed=totals[k] == 0)
+        for k in range(1, t + 1)
+    ]
 
 
 def spherical_strength(
@@ -215,8 +165,9 @@ def moment_spot_check(
                                 * |y|^k * sum_i w_i |X_i| r_i^k.
 
     Probes are numbered layer by layer, in stored order.  The left side is
-    evaluated once per distinct row profile of a layer (module docstring),
-    the right side once per layer, since |y|^2 is the layer's r2.
+    evaluated once per distinct inner-product profile among a layer's
+    probes (module docstring), the right side once per layer, since |y|^2
+    is the layer's r2.
     """
     p = len(ws.layers)
     # the right side without |y|^k: the sphere average of u^k times the radial sum
@@ -228,26 +179,31 @@ def moment_spot_check(
     results: list[ProbeMomentResult] = []
     first_index = 0
     for m, probe_layer in enumerate(ws.layers):
-        profiles = [
-            ws.pair_stats(m, i).rows if m <= i else ws.pair_stats(i, m).cols
-            for i in range(p)
+        stats = [ws.pair_stats(m, i) if m <= i else ws.pair_stats(i, m) for i in range(p)]
+        # Each probe's row of every block, sorted: two probes have the same
+        # profile exactly when these rows are equal.
+        rows = [
+            np.array(st.index if m <= i else st.index.T, order="C") for i, st in enumerate(stats)
         ]
-        keys, inverse = np.unique(
-            np.stack([prof.group for prof in profiles], axis=1), axis=0, return_inverse=True
-        )
+        for row in rows:
+            row.sort(axis=1, kind="stable")  # a radix sort on the small unsigned dtype
+        keys = np.hstack(rows)
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         lhs = []
-        for key in keys.tolist():
+        for q in first.tolist():
             sums = [Fraction(0)] * (t + 1)
-            for i, (prof, g) in enumerate(zip(profiles, key)):
-                vals, counts = prof.hists[g]
+            for i, (st, row) in enumerate(zip(stats, rows)):
+                positions, counts = np.unique(row[q], return_counts=True)
                 scale, w = ws.dot_scale(i, m), ws.layers[i].weight
-                for v, c in zip(vals.tolist(), counts.tolist()):
-                    u = Fraction(v, scale)
+                for v, c in zip(st.values[positions].tolist(), counts.tolist()):
+                    term, u = w * c, Fraction(v, scale)
                     for k in range(t + 1):
-                        sums[k] += w * c * u**k
+                        sums[k] += term
+                        term *= u
             lhs.append(sums)
         rhs = [radial[k] * probe_layer.r2 ** (k // 2) for k in range(t + 1)]
-        for q, g in enumerate(inverse.reshape(-1).tolist()):
+        for q, g in enumerate(inverse.tolist()):
             results.extend(
                 ProbeMomentResult(first_index + q, k, lhs[g][k], rhs[k]) for k in range(t + 1)
             )

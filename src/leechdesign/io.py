@@ -80,6 +80,8 @@ def read_design(path: Path) -> WeightedPointSet:
                 )
             )
             i += 1 + count
+        if i < len(text):
+            raise FormatError(f"{len(text) - i} lines after the last declared layer")
         return WeightedPointSet(layers=tuple(layers))
     except FormatError:
         raise

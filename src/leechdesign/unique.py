@@ -344,7 +344,7 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     n = len(vec)
     if n != 4050:
         raise UniquenessError(f"expected 4050 candidates, got {n}")
-    st = BlockStats.of(vec @ vec.T, symmetric=True)  # dots 9 * 40 * <y, y'>
+    st = BlockStats.of(vec @ vec.T)  # dots 9 * 40 * <y, y'>
     scale = 9 * WORK_DEN
     shell2 = (Fraction(7, 22), Fraction(-1, 44), Fraction(-4, 11))  # normalized products
     same = np.isin(st.values, [int(u * CANDIDATE_NORM * scale) for u in shell2])[st.index]

@@ -38,18 +38,18 @@ def ctx():
 
 
 @pytest.fixture(scope="session")
-def design(ctx):
-    return build_design(A_CANONICAL, B_CANONICAL, ctx)
+def design():
+    return build_design(A_CANONICAL, B_CANONICAL)
 
 
 @pytest.fixture(scope="session")
-def ys(ctx):
-    return build_Y(A_CANONICAL, B_CANONICAL, ctx)
+def ys():
+    return build_Y(A_CANONICAL, B_CANONICAL)
 
 
 @pytest.fixture(scope="session")
-def alt_design(ctx):
-    return build_design(A_ALTERNATE, B_ALTERNATE, ctx)
+def alt_design():
+    return build_design(A_ALTERNATE, B_ALTERNATE)
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,9 @@ def test_cli_all_passes_end_to_end(tmp_path, monkeypatch, gram_calls):
     stats = []
     of = BlockStats.of
 
-    def counted(cls, gram, symmetric):
+    def counted(cls, gram):
         stats.append(gram.shape)
-        return of(gram, symmetric)
+        return of(gram)
 
     monkeypatch.setattr(BlockStats, "of", classmethod(counted))
     out = tmp_path / "out"

@@ -122,7 +122,7 @@ def test_cli_detects_deleted_point(tmp_path, design):
 @pytest.mark.parametrize(
     "fault",
     ["empty-file", "non-integer-token", "huge-coordinate", "zero-denominator-weight",
-     "truncated-layer", "missing-layer"],
+     "truncated-layer", "missing-layer", "trailing-line", "extra-point"],
 )
 def test_malformed_design_file_is_a_format_error(tmp_path, design, capsys, fault):
     valid = tmp_path / "valid.txt"
@@ -144,6 +144,9 @@ def test_malformed_design_file_is_a_format_error(tmp_path, design, capsys, fault
             [lines[0], lines[1].replace("count=275", "count=0")] + lines[2 + 275 :]
         ),
         "missing-layer": "\n".join(["# design layers=3"] + lines[1:]),
+        # lines after the declared layers, which a reader would never look at
+        "trailing-line": "\n".join(lines + ["signed: nobody"]),
+        "extra-point": "\n".join(lines + [lines[-1]]),  # count=2025 left as it is
     }[fault]
     path = tmp_path / f"{fault}.txt"
     path.write_text(text + "\n")
@@ -357,6 +360,14 @@ def test_cli_usage_error_on_missing_file(tmp_path):
         ["verify-design", "--in", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+def test_cli_usage_error_on_directory_input(tmp_path, capsys):
+    capsys.readouterr()
+    code = main(["verify-design", "--in", str(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot read design file: ") and err.count("\n") == 1
 
 
 def test_cli_usage_error_on_bad_threads(tmp_path):

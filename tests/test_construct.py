@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from leechdesign import construct
+from leechdesign.cli import verify_seven_claims
 from leechdesign.construct import (
     DesignConstructionError,
     PointLayer,
@@ -23,6 +24,7 @@ from leechdesign.lattice import (
     enumerate_coset_shell,
     rows_as_set,
 )
+from leechdesign.report import VerificationReport
 
 
 def test_projection_annihilates_anchors():
@@ -106,7 +108,7 @@ def test_layer_bounds_keep_int64_products_exact(design):
         PointLayer(inner.points, inner.denom, inner.weight, Fraction(0))
 
 
-def test_each_coset_shell_is_enumerated_once(ctx, design, ys, monkeypatch):
+def test_each_coset_shell_is_enumerated_once(design, ys, monkeypatch):
     keys = []
 
     def counted(constraints, norm, ctx=None, stats=None):
@@ -115,8 +117,8 @@ def test_each_coset_shell_is_enumerated_once(ctx, design, ys, monkeypatch):
 
     monkeypatch.setattr(construct, "_SHELLS", {})
     monkeypatch.setattr(construct, "enumerate_coset_shell", counted)
-    rebuilt = build_design(A_CANONICAL, B_CANONICAL, ctx)
-    ys_again = build_Y(A_CANONICAL, B_CANONICAL, ctx)
+    rebuilt = build_design(A_CANONICAL, B_CANONICAL)
+    ys_again = build_Y(A_CANONICAL, B_CANONICAL)
     # (a,2),(b,0) at norm 4 serves both the outer shell and Y[+2]
     assert len(keys) == len(set(keys)) == 5
     assert all(not shell.flags.writeable for shell in construct._SHELLS.values())
@@ -125,9 +127,30 @@ def test_each_coset_shell_is_enumerated_once(ctx, design, ys, monkeypatch):
     assert all(bool((ys_again[k] == ys[k]).all()) for k in ys)
 
 
-def test_anchor_preconditions_enforced(ctx):
+def test_y_union_size_claim_sees_a_row_of_another_family(design, monkeypatch):
+    # The (x, b) = -1 shell given one row of the (x, b) = 0 shell: every
+    # family keeps its size, so only the union claim can fail.
+    coset_shell = construct._coset_shell
+
+    def mixed(constraints, norm):
+        shell = coset_shell(constraints, norm)
+        if constraints[1].value == -1:
+            other = coset_shell([constraints[0], CosetConstraint(B_CANONICAL, 0)], norm)
+            shell = np.concatenate([other[:1], shell[1:]])
+        return shell
+
+    monkeypatch.setattr(construct, "_coset_shell", mixed)
+    report = VerificationReport(name="seven")
+    verify_seven_claims(design, report)
+    results = {r.claim: r for r in report.results}
+    assert results["seven/y-family-sizes"].passed
+    assert report.first_failure().claim == "seven/y-union-size"
+    assert results["seven/y-union-size"].computed == "4599"
+
+
+def test_anchor_preconditions_enforced():
     with pytest.raises(DesignConstructionError):
-        build_design(A_CANONICAL, A_CANONICAL, ctx)
+        build_design(A_CANONICAL, A_CANONICAL)
 
 
 def test_orthogonality_check_validates_the_anchors(design, alt_design):

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from float_oracle import float_polynomial_check
+from gegenbauer_reference import GegenbauerEvaluator
 from leechdesign.cli import verify_design_claims
-from leechdesign.coherent import classify_pairs
 from leechdesign.construct import (
     DesignConstructionError,
     PointLayer,
-    RowProfiles,
     WeightedPointSet,
     z_value_histogram,
 )
 from leechdesign.design import (
-    GegenbauerEvaluator,
     euclidean_strength,
     moment_spot_check,
     mutate_design,
@@ -24,35 +22,47 @@ from leechdesign.design import (
     spherical_strength_from_values,
     sphere_monomial_average,
     tightness_check,
+    zonal_values,
 )
 from leechdesign.report import VerificationReport
 
 
 def test_gegenbauer_normalization():
     for n in (22, 23):
-        ev = GegenbauerEvaluator(n, 7)
-        for k in range(8):
-            assert ev.homogeneous_pair_value(k, Fraction(1), 1) == 1
+        assert zonal_values(7, n, Fraction(1), Fraction(1)) == [1] * 8
 
 
 def test_gegenbauer_degree_zero_and_two():
-    ev = GegenbauerEvaluator(22, 3)
     for u in (Fraction(0), Fraction(2, 7), Fraction(-3)):
-        assert ev.homogeneous_pair_value(0, u, 1) == 1
-        assert ev.homogeneous_pair_value(2, u, 1) == Fraction(22 * u * u - 1, 21)
+        h = zonal_values(2, 22, u, Fraction(1))
+        assert h[0] == 1
+        assert h[2] == Fraction(22 * u * u - 1, 21)
 
 
 def test_gegenbauer_against_direct_expansion():
     # k <= 3 closed forms from the recurrence, at 100 random rationals
     n = 22
-    ev = GegenbauerEvaluator(n, 3)
     rng = random.Random(99)
     for _ in range(100):
         u = Fraction(rng.randint(-50, 50), rng.randint(1, 25))
         q2 = Fraction(n, n - 1) * u * u - Fraction(1, n - 1)
         q3 = ((2 + n) * u * q2 - 2 * u) / n
-        assert ev.homogeneous_pair_value(2, u, 1) == q2
-        assert ev.homogeneous_pair_value(3, u, 1) == q3
+        assert zonal_values(3, n, u, Fraction(1))[2:] == [q2, q3]
+
+
+@pytest.mark.parametrize("n", [22, 23])
+def test_zonal_values_match_the_coefficient_tables(n):
+    # homogeneous values off the unit sphere: |x|^2 |y|^2 != 1, as in the
+    # cross-layer blocks, where |x||y| itself is irrational
+    reference = GegenbauerEvaluator(n, 8)
+    rng = random.Random(n)
+    for _ in range(60):
+        dot = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
+        nx2ny2 = Fraction(rng.randint(1, 900), rng.randint(1, 30))
+        if nx2ny2 == 1:
+            continue
+        expect = [reference.homogeneous_pair_value(k, dot, nx2ny2) for k in range(9)]
+        assert zonal_values(8, n, dot, nx2ny2) == expect
 
 
 def test_sphere_monomial_average_examples():
@@ -239,31 +249,31 @@ def test_moment_spot_check_matches_per_probe_reference(design, mutated):
         assert got == _probe_moments(ws, *probes[-1], 6)
 
 
+def test_moment_spot_check_with_a_uint16_block_matches_per_probe_reference():
+    # an antipodal layer of signed permutations of (1, ..., 24), whose Gram
+    # block holds thousands of distinct dots (a uint16 index), next to the
+    # antipodal layer +-2 e_i, whose blocks hold few (uint8 indices)
+    rng = np.random.default_rng(7)
+    half = np.array([rng.permutation(24) + 1 for _ in range(60)]) * rng.choice([-1, 1], (60, 24))
+    wide = PointLayer(np.concatenate([half, -half]), 1, Fraction(1), Fraction(4900, 8))
+    axes = 2 * np.concatenate([np.eye(24, dtype=np.int64), -np.eye(24, dtype=np.int64)])
+    narrow = PointLayer(axes, 1, Fraction(3, 7), Fraction(4, 8))
+    ws = WeightedPointSet(layers=(wide, narrow))
+    assert [ws.pair_stats(i, j).index.dtype for i, j in ((0, 0), (0, 1), (1, 1))] == [
+        np.uint16, np.uint8, np.uint8
+    ]
+    results = moment_spot_check(ws, 6)
+    probes = [(row, layer.denom) for layer in ws.layers for row in layer.points]
+    assert [(r.probe_index, r.k) for r in results] == [
+        (q, k) for q in range(len(probes)) for k in range(7)
+    ]
+    for q, probe in enumerate(probes):
+        got = [(r.lhs, r.rhs) for r in results[7 * q : 7 * q + 7]]
+        assert got == _probe_moments(ws, *probe, 6)
+
+
 def test_verify_design_builds_each_gram_block_once(design, gram_calls):
     report = VerificationReport(name="design")
     verify_design_claims(WeightedPointSet(layers=design.layers), report)
     assert report.passed
     assert sorted(gram_calls) == [(0, 0), (0, 1), (1, 1)]
-
-
-def test_only_the_probe_moment_oracle_builds_row_profiles(design, monkeypatch):
-    built = []
-    of = RowProfiles.of
-
-    def counted(index, values):
-        built.append(index.shape)
-        return of(index, values)
-
-    monkeypatch.setattr(RowProfiles, "of", counted)
-    ws = WeightedPointSet(layers=design.layers)
-    euclidean_strength(ws, 6)
-    classify_pairs(ws)
-    z_value_histogram(ws)
-    assert built == []
-    moment_spot_check(ws, 6)
-    assert sorted(built) == [(275, 275), (275, 2025), (2025, 275), (2025, 2025)]
-
-
-def test_strength_cap():
-    with pytest.raises(ValueError):
-        GegenbauerEvaluator(22, 9)

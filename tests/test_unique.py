@@ -188,13 +188,13 @@ def test_coefficient_sums_are_one_mod_five(dual_frame):
     assert bool(((sums - 1) % 5 == 0).all())
 
 
-def test_swapped_negated_anchors_build_the_twin(ctx, design, twin):
+def test_swapped_negated_anchors_build_the_twin(design, twin):
     # the defining inner products of the two shells are symmetric under
     # (a, b) -> (-b, -a) with the second shell replaced by the companion
     # class, and the projection is unchanged; so rebuilding with the
     # swapped negated anchors must reproduce the twin configuration
     from leechdesign.construct import build_design
 
-    rebuilt = build_design(-B_CANONICAL, -A_CANONICAL, ctx)
+    rebuilt = build_design(-B_CANONICAL, -A_CANONICAL)
     assert rows_as_set(rebuilt.layers[0].points) == rows_as_set(design.layers[0].points)
     assert rows_as_set(rebuilt.layers[1].points) == rows_as_set(twin.layers[1].points)
