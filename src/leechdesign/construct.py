@@ -215,34 +215,14 @@ def project_out_single(rows: np.ndarray, a, mult: int) -> np.ndarray:
     return out4 // 4
 
 
-# Coset shells enumerated in this process, keyed by the anchor bytes and
-# value of each constraint and by the norm: `build_design` and `build_Y`
-# both need {(x,a)=2, (x,b)=0} at norm 4.
-_SHELLS: dict[tuple, np.ndarray] = {}
-
-
-def _coset_shell(constraints: list[CosetConstraint], norm) -> np.ndarray:
-    """`enumerate_coset_shell`, run once per key; the result is shared, so
-    it is read-only."""
-    key = (
-        tuple((np.asarray(c.anchor, dtype=np.int64).tobytes(), c.value) for c in constraints),
-        Fraction(norm),
-    )
-    if key not in _SHELLS:
-        shell = enumerate_coset_shell(constraints, norm)
-        shell.setflags(write=False)
-        _SHELLS[key] = shell
-    return _SHELLS[key]
-
-
 def build_design(a, b) -> WeightedPointSet:
     """The weighted configuration: 275 points at squared radius 12/5 with
     weight 1, and 2025 points at squared radius 132/5 with weight 1/729."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     check_anchor_pair(a, b)
 
-    shell1 = _coset_shell([CosetConstraint(a, 3), CosetConstraint(b, -3)], 6)
-    shell2 = _coset_shell([CosetConstraint(a, 2), CosetConstraint(b, 0)], 4)
+    shell1 = enumerate_coset_shell([CosetConstraint(a, 3), CosetConstraint(b, -3)], 6)
+    shell2 = enumerate_coset_shell([CosetConstraint(a, 2), CosetConstraint(b, 0)], 4)
     if shell1.shape[0] != 275 or shell2.shape[0] != 2025:
         raise DesignConstructionError(
             f"wrong shell cardinalities: {shell1.shape[0]}, {shell2.shape[0]}"
@@ -272,7 +252,7 @@ def build_Y(a, b):
     b_value = {1: 1, 2: 0, -2: -1, -1: -2}
     out = {}
     for key, bval in b_value.items():
-        shell = _coset_shell([CosetConstraint(a, 2), CosetConstraint(b, bval)], 4)
+        shell = enumerate_coset_shell([CosetConstraint(a, 2), CosetConstraint(b, bval)], 4)
         proj = canonical_sort(project_out_single(shell, a, mult=2))
         norms = (proj**2).sum(axis=1)
         if not bool((norms == 8 * 4 * 3).all()):  # r^2 = 3 at denom 2

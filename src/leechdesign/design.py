@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,8 +141,7 @@ def sphere_monomial_average(alpha: Sequence[int], n: int) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class ProbeMomentResult:
+class ProbeMomentResult(NamedTuple):
     probe_index: int
     k: int
     lhs: Fraction

@@ -1,4 +1,4 @@
-"""Exact sphere / coset enumeration for positive-definite rational forms.
+"""Exact sphere enumeration for positive-definite rational forms.
 
 Depth-first search over integer coordinate vectors w such that
 
@@ -7,10 +7,9 @@ Depth-first search over integer coordinate vectors w such that
 using the rational LDL^T decomposition
 Q(y) = sum_i d_i (y_i + sum_{j>i} mu_ij y_j)^2 (Fincke & Pohst, Math.
 Comp. 44, 1985).  The decomposition is exact, and the caller computes it
-once: the same form solves G tau = rhs for the centre of a coset
-(`ldl_solve`) and drives the search.  The search then scales
-every level by one common integer, so the remaining radius, each level's
-contribution and the interval bound (an integer isqrt) are Python ints.
+once and passes it in.  The search scales every level by one common
+integer, so the remaining radius, each level's contribution and the
+interval bound (an integer isqrt) are Python ints.
 No floating point and no rational arithmetic run inside the search, and
 its completeness is unconditional.
 
@@ -54,20 +53,6 @@ def rational_cholesky(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
             for m in range(k, n):
                 q[k][m] -= q[i][k] * q[i][m] / d[i]  # upper triangle only
     return d, mu
-
-
-def ldl_solve(ldl, rhs) -> list[Fraction]:
-    """The exact x with G x = rhs, for G in the form `rational_cholesky`
-    returns: G = U^T D U with U unit upper triangular, U_ij = mu_ij."""
-    d, mu = ldl
-    n = len(d)
-    z: list[Fraction] = []
-    for i in range(n):  # U^T z = rhs
-        z.append(Fraction(rhs[i]) - sum(mu[j][i] * z[j] for j in range(i)))
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in reversed(range(n)):  # U x = D^-1 z
-        x[i] = z[i] / d[i] - sum(mu[i][j] * x[j] for j in range(i + 1, n))
-    return x
 
 
 def enumerate_sphere(

@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .golay import GolayCode
-from .intlinalg import det_int, hnf_rows
 
 # Canonical anchor pair: both norm 4, conventional_inner(A, B) = -1.
 A_CANONICAL = np.array([4, 4] + [0] * 22, dtype=np.int64)
@@ -23,8 +22,6 @@ B_CANONICAL = np.array([-3] + [1] * 23, dtype=np.int64)
 # An alternative valid pair for anchor-independence checks.
 A_ALTERNATE = np.array([0, 0, 4, 4] + [0] * 20, dtype=np.int64)
 B_ALTERNATE = np.array([1, 1, 1, -3] + [1] * 20, dtype=np.int64)
-
-_LEECH_SCALED_DET = 8**12  # covolume of the sqrt8-scaled lattice
 
 
 class LeechConstructionError(RuntimeError):
@@ -59,37 +56,6 @@ def membership_mask(arr: np.ndarray, code: GolayCode) -> np.ndarray:
     return ok & in_code & sums_ok
 
 
-def leech_basis(code: GolayCode) -> np.ndarray:
-    """A 24x24 integer basis (rows) of the scaled lattice.
-
-    Generators: twice the generator codewords, 4(e_0 + e_i), and the odd
-    coset representative (-3, 1, ..., 1); reduced to a basis by HNF.  The
-    result is checked against the known covolume 8^12 and the membership
-    conditions, which are implemented independently of this construction.
-    """
-    gens: list[list[int]] = []
-    for row in code.generator:
-        gens.append([2 * int(b) for b in row])
-    for i in range(1, 24):
-        v = [0] * 24
-        v[0] = 4
-        v[i] = 4
-        gens.append(v)
-    gens.append(list(B_CANONICAL))
-
-    h, _ = hnf_rows(gens)
-    rows = [r for r in h if any(r)]
-    if len(rows) != 24:
-        raise LeechConstructionError(f"basis rank {len(rows)} != 24")
-    d = abs(det_int(rows))
-    if d != _LEECH_SCALED_DET:
-        raise LeechConstructionError(f"basis determinant {d} != 8^12")
-    basis = np.array(rows, dtype=np.int64)
-    if not bool(membership_mask(basis, code).all()):
-        raise LeechConstructionError("basis row fails membership conditions")
-    return basis
-
-
 def _even_sign_patterns(k: int) -> np.ndarray:
     """All sign vectors in {+1,-1}^k with an even number of -1 entries."""
     out = []
@@ -100,18 +66,33 @@ def _even_sign_patterns(k: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def norm4_shell(code: GolayCode) -> np.ndarray:
-    """All 196560 minimal vectors, built shape class by shape class.
+# Rows per streamed chunk of the norm-4 shell: 96 KB in int8.  The whole
+# shell would add tens of MB to the peak memory of every `build`.
+BLOCK_ROWS = 4096
 
-    This route is independent of the sphere enumerator and serves as its
-    oracle: shape (+-4, +-4, 0^22) from coordinate pairs, (+-2^8, 0^16)
-    from octads with evenly many minus signs, and (-+3, +-1^23) from a
-    codeword sign flip with one coordinate pushed to +-3.
+
+def norm4_blocks(code: GolayCode):
+    """All 196560 minimal vectors, streamed as int8 chunks of at most
+    `BLOCK_ROWS` rows, built shape class by shape class from the Golay code
+    (Conway & Sloane, SPLAG ch. 4): (+-4, +-4, 0^22) from coordinate pairs,
+    (+-2^8, 0^16) from octads with evenly many minus signs, and
+    (-+3, +-1^23) from a codeword sign flip with one coordinate pushed to
+    +-3.  Raises LeechConstructionError after the last chunk unless the
+    chunks total 196560 rows.
+
+    A consumer that filters each chunk never holds the whole shell.
     """
-    blocks: list[np.ndarray] = []
+    total = 0
+    for block in _shape_classes(code):
+        total += len(block)
+        yield block
+    if total != 196560:
+        raise LeechConstructionError(f"norm-4 shell size {total}")
 
+
+def _shape_classes(code: GolayCode):
     pairs = [(i, j) for i in range(24) for j in range(i + 1, 24)]
-    four = np.zeros((len(pairs) * 4, 24), dtype=np.int64)
+    four = np.zeros((len(pairs) * 4, 24), dtype=np.int8)
     r = 0
     for i, j in pairs:
         for si in (4, -4):
@@ -119,56 +100,32 @@ def norm4_shell(code: GolayCode) -> np.ndarray:
                 four[r, i] = si
                 four[r, j] = sj
                 r += 1
-    blocks.append(four)
+    yield four
 
-    signs8 = _even_sign_patterns(8)
+    signs8 = 2 * _even_sign_patterns(8).astype(np.int8)
     octads = code.masks_of_weight(8)
-    oct_block = np.zeros((len(octads) * len(signs8), 24), dtype=np.int64)
-    r = 0
-    for m in octads:
-        pos = [i for i in range(24) if (int(m) >> i) & 1]
-        chunk = np.zeros((len(signs8), 24), dtype=np.int64)
-        chunk[:, pos] = 2 * signs8
-        oct_block[r : r + len(signs8)] = chunk
-        r += len(signs8)
-    blocks.append(oct_block)
+    per_block = BLOCK_ROWS // len(signs8)
+    for start in range(0, len(octads), per_block):
+        batch = octads[start : start + per_block]
+        block = np.zeros((len(batch), len(signs8), 24), dtype=np.int8)
+        for k, m in enumerate(batch):
+            pos = [i for i in range(24) if (int(m) >> i) & 1]
+            block[k][:, pos] = signs8
+        yield block.reshape(-1, 24)
 
-    s = 1 - 2 * code.words.astype(np.int64)  # (4096, 24), entries +-1
-    odd_blocks = []
+    s = 1 - 2 * code.words.astype(np.int8)  # (4096, 24), entries +-1
     for j in range(24):
         x = s.copy()
-        x[:, j] = -3 * s[:, j]
-        odd_blocks.append(x)
-    blocks.append(np.concatenate(odd_blocks))
-
-    shell = np.concatenate(blocks)
-    if shell.shape[0] != 196560:
-        raise LeechConstructionError(f"norm-4 shell size {shell.shape[0]}")
-    return canonical_sort(shell)
+        x[:, j] *= -3
+        yield x
 
 
-def shell_size(norm, code: GolayCode) -> int:
-    """Exact shell count by shape-class counting (norms 0, 2, 4, 6)."""
-    n = Fraction(norm)
-    if n == 0:
-        return 1
-    if n == 2:
-        return 0
-    n_octads = code.weight_counts.get(8, 0)
-    n_dodecads = code.weight_counts.get(12, 0)
-    if n == 4:
-        # (+-4^2), octad (+-2^8) even minus, (-+3, +-1^23)
-        return 4 * 276 + n_octads * 128 + 4096 * 24
-    if n == 6:
-        # dodecad (+-2^12) even minus; (+-4, octad +-2^8) with the 4 off the
-        # octad and odd minus count; (+-5, +-1^23); (-+3^3, +-1^21)
-        return (
-            n_dodecads * 2048
-            + n_octads * 16 * 2 * 128
-            + 4096 * 24
-            + 4096 * 2024
-        )
-    raise ValueError(f"shell_size supports norms 0,2,4,6; got {norm}")
+def norm4_shell(code: GolayCode) -> np.ndarray:
+    """The 196560 minimal vectors of `norm4_blocks` as one int64 array in
+    canonical order.  `enumerate_coset_shell` filters the same chunks
+    without concatenating them; the sphere search of the test suite is the
+    independent oracle of both."""
+    return canonical_sort(np.concatenate(list(norm4_blocks(code)))).astype(np.int64)
 
 
 def canonical_sort(arr: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import pytest
 
+from coset_reference import leech_basis
 from leechdesign.coherent import classify_pairs, intersection_numbers
 from leechdesign.construct import WeightedPointSet, build_design, build_Y
 from leechdesign.lattice import (
@@ -35,6 +36,11 @@ def gram_calls(monkeypatch):
 @pytest.fixture(scope="session")
 def ctx():
     return default_context()
+
+
+@pytest.fixture(scope="session")
+def basis(ctx):
+    return leech_basis(ctx.code)
 
 
 @pytest.fixture(scope="session")

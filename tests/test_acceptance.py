@@ -13,6 +13,7 @@ from math import comb
 
 import numpy as np
 
+from coset_reference import sphere_coset_shell
 from float_oracle import float_polynomial_check
 from leechdesign.coherent import classify_pairs, compare_with_reference, intersection_numbers
 from leechdesign.coherent_fixture import LABEL_INDEX
@@ -34,7 +35,6 @@ from leechdesign.lattice import (
     A_CANONICAL,
     B_CANONICAL,
     CosetConstraint,
-    enumerate_coset_shell,
     rows_as_set,
 )
 from leechdesign.unique import CANDIDATE_NORM
@@ -47,13 +47,13 @@ def _verdict(num: int, ok: bool, text: str, seconds: float = None) -> None:
     assert ok
 
 
-def test_criterion_1_construction_counts(ctx, design):
+def test_criterion_1_construction_counts(basis, design):
     t0 = time.monotonic()
-    shell1 = enumerate_coset_shell(
-        [CosetConstraint(A_CANONICAL, 3), CosetConstraint(B_CANONICAL, -3)], 6, ctx
+    shell1 = sphere_coset_shell(
+        [CosetConstraint(A_CANONICAL, 3), CosetConstraint(B_CANONICAL, -3)], 6, basis
     )
-    shell2 = enumerate_coset_shell(
-        [CosetConstraint(A_CANONICAL, 2), CosetConstraint(B_CANONICAL, 0)], 4, ctx
+    shell2 = sphere_coset_shell(
+        [CosetConstraint(A_CANONICAL, 2), CosetConstraint(B_CANONICAL, 0)], 4, basis
     )
     dt = time.monotonic() - t0
     ok = (
@@ -146,13 +146,13 @@ def test_criterion_5_configuration_tables(tensor):
     )
 
 
-def test_criterion_6_uniqueness(ctx, design, candidates, split, twin):
+def test_criterion_6_uniqueness(basis, design, candidates, split, twin):
     t0 = time.monotonic()
     norms_ok = bool(
         ((candidates.vectors3**2).sum(axis=1) == int(CANDIDATE_NORM * 9 * 40)).all()
     )
-    shell = enumerate_coset_shell(
-        [CosetConstraint(A_CANONICAL, 0), CosetConstraint(B_CANONICAL, -2)], 4, ctx
+    shell = sphere_coset_shell(
+        [CosetConstraint(A_CANONICAL, 0), CosetConstraint(B_CANONICAL, -2)], 4, basis
     )
     other = project_rows_scaled(shell, A_CANONICAL, B_CANONICAL, mult=15)
     twin_conds = euclidean_strength(twin, 6)

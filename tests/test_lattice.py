@@ -1,18 +1,29 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from coset_reference import (
+    InfeasibleCosetError,
+    coset_setup,
+    reduce_basis_rows,
+    shell_size,
+    sphere_coset_shell,
+)
 from leechdesign.lattice import (
+    A_ALTERNATE,
     A_CANONICAL,
+    B_ALTERNATE,
     B_CANONICAL,
     CosetConstraint,
-    InfeasibleCosetError,
+    EnumerationStats,
     canonical_sort,
     enumerate_coset_shell,
     membership_mask,
+    norm4_blocks,
     norm4_shell,
     conventional_inner,
     rows_as_set,
-    shell_size,
 )
 from leechdesign.lattice.intlinalg import det_int
 
@@ -51,8 +62,8 @@ def test_conventional_inner_examples(ctx):
     assert conventional_inner(zero, zero) == 0
 
 
-def test_basis_determinant(ctx):
-    assert abs(det_int([list(map(int, r)) for r in ctx.basis])) == 8**12
+def test_basis_determinant(basis):
+    assert abs(det_int([list(map(int, r)) for r in basis])) == 8**12
 
 
 def test_shell_sizes(ctx):
@@ -63,7 +74,11 @@ def test_shell_sizes(ctx):
 
 def test_norm4_shell_matches_count_and_membership(ctx):
     shell = norm4_shell(ctx.code)
-    assert shell.shape == (196560, 24)
+    assert shell.dtype == np.int64 and shell.shape == (196560, 24)
+    # the benchmark draws its seeded anchor pairs from this array
+    assert hashlib.sha256(shell.tobytes()).hexdigest() == (
+        "2e498b4aba3af5ec1cc1e55c0b9ef571b86365ff67ad63bf0c028249b815aaeb"
+    )
     assert bool(((shell**2).sum(axis=1) == 32).all())
     rng = np.random.default_rng(0)
     idx = rng.integers(0, len(shell), 2000)
@@ -77,6 +92,13 @@ def test_closure_on_random_pairs(ctx):
     j = rng.integers(0, len(shell), 1000)
     sums = shell[i] + shell[j]
     assert bool(membership_mask(sums, ctx.code).all())
+
+
+def test_norm4_blocks_are_small_chunks_of_the_shell(ctx):
+    # the coset filter holds one chunk at a time, never the whole shell
+    sizes = [len(block) for block in norm4_blocks(ctx.code)]
+    assert max(sizes) <= 4096
+    assert sum(sizes) == 196560
 
 
 @pytest.fixture(scope="module")
@@ -109,11 +131,11 @@ def test_coset_enumeration_deterministic_and_thread_independent(ctx, x2_shell):
     assert bool((again == x2_shell).all())
 
 
-def test_infeasible_constraints_reported_distinctly(ctx):
+def test_infeasible_constraints_reported_distinctly(ctx, basis):
     double_a = 2 * A_CANONICAL
     assert bool(membership_mask(double_a.reshape(1, -1), ctx.code).all())
     with pytest.raises(InfeasibleCosetError):
-        enumerate_coset_shell([CosetConstraint(double_a, 1)], 4, ctx)
+        sphere_coset_shell([CosetConstraint(double_a, 1)], 4, basis)
 
 
 def test_feasible_but_empty_shell_returns_empty(ctx):
@@ -126,13 +148,27 @@ def test_feasible_but_empty_shell_returns_empty(ctx):
     assert out.shape[0] == 0
 
 
-def test_anchor_dependence_guard(ctx):
+def test_anchor_dependence_guard(basis):
     with pytest.raises(ValueError):
-        enumerate_coset_shell(
+        sphere_coset_shell(
             [CosetConstraint(A_CANONICAL, 2), CosetConstraint(2 * A_CANONICAL, 4)],
             4,
-            ctx,
+            basis,
         )
+
+
+def test_coset_shell_rejects_unsupported_norms(ctx):
+    pair = [CosetConstraint(A_CANONICAL, 2), CosetConstraint(B_CANONICAL, 0)]
+    for norm in (2, 8, "9/2"):
+        with pytest.raises(ValueError, match="norm 4 and 6 only"):
+            enumerate_coset_shell(pair, norm, ctx)
+    # norm 6 is a translate of norm 4 only along a norm-4 lattice vector t
+    # with (x, t) = 3; (5, 1^7, 0^16) has norm 4 but mixed parity
+    off_lattice = np.array([5] + [1] * 7 + [0] * 16)
+    for t in (None, 2 * A_CANONICAL, off_lattice):
+        cons = pair if t is None else [CosetConstraint(t, 3)]
+        with pytest.raises(ValueError, match="norm-4 lattice vector"):
+            enumerate_coset_shell(cons, 6, ctx)
 
 
 # first anchor pair of seed 1 in the benchmark inputs: a capped reducer left
@@ -161,15 +197,13 @@ def _exact_gram_schmidt(rows):
     "a, b", [(A_CANONICAL, B_CANONICAL), (SEED1_A, SEED1_B)], ids=["canonical", "seed1"]
 )
 @pytest.mark.parametrize("values", [(3, -3), (2, 0)])
-def test_reduced_kernel_rows_are_an_lll_basis_of_norm_32(ctx, a, b, values):
+def test_reduced_kernel_rows_are_an_lll_basis_of_norm_32(basis, a, b, values):
     from fractions import Fraction
 
     from leechdesign.lattice.intlinalg import rational_matrix_inverse
-    from leechdesign.lattice import _coset_setup
-    from leechdesign.lattice.reduction import reduce_basis_rows
 
     cons = [CosetConstraint(a, values[0]), CosetConstraint(b, values[1])]
-    _, k_rows = _coset_setup(cons, ctx)
+    _, k_rows = coset_setup(cons, basis)
     out = reduce_basis_rows(k_rows)
     assert out.shape == k_rows.shape == (22, 24)
     k = [list(map(int, r)) for r in k_rows]
@@ -195,9 +229,32 @@ def test_reduced_kernel_rows_are_an_lll_basis_of_norm_32(ctx, a, b, values):
     assert all(sum(x * x for x in row) == 32 for row in r)
 
 
+# (value against a, value against b, norm) of every coset shell the
+# pipeline reads: the inner and outer shells, the four Y families and the
+# uniqueness twin
+COSET_KEYS = [(3, -3, 6), (2, 0, 4), (2, 1, 4), (2, -1, 4), (2, -2, 4), (0, -2, 4)]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(A_CANONICAL, B_CANONICAL), (A_ALTERNATE, B_ALTERNATE), (SEED1_A, SEED1_B)],
+    ids=["canonical", "alternate", "seed1"],
+)
+@pytest.mark.parametrize("key", COSET_KEYS, ids=lambda k: f"{k[0]},{k[1]}@{k[2]}")
+def test_coset_filter_matches_sphere_reference(ctx, basis, a, b, key):
+    va, vb, norm = key
+    cons = [CosetConstraint(a, va), CosetConstraint(b, vb)]
+    stats = EnumerationStats()
+    shell = enumerate_coset_shell(cons, norm, ctx, stats)
+    reference = sphere_coset_shell(cons, norm, basis)
+    assert shell.dtype == np.int64 and len(shell) in (275, 2025)
+    assert np.array_equal(shell, reference)
+    assert (stats.nodes, stats.solutions) == (0, len(shell))
+
+
 @pytest.mark.slow
-def test_unconstrained_enumeration_matches_shell_size(ctx):
-    shell = enumerate_coset_shell([], 4, ctx)
+def test_unconstrained_enumeration_matches_shell_size(ctx, basis):
+    shell = sphere_coset_shell([], 4, basis)
     assert shell.shape[0] == shell_size(4, ctx.code)
     assert rows_as_set(shell) == rows_as_set(norm4_shell(ctx.code))
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from coset_reference import sphere_coset_shell
 from leechdesign import io as design_io
 from leechdesign.coherent import classify_pairs, compare_with_reference, intersection_numbers
 from leechdesign.construct import project_rows_scaled
@@ -12,7 +13,6 @@ from leechdesign.lattice import (
     A_CANONICAL,
     B_CANONICAL,
     CosetConstraint,
-    enumerate_coset_shell,
     rows_as_set,
 )
 from leechdesign.lattice.intlinalg import det_int
@@ -132,9 +132,9 @@ def test_part_a_is_the_constructed_second_shell(split, design):
     assert rows_as_set(split.part_a) == rows_as_set(design.layers[1].points)
 
 
-def test_part_b_is_the_other_projected_coset(ctx, split):
-    shell = enumerate_coset_shell(
-        [CosetConstraint(A_CANONICAL, 0), CosetConstraint(B_CANONICAL, -2)], 4, ctx
+def test_part_b_is_the_other_projected_coset(basis, split):
+    shell = sphere_coset_shell(
+        [CosetConstraint(A_CANONICAL, 0), CosetConstraint(B_CANONICAL, -2)], 4, basis
     )
     twin_pts = project_rows_scaled(shell, A_CANONICAL, B_CANONICAL, mult=15)
     assert rows_as_set(split.part_b) == rows_as_set(twin_pts)
