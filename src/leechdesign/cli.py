@@ -36,6 +36,7 @@ from .construct import (
     build_Y,
     check_orthogonal_to_anchors,
     check_X1_equals_PY,
+    exact_matmul,
     project_rows_scaled,
     y_antipodal_pair_count,
     z_value_histogram,
@@ -314,13 +315,13 @@ def verify_seven_claims(
         # value histogram of the 4600 projected points, normalized by their
         # common squared radius 3, equals the symbolic histogram.  Every
         # stored point has squared norm 96 (checked by `build_Y`), so by
-        # Cauchy-Schwarz each int64 dot lies in [-96, 96].
+        # Cauchy-Schwarz each dot lies in [-96, 96].
         with stage.claim("seven/z-matches-projected-model", True) as c:
             fams = [ys[1], ys[2], ys[-1], ys[-2]]
             counts = np.zeros(193, dtype=np.int64)  # dots -96..96
             for i, f in enumerate(fams):
                 for j in range(i, 4):  # block (j, i) holds the values of (i, j)
-                    dots = (f @ fams[j].T).ravel() + 96
+                    dots = exact_matmul(f, fams[j].T).ravel() + 96
                     counts += (1 if i == j else 2) * np.bincount(dots, minlength=193)
             y_hist = {Fraction(v - 96, 96): int(n) for v, n in enumerate(counts.tolist()) if n}
             c.computed = y_hist == hist
@@ -436,6 +437,9 @@ def _main(argv=None) -> int:
         return EXIT_FAIL
     except design_io.FormatError as exc:
         print(f"error: bad input file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # from a writer: `_load_or_build` reports read errors
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DesignConstructionError as exc:
         print(f"error: invalid design input: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@ d * (scaled coords); the conventional inner product of stored rows u, v
 with denominators d_u, d_v is (u . v) / (8 d_u d_v).  For the design built
 here all denominators are 5 (the A,B-projection has denominator 15 and the
 outer shell is rescaled by 3), so every pairwise quantity downstream is an
-exact integer computation.
+exact integer computation.  Every product of integer rows, here and in the
+later stages, is one `exact_matmul` call; the `PointLayer` bounds, checked
+where a design enters, make every product of stored design rows pass it.
 
 Every claim about a design reads the exact inner products of its pairs
 from one Gram pass: `WeightedPointSet.pair_stats(i, j)` keeps of each
@@ -50,14 +52,33 @@ A2_SQ = Fraction(4, 45)  # a_2 = 2/(3 sqrt5)
 B2_SQ = Fraction(1, 45)  # b_2 = 1/(3 sqrt5)
 
 
-# Input bounds that make every int64 product of stored rows exact (see
-# WeightedPointSet.gram_block).
-COORD_BOUND = 2**29
-NORM_BOUND = 2**62
+# Input bounds under which every product of stored rows passes
+# `exact_matmul`: 24 (2^24 - 1)^2 < 2^53.
+COORD_BOUND = 2**24
+NORM_BOUND = 2**53
 
 
 class DesignConstructionError(RuntimeError):
     pass
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer arrays, exact in int64 through float64 BLAS.  Every
+    partial sum, in any order, is an integer of absolute value at most
+    (inner dimension) * max|a| * max|b|; below 2^53 a float64 holds each one
+    exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008), and a larger bound
+    is refused.  The result is filled in slabs of 256 rows, so that no
+    second full-size array is live."""
+    bound = a.shape[-1]
+    for x in (a, b):  # in Python ints: -(-2^63) has no int64
+        bound *= max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    if bound >= 2**53:
+        raise DesignConstructionError(f"product bound {bound} is not below 2^53")
+    bf = b.astype(np.float64)
+    out = np.empty(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for r in range(0, len(a), 256):
+        out[r : r + 256] = a[r : r + 256].astype(np.float64) @ bf
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,11 +93,11 @@ class PointLayer:
     def __post_init__(self):
         pts = self.points
         if pts.max(initial=0) >= COORD_BOUND or pts.min(initial=0) <= -COORD_BOUND:
-            raise DesignConstructionError("coordinate out of range: |c| must be below 2^29")
+            raise DesignConstructionError("coordinate out of range: |c| must be below 2^24")
         expect = self.r2 * 8 * self.denom * self.denom
         if not 0 < expect < NORM_BOUND:
             raise DesignConstructionError(
-                f"stored squared norm {expect} out of range: 8 r2 denom^2 must be in (0, 2^62)"
+                f"stored squared norm {expect} out of range: 8 r2 denom^2 must be in (0, 2^53)"
             )
         norms = (pts.astype(np.int64) ** 2).sum(axis=1)
         if expect.denominator != 1 or not bool((norms == int(expect)).all()):
@@ -106,17 +127,9 @@ class WeightedPointSet:
 
     def gram_block(self, i: int, j: int) -> np.ndarray:
         """Stored-integer inner products of the rows of layer i with those of
-        layer j, exact in int64.
-
-        `PointLayer` admits coordinates below 2^29 in absolute value, so its
-        24-term int64 norm cannot wrap and its norm check is exact; the
-        stored squared norm N = 8 r2 denom^2 is then below 2^62.  By
-        Cauchy-Schwarz, every entry u.v, and every partial sum of one (the
-        product of the sub-vectors on a subset of coordinates), is at most
-        |u| |v| <= max(N_u, N_v) < 2^62 in absolute value.  So no int64
-        product of stored rows, here or in any later stage, can wrap.
-        """
-        return self.layers[i].points @ self.layers[j].points.T
+        layer j; the `PointLayer` bounds let every such product pass
+        `exact_matmul`."""
+        return exact_matmul(self.layers[i].points, self.layers[j].points.T)
 
     def pair_stats(self, i: int, j: int) -> BlockStats:
         """`BlockStats` of the layer block (i, j), i <= j.  The Gram block is
@@ -176,8 +189,7 @@ def check_orthogonal_to_anchors(ws: WeightedPointSet, a, b) -> None:
     rebuilds its lattice side from a, b has nothing to compare it with."""
     check_anchor_pair(a, b)
     ab = np.stack([np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)], axis=1)
-    # exact: stored norms are below 2^62 and anchor norms 32, so |x . a| < 2^34
-    if any(np.any(layer.points @ ab) for layer in ws.layers):
+    if any(np.any(exact_matmul(layer.points, ab)) for layer in ws.layers):
         raise DesignConstructionError(
             "design is not orthogonal to the anchors; replay with the --anchors it was built from"
         )
@@ -188,8 +200,7 @@ def project_rows_scaled(rows: np.ndarray, a, b, mult: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    da = rows @ a  # 8 * (x, A)
-    db = rows @ b
+    da, db = exact_matmul(rows, np.stack([a, b], axis=1)).T  # 8 * (x, A), 8 * (x, B)
     if np.any(da % 8) or np.any(db % 8):
         raise DesignConstructionError("non-integral inner product against anchor")
     ia, ib = da // 8, db // 8
@@ -205,7 +216,7 @@ def project_out_single(rows: np.ndarray, a, mult: int) -> np.ndarray:
     """mult * P0(row), P0 projecting out the single anchor a (norm 4)."""
     rows = np.asarray(rows, dtype=np.int64)
     a = np.asarray(a, dtype=np.int64)
-    da = rows @ a
+    da = exact_matmul(rows, a)
     if np.any(da % 8):
         raise DesignConstructionError("non-integral inner product against anchor")
     ia = da // 8  # coefficient is (x, a) / 4 = ia / 4

@@ -21,9 +21,7 @@ import numpy as np
 from .fincke_pohst import EnumerationStats, enumerate_sphere
 from .golay import GolayCode, GolayConstructionError, build_golay
 from .leech import (
-    A_ALTERNATE,
     A_CANONICAL,
-    B_ALTERNATE,
     B_CANONICAL,
     LeechConstructionError,
     canonical_sort,
@@ -35,9 +33,7 @@ from .leech import (
 )
 
 __all__ = [
-    "A_ALTERNATE",
     "A_CANONICAL",
-    "B_ALTERNATE",
     "B_CANONICAL",
     "CosetConstraint",
     "EnumerationStats",

@@ -19,10 +19,6 @@ from .golay import GolayCode
 A_CANONICAL = np.array([4, 4] + [0] * 22, dtype=np.int64)
 B_CANONICAL = np.array([-3] + [1] * 23, dtype=np.int64)
 
-# An alternative valid pair for anchor-independence checks.
-A_ALTERNATE = np.array([0, 0, 4, 4] + [0] * 20, dtype=np.int64)
-B_ALTERNATE = np.array([1, 1, 1, -3] + [1] * 20, dtype=np.int64)
-
 
 class LeechConstructionError(RuntimeError):
     pass

@@ -21,8 +21,9 @@ The computation runs in three steps: the sphere search over the cube
 the 275 admissibility conditions on the array of its leaves, and one
 integer matmul over the common denominator D of G^-1 that turns the
 surviving coefficient vectors into integer vectors 3 * y in stored
-coordinates.  All pairwise decisions downstream are int64 arithmetic,
-read from pair statistics (`construct.BlockStats`): the shell's products
+coordinates.  Every integer product is one `construct.exact_matmul` call,
+and all pairwise decisions downstream are exact integer arithmetic, read
+from pair statistics (`construct.BlockStats`): the shell's products
 from the design's, the two-class split from the candidates'.
 """
 
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .construct import BlockStats, PointLayer, WeightedPointSet
+from .construct import BlockStats, PointLayer, WeightedPointSet, exact_matmul
 from .lattice import canonical_sort, rows_as_set
 from .lattice.fincke_pohst import EnumerationStats, enumerate_sphere, rational_cholesky
 from .lattice.intlinalg import (
@@ -104,15 +105,6 @@ def integralize_X1(ws: WeightedPointSet) -> IntegralizedLayer:
         raise UniquenessError("integralized inner products are not {2, -3}")
     norm = int(layer.r2 * ws.dot_scale(0, 0)) // WORK_DEN
     return IntegralizedLayer(points=layer.points, norm=norm, products=tuple(off.tolist()[::-1]))
-
-
-def _checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in int64, refused unless no partial sum can wrap: every one is
-    bounded by (inner dimension) * max|a| * max|b|, computed exactly."""
-    bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-    if bound >= 2**63:
-        raise UniquenessError(f"int64 product bound {bound} would overflow")
-    return a @ b
 
 
 def _scaled_inverse(gram_inv: list) -> tuple[np.ndarray, int]:
@@ -208,29 +200,30 @@ def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None
     chosen = _unimodular_point_subset(coords, pref)
 
     basis = pts[chosen]
-    gram_np = (basis @ basis.T) // WORK_DEN
-    if np.any((basis @ basis.T) % WORK_DEN):
+    gram_raw = exact_matmul(basis, basis.T)
+    if np.any(gram_raw % WORK_DEN):
         raise UniquenessError("basis Gram is not integral")
+    gram_np = gram_raw // WORK_DEN
     if det_int([list(map(int, r)) for r in gram_np]) <= 0:
         raise UniquenessError("basis Gram is not positive definite")
     gram_inv = rational_matrix_inverse(
         [[Fraction(int(gram_np[i, j])) for j in range(22)] for i in range(22)]
     )
 
-    prods_raw = pts @ basis.T
+    prods_raw = exact_matmul(pts, basis.T)
     if np.any(prods_raw % WORK_DEN):
         raise UniquenessError("non-integral inner product against basis")
     prods = prods_raw // WORK_DEN  # <x, e_j>, exact ints
     ginv, den = _scaled_inverse(gram_inv)
-    scaled = _checked_matmul(prods, ginv.T)  # D * coefficients
+    scaled = exact_matmul(prods, ginv.T)  # D * coefficients
     if np.any(scaled % den):
         raise UniquenessError(
             "shell vector has fractional coordinates over the chosen "
             "basis even after swap descent"
         )
     coeffs = scaled // den
-    # Round trip: coeffs @ basis must reproduce the points exactly.
-    if not bool((coeffs @ basis == pts).all()):
+    # Round trip: the coefficients must reproduce the points exactly.
+    if not bool((exact_matmul(coeffs, basis) == pts).all()):
         raise UniquenessError("dual-frame coefficient round trip failed")
     return DualFrame(
         basis_indices=tuple(chosen),
@@ -268,7 +261,7 @@ def enumerate_candidates(frame: DualFrame, layer: IntegralizedLayer) -> Candidat
     # <y, x> = 5 (c . coeffs_x) - sum(coeffs_x) is in {4, -1, -6} exactly
     # when c . coeffs_x lies in [k_x - 1, k_x + 1].
     c_arr = np.array(leaves, dtype=np.int64).reshape(-1, 22)
-    dots = _checked_matmul(c_arr, frame.coeffs.T)
+    dots = exact_matmul(c_arr, frame.coeffs.T)
     c_arr = c_arr[((dots >= k - 1) & (dots <= k + 1)).all(axis=1)]
     stats.solutions = len(c_arr)
     if not len(c_arr):
@@ -277,7 +270,7 @@ def enumerate_candidates(frame: DualFrame, layer: IntegralizedLayer) -> Candidat
 
     # y = sum_i (G^-1 u)_i e_i, materialized as 3 y (integral).
     ginv, den = _scaled_inverse(frame.gram_inv)
-    scaled = _checked_matmul(_checked_matmul(u_arr, ginv.T), 3 * frame.basis_points)
+    scaled = exact_matmul(exact_matmul(u_arr, ginv.T), 3 * frame.basis_points)
     if np.any(scaled % den):
         raise UniquenessError("candidate is not in (1/3) * stored frame")
     vecs3 = scaled // den
@@ -297,7 +290,7 @@ def _verify_candidates(
     expect = CANDIDATE_NORM * 9 * WORK_DEN
     if expect.denominator != 1 or not bool((norms == int(expect)).all()):
         raise UniquenessError("candidate with wrong squared norm")
-    prods = vecs3 @ layer.points.T  # 3 * 40 * <y, x>
+    prods = exact_matmul(vecs3, layer.points.T)  # 3 * 40 * <y, x>
     if np.any(prods % (3 * WORK_DEN)):
         raise UniquenessError("candidate inner product is not integral")
     vals = prods // (3 * WORK_DEN)
@@ -344,7 +337,7 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     n = len(vec)
     if n != 4050:
         raise UniquenessError(f"expected 4050 candidates, got {n}")
-    st = BlockStats.of(vec @ vec.T)  # dots 9 * 40 * <y, y'>
+    st = BlockStats.of(exact_matmul(vec, vec.T))  # dots 9 * 40 * <y, y'>
     scale = 9 * WORK_DEN
     shell2 = (Fraction(7, 22), Fraction(-1, 44), Fraction(-4, 11))  # normalized products
     same = np.isin(st.values, [int(u * CANDIDATE_NORM * scale) for u in shell2])[st.index]

@@ -1,15 +1,10 @@
+import numpy as np
 import pytest
 
 from coset_reference import leech_basis
 from leechdesign.coherent import classify_pairs, intersection_numbers
 from leechdesign.construct import WeightedPointSet, build_design, build_Y
-from leechdesign.lattice import (
-    A_ALTERNATE,
-    A_CANONICAL,
-    B_ALTERNATE,
-    B_CANONICAL,
-    default_context,
-)
+from leechdesign.lattice import A_CANONICAL, B_CANONICAL, default_context
 from leechdesign.unique import (
     build_dual_frame,
     enumerate_candidates,
@@ -17,6 +12,11 @@ from leechdesign.unique import (
     split_candidates,
     twin_design,
 )
+
+# An alternative valid anchor pair for anchor-independence checks: both norm
+# 4, inner product -1.
+A_ALTERNATE = np.array([0, 0, 4, 4] + [0] * 20, dtype=np.int64)
+B_ALTERNATE = np.array([1, 1, 1, -3] + [1] * 20, dtype=np.int64)
 
 
 @pytest.fixture

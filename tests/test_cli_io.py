@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import A_ALTERNATE, B_ALTERNATE
 from leechdesign import io as design_io
 from leechdesign.cli import main
 from leechdesign.coherent import RelationClassificationError
 from leechdesign.coherent_fixture import LABELS, fixture_tensor
 from leechdesign.construct import DesignConstructionError, PointLayer, WeightedPointSet
-from leechdesign.lattice import A_ALTERNATE, B_ALTERNATE
 from leechdesign.report import VerificationReport
 from leechdesign.unique import UniquenessError
 
@@ -368,6 +368,24 @@ def test_cli_usage_error_on_directory_input(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: cannot read design file: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["build", "verify-design"])
+def test_cli_usage_error_on_unwritable_output(tmp_path, design, capsys, command):
+    out = tmp_path / "out"
+    if command == "build":
+        args = ["build"]
+        (out / "design.txt").mkdir(parents=True)
+    else:
+        path = tmp_path / "design.txt"
+        design_io.write_design(path, design)
+        args = ["verify-design", "--in", str(path)]
+        (out / "report_design.json").mkdir(parents=True)
+    capsys.readouterr()
+    code = main([*args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
 
 
 def test_cli_usage_error_on_bad_threads(tmp_path):

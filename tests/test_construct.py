@@ -14,6 +14,7 @@ from leechdesign.construct import (
     build_Y,
     check_orthogonal_to_anchors,
     check_X1_equals_PY,
+    exact_matmul,
     project_rows_scaled,
     y_antipodal_pair_count,
     z_value_histogram,
@@ -98,15 +99,39 @@ def test_rebuild_with_other_anchor_pair_same_gram_multiset(design, alt_design):
 
 def test_layer_bounds_keep_int64_products_exact(design):
     inner = design.layers[0]
-    points = inner.points.copy()
-    points[0, 0] = -(2**29)
-    with pytest.raises(DesignConstructionError, match="coordinate out of range"):
-        PointLayer(points, inner.denom, inner.weight, inner.r2)
-    # 8 r2 denom^2 = 2^62 reaches the bound, which is excluded
+    for bad in (-(2**24), 2**24):
+        points = inner.points.copy()
+        points[0, 0] = bad
+        with pytest.raises(DesignConstructionError, match="coordinate out of range"):
+            PointLayer(points, inner.denom, inner.weight, inner.r2)
+    # 8 r2 denom^2 = 2^53 reaches the bound, which is excluded
     with pytest.raises(DesignConstructionError, match="squared norm"):
-        PointLayer(inner.points, 1, inner.weight, Fraction(2**59))
+        PointLayer(inner.points, 1, inner.weight, Fraction(2**50))
     with pytest.raises(DesignConstructionError, match="squared norm"):
         PointLayer(inner.points, inner.denom, inner.weight, Fraction(0))
+    # The largest coordinates a layer admits: every product of its rows
+    # passes the kernel, and is exact.
+    rng = np.random.default_rng(0)
+    edge = (2**24 - 1) * rng.choice([-1, 1], size=(64, 24))
+    layer = PointLayer(edge, 1, Fraction(1), Fraction(3 * (2**24 - 1) ** 2))
+    gram = WeightedPointSet(layers=(layer,)).gram_block(0, 0)
+    assert gram.tolist() == (edge.astype(object) @ edge.T.astype(object)).tolist()
+
+
+def test_exact_matmul_is_exact_below_the_bound_and_refuses_it():
+    rng = np.random.default_rng(1)
+    a = (2**24 - 1) * rng.choice([-1, 1], size=(700, 24))  # more rows than one slab
+    b = rng.integers(-(2**24) + 1, 2**24, size=(24, 5))
+    exact = a.astype(object) @ b.astype(object)
+    assert exact_matmul(a, b).tolist() == exact.tolist()
+    assert exact_matmul(a, b[:, 0]).tolist() == exact[:, 0].tolist()
+    # 32 * 2^24 * 2^24 = 2^53: one partial sum may no longer be a float64 integer
+    big = np.full((2, 32), 2**24, dtype=np.int64)
+    with pytest.raises(DesignConstructionError, match="not below 2\\^53"):
+        exact_matmul(big, big.T)
+    # int64's most negative value has no int64 absolute value; it is still seen
+    with pytest.raises(DesignConstructionError, match="not below 2\\^53"):
+        exact_matmul(np.array([[-(2**63)]]), np.array([[1]]))
 
 
 def test_y_union_size_claim_sees_a_row_of_another_family(design, monkeypatch):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import A_ALTERNATE, B_ALTERNATE
 from coset_reference import (
     InfeasibleCosetError,
     coset_setup,
@@ -11,9 +12,7 @@ from coset_reference import (
     sphere_coset_shell,
 )
 from leechdesign.lattice import (
-    A_ALTERNATE,
     A_CANONICAL,
-    B_ALTERNATE,
     B_CANONICAL,
     CosetConstraint,
     EnumerationStats,
