@@ -6,17 +6,26 @@ index in `LABELS` of its relation, decided by fiber pair and exact
 normalized inner product; the result is one (n, n) label matrix.  It
 builds no Gram block of its own: it reads the design's pair statistics,
 one table lookup per block, and transposes the (1, 2) labels into the
-(2, 1) block, so the matrix is transpose-consistent by construction.  The
-composition counts p_{a,b}^c are computed for every ordered pair of
-relations by 0/1 matrix products, read at one representative pair per
-relation, and checked against every pair (not a sample) in one
-gather-and-compare.  `check_tensor_identities` is the one structural check
-for any 13x13x13 tensor, computed or reference.
+(2, 1) block, so the matrix is transpose-consistent by construction.
 
-Counts are accumulated in float32 BLAS products of indicator matrices.
-Every partial sum is an integer no larger than a fiber size, so the
-products are exact while each fiber has fewer than 2^24 points, which
-`intersection_numbers` checks.
+`intersection_numbers` computes the composition counts p_{a,b}^c for
+every ordered pair of relations.  The identity relations must be exactly
+the diagonal, which it checks; their counts are then [b = c] and [a = c]
+and need no product.  Each of the 11 other relations a is one product
+A_a @ R of its 0/1 indicator with a packed operand: R weights each
+non-identity relation b by 2^(w j), j its position among the at most three
+non-identity relations of its block, so one entry of the product holds
+the counts of up to three b as base-2^w digits (Kronecker substitution;
+Harvey, J. Symb. Comput. 44, 2009).  The digit width w is the bit length
+of the larger fiber, 11 here: a count is at most a fiber size, so it never
+carries into the next digit.  The products run through
+`construct.exact_matmul`, whose 2^53 bound is the one exactness check;
+every fiber of fewer than 2^17 points keeps it, since a packed sum is
+below 2^(3w) <= 2^51.  The packed counts are read at one
+representative pair per relation and checked against every pair (not a
+sample) in slabs of 256 rows; a mismatch names its b by the lowest
+differing digit.  `check_tensor_identities` is the one structural check
+for any 13x13x13 tensor, computed or reference.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construct import WeightedPointSet
+from .construct import WeightedPointSet, exact_matmul
 from .coherent_fixture import (
     LABELS,
     LABEL_FIBERS,
@@ -40,7 +49,13 @@ from .coherent_fixture import (
 _TRANSPOSE = np.array(TRANSPOSE, dtype=np.int8)
 _IDENTITY = (LABEL_INDEX["11.0"], LABEL_INDEX["22.0"])  # per fiber
 _FIBER_SIZES = (275, 2025)
-_FLOAT32_EXACT = 2**24
+# Each non-identity relation's position among those of its block: its digit
+# in a packed count.
+_DIGIT = {
+    b: sum(LABEL_FIBERS[d] == LABEL_FIBERS[b] for d in range(b) if d not in _IDENTITY)
+    for b in range(13)
+    if b not in _IDENTITY
+}
 
 
 class RelationClassificationError(RuntimeError):
@@ -121,51 +136,76 @@ def classify_pairs(ws: WeightedPointSet) -> RelationPartition:
 
 
 def intersection_numbers(part: RelationPartition) -> np.ndarray:
-    """The full 13x13x13 tensor, with exhaustive well-definedness checks."""
-    if max(part.fiber_sizes) >= _FLOAT32_EXACT:
-        raise ConfigurationAxiomError(
-            f"a fiber of {max(part.fiber_sizes)} points: float32 counts are "
-            f"exact only below 2^24"
-        )
+    """The full 13x13x13 tensor, with exhaustive well-definedness checks:
+    one packed product per non-identity relation (see the module notes)."""
     labels = part.labels
     fiber = _fiber_slices(part.fiber_sizes)
-    offset = (0, part.fiber_sizes[0])
-    indicator = [
-        (labels[fiber[r - 1], fiber[c - 1]] == a).astype(np.float32)
-        for a, (r, c) in enumerate(LABEL_FIBERS)
-    ]
-    # One representative pair per relation, local to the relation's block;
-    # None for a relation no pair carries.
+    # One representative pair per relation; None for a relation no pair
+    # carries.
     flat = labels.ravel()
     rep = []
-    for c, (rf, cf) in enumerate(LABEL_FIBERS):
-        k = int(np.argmax(flat == c))
-        p, q = divmod(k, len(labels))
-        rep.append((p - offset[rf - 1], q - offset[cf - 1]) if flat[k] == c else None)
-
+    for c in range(13):
+        hits = flat == c
+        k = int(np.argmax(hits))
+        rep.append(divmod(k, len(labels)) if flat[k] == c else None)
+        if c in _IDENTITY:
+            f = fiber[_IDENTITY.index(c)]
+            if np.count_nonzero(hits) != f.stop - f.start or bool(
+                (np.diagonal(labels)[f] != c).any()
+            ):
+                raise ConfigurationAxiomError(
+                    f"relation {LABELS[c]} is not exactly the diagonal of its fiber"
+                )
     tensor = np.zeros((13, 13, 13), dtype=np.int64)
+    for c, (rc, cc) in enumerate(LABEL_FIBERS):
+        if rep[c] is not None:
+            tensor[_IDENTITY[rc - 1], c, c] = tensor[c, _IDENTITY[cc - 1], c] = 1
+
+    # A count is at most a fiber size, so below 2^w.
+    w = max(part.fiber_sizes).bit_length()
+    weight = np.zeros(13)
+    for b, j in _DIGIT.items():
+        weight[b] = 2.0 ** (w * j)
+
+    def count(packed: int, j: int) -> int:
+        return (packed >> (w * j)) & ((1 << w) - 1)
+
+    packed = packed_fiber = None
     for a, (ra, ca) in enumerate(LABEL_FIBERS):
-        for b, (rb, cb) in enumerate(LABEL_FIBERS):
-            if rb != ca:
-                continue
-            counts = np.rint(indicator[a] @ indicator[b])
-            lut = np.zeros(13, dtype=np.float32)
-            for c, fibers in enumerate(LABEL_FIBERS):
-                if fibers == (ra, cb) and rep[c] is not None:
-                    lut[c] = counts[rep[c]]
-            target = labels[fiber[ra - 1], fiber[cb - 1]]
-            bad = counts != lut[target]
+        if a not in _DIGIT:
+            continue
+        if ca != packed_fiber:  # 11.*, then 22.* and 12.*, then 21.*
+            packed = None  # one packed operand at a time
+            packed, packed_fiber = weight[labels[fiber[ca - 1]]], ca
+        rows = fiber[ra - 1]
+        counts = exact_matmul(labels[rows, fiber[ca - 1]] == a, packed)
+        lut = np.zeros(13, dtype=np.int64)
+        for c, (rc, cc) in enumerate(LABEL_FIBERS):
+            if rc == ra and rep[c] is not None:
+                lut[c] = counts[rep[c][0] - rows.start, rep[c][1]]
+                for b, j in _DIGIT.items():
+                    if LABEL_FIBERS[b] == (ca, cc):
+                        tensor[a, b, c] = count(int(lut[c]), j)
+        target = labels[rows]
+        for r in range(0, len(counts), 256):
+            bad = counts[r : r + 256] != lut[target[r : r + 256]]
             if bool(bad.any()):
-                p, q = np.unravel_index(np.argmax(bad), bad.shape)
-                c = int(target[p, q])
-                w1 = (rep[c][0] + offset[ra - 1], rep[c][1] + offset[cb - 1])
-                w2 = (int(p) + offset[ra - 1], int(q) + offset[cb - 1])
+                p, q = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+                c = int(target[r + p, q])
+                got, want = int(counts[r + p, q]), int(lut[c])
+                low = (got ^ want) & -(got ^ want)  # the lowest differing bit
+                j = (low.bit_length() - 1) // w
+                b = next(
+                    d for d, k in _DIGIT.items()
+                    if k == j and LABEL_FIBERS[d] == (ca, LABEL_FIBERS[c][1])
+                )
+                w2 = (rows.start + r + p, q)
                 raise ConfigurationAxiomError(
                     f"p_[{LABELS[a]},{LABELS[b]}]^[{LABELS[c]}] not well defined: "
-                    f"pair {w1} sees {int(lut[c])}, pair {w2} sees {int(counts[p, q])}",
-                    (w1, w2),
+                    f"pair {rep[c]} sees {count(want, j)}, pair {w2} sees {count(got, j)}",
+                    (rep[c], w2),
                 )
-            tensor[a, b] = lut
+        del counts  # before the next product is allocated
     return tensor
 
 

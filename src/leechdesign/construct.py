@@ -74,7 +74,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         bound *= max(int(x.max(initial=0)), -int(x.min(initial=0)))
     if bound >= 2**53:
         raise DesignConstructionError(f"product bound {bound} is not below 2^53")
-    bf = b.astype(np.float64)
+    bf = b.astype(np.float64, copy=False)
     out = np.empty(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     for r in range(0, len(a), 256):
         out[r : r + 256] = a[r : r + 256].astype(np.float64) @ bf

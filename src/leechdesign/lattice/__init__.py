@@ -99,7 +99,10 @@ def enumerate_coset_shell(
         t = np.zeros(24, dtype=np.int64)
     elif norm == 6:
         threes = [np.asarray(c.anchor, dtype=np.int64) for c in constraints if c.value == 3]
-        minimal = [v for v in threes if v @ v == 32 and membership_mask(v[None], ctx.code)[0]]
+        minimal = [
+            v for v in threes
+            if conventional_inner(v, v) == 4 and membership_mask(v[None], ctx.code)[0]
+        ]
         if not minimal:
             raise ValueError("norm 6 needs a constraint (t, 3) on a norm-4 lattice vector t")
         t = minimal[0]

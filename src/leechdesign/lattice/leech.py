@@ -25,9 +25,9 @@ class LeechConstructionError(RuntimeError):
 
 
 def conventional_inner(u, v) -> Fraction:
-    """Conventional inner product of two scaled-frame vectors: (u.v)/8."""
-    s = int(np.dot(np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)))
-    return Fraction(s, 8)
+    """Conventional inner product of two scaled-frame vectors: (u.v)/8, in
+    Python ints, since an int64 dot of coordinates near 2^32 wraps."""
+    return Fraction(sum(int(x) * int(y) for x, y in zip(u, v, strict=True)), 8)
 
 
 def membership_mask(arr: np.ndarray, code: GolayCode) -> np.ndarray:

@@ -18,6 +18,10 @@ from leechdesign.unique import (
 A_ALTERNATE = np.array([0, 0, 4, 4] + [0] * 20, dtype=np.int64)
 B_ALTERNATE = np.array([1, 1, 1, -3] + [1] * 20, dtype=np.int64)
 
+# A lattice member of true norm about 7.4e19 whose int64 self-dot wraps to
+# 32 (norm 4), and whose int64 dot with B_CANONICAL is -8 (product -1).
+A_WRAPPING = A_CANONICAL + 2**32 * np.array([0, 0, 4, -4] + [0] * 20, dtype=np.int64)
+
 
 @pytest.fixture
 def gram_calls(monkeypatch):

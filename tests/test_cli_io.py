@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import A_ALTERNATE, B_ALTERNATE
+from conftest import A_ALTERNATE, A_WRAPPING, B_ALTERNATE
 from leechdesign import io as design_io
 from leechdesign.cli import main
 from leechdesign.coherent import RelationClassificationError
 from leechdesign.coherent_fixture import LABELS, fixture_tensor
 from leechdesign.construct import DesignConstructionError, PointLayer, WeightedPointSet
+from leechdesign.lattice import B_CANONICAL
 from leechdesign.report import VerificationReport
 from leechdesign.unique import UniquenessError
 
@@ -410,6 +411,14 @@ def test_cli_usage_error_on_invalid_anchor_pair(tmp_path):
     a = "4,4" + ",0" * 22
     code = main(["build", "--anchors", a + ";" + a, "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_cli_rejects_an_anchor_whose_norm_wraps_in_int64(tmp_path, capsys):
+    anchors = ";".join(",".join(map(str, v)) for v in (A_WRAPPING, B_CANONICAL))
+    capsys.readouterr()
+    code = main(["build", "--anchors", anchors, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: invalid design input: anchors must have norm 4\n"
 
 
 def test_cli_reports_byte_deterministic_across_runs_and_threads(tmp_path, design):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,9 +177,49 @@ def test_relabelled_pair_breaks_well_definedness(partition):
     assert w1 != w2
     assert all(isinstance(i, int) and 0 <= i < 2300 for i in (*w1, *w2))
     assert labels[w1] == labels[w2]
-    assert not bool(
-        (_composition_histogram(labels, *w1) == _composition_histogram(labels, *w2)).all()
+    # the message names the (a, b) and the two counts the witnesses see,
+    # decoded from their packed products
+    found = re.match(
+        r"^p_\[(.+?),(.+?)\]\^\[(.+?)\] not well defined: "
+        r"pair \(\d+, \d+\) sees (\d+), pair \(\d+, \d+\) sees (\d+)$",
+        str(info.value),
     )
+    assert found is not None
+    a, b = LABEL_INDEX[found[1]], LABEL_INDEX[found[2]]
+    assert LABEL_INDEX[found[3]] == labels[w1]
+    h1, h2 = (_composition_histogram(labels, *w) for w in (w1, w2))
+    assert (int(found[4]), int(found[5])) == (h1[a, b], h2[a, b])
+    assert h1[a, b] != h2[a, b]
+
+
+def _two_relation_partition() -> RelationPartition:
+    """Fibers of 3 and 7 points: 11.1 and 22.1 off the diagonal, 12.1 and
+    21.1 on every cross pair.  Then p_{12.1,21.1}^{11.0} = 7 = 2^3 - 1 fills
+    its digit, 3 being the bit length of the larger fiber."""
+    li = LABEL_INDEX
+    fiber = np.repeat([0, 1], [3, 7])
+    table = np.array([[li["11.1"], li["12.1"]], [li["21.1"], li["22.1"]]], dtype=np.int8)
+    labels = table[fiber[:, None], fiber[None, :]]
+    labels[np.arange(10), np.arange(10)] = np.where(fiber == 0, li["11.0"], li["22.0"])
+    return RelationPartition(labels, (3, 7))
+
+
+def test_full_digit_matches_the_pairwise_count():
+    part = _two_relation_partition()
+    reference = np.zeros((13, 13, 13), dtype=np.int64)
+    for p, q in np.ndindex(part.labels.shape):
+        reference[:, :, part.labels[p, q]] = _composition_histogram(part.labels, p, q)
+    tensor = intersection_numbers(part)
+    assert tensor[LABEL_INDEX["12.1"], LABEL_INDEX["21.1"], LABEL_INDEX["11.0"]] == 7
+    assert np.array_equal(tensor, reference)
+
+
+@pytest.mark.parametrize("pair, relation", [((0, 1), "11.0"), ((4, 4), "22.1"), ((5, 6), "22.0")])
+def test_identity_off_the_diagonal_is_rejected(pair, relation):
+    part = _two_relation_partition()
+    part.labels[pair] = LABEL_INDEX[relation]
+    with pytest.raises(ConfigurationAxiomError, match="is not exactly the diagonal"):
+        intersection_numbers(part)
 
 
 def test_duplicated_outer_point_is_rejected(design):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import A_ALTERNATE, B_ALTERNATE
+from conftest import A_ALTERNATE, A_WRAPPING, B_ALTERNATE
 from coset_reference import (
     InfeasibleCosetError,
     coset_setup,
@@ -162,9 +162,10 @@ def test_coset_shell_rejects_unsupported_norms(ctx):
         with pytest.raises(ValueError, match="norm 4 and 6 only"):
             enumerate_coset_shell(pair, norm, ctx)
     # norm 6 is a translate of norm 4 only along a norm-4 lattice vector t
-    # with (x, t) = 3; (5, 1^7, 0^16) has norm 4 but mixed parity
+    # with (x, t) = 3; (5, 1^7, 0^16) has norm 4 but mixed parity, and
+    # A_WRAPPING has norm 4 only in int64
     off_lattice = np.array([5] + [1] * 7 + [0] * 16)
-    for t in (None, 2 * A_CANONICAL, off_lattice):
+    for t in (None, 2 * A_CANONICAL, off_lattice, A_WRAPPING):
         cons = pair if t is None else [CosetConstraint(t, 3)]
         with pytest.raises(ValueError, match="norm-4 lattice vector"):
             enumerate_coset_shell(cons, 6, ctx)
