@@ -9,23 +9,31 @@ one table lookup per block, and transposes the (1, 2) labels into the
 (2, 1) block, so the matrix is transpose-consistent by construction.
 
 `intersection_numbers` computes the composition counts p_{a,b}^c for
-every ordered pair of relations.  The identity relations must be exactly
-the diagonal, which it checks; their counts are then [b = c] and [a = c]
-and need no product.  Each of the 11 other relations a is one product
-A_a @ R of its 0/1 indicator with a packed operand: R weights each
-non-identity relation b by 2^(w j), j its position among the at most three
-non-identity relations of its block, so one entry of the product holds
-the counts of up to three b as base-2^w digits (Kronecker substitution;
+every ordered pair of relations.  It first checks, on every pair, that
+each label lies in its own fiber block, that the identity relations are
+exactly the diagonal, and that each relation a has a constant count k_a
+per row on its source fiber and k'_a per column on its target fiber
+(counted in slabs of 256 rows).  Then the counts of identity relations are
+[b = c] and [a = c].  In a coherent configuration the relations of each
+fiber block sum to J (Higman, Geom. Dedicata 4, 1975), so of the
+non-identity relations of a block all but the last are free: at most two
+per block.  Each fiber block (r, s) is one product A @ B, A weighting the
+free relation a_i of block (r, s) by 2^(2wi) and B the free b_j of each
+block (s, t) by 2^(wj), so one entry holds up to four counts, count(a_i,
+b_j) at base-2^w digit 2i + j (Kronecker substitution on both operands;
 Harvey, J. Symb. Comput. 44, 2009).  The digit width w is the bit length
 of the larger fiber, 11 here: a count is at most a fiber size, so it never
-carries into the next digit.  The products run through
-`construct.exact_matmul`, whose 2^53 bound is the one exactness check;
-every fiber of fewer than 2^17 points keeps it, since a packed sum is
-below 2^(3w) <= 2^51.  The packed counts are read at one
-representative pair per relation and checked against every pair (not a
-sample) in slabs of 256 rows; a mismatch names its b by the lowest
-differing digit.  `check_tensor_identities` is the one structural check
-for any 13x13x13 tensor, computed or reference.
+carries.  The products run through `construct.exact_matmul`, whose 2^53
+bound is the one exactness check; every fiber of fewer than 2^13 points
+keeps it, since the bound is a fiber size times 2^(3w), below 2^(4w).  The
+blocks sharing an inner fiber s run as one product, 256 rows at a time,
+against a right operand built once; every pair's packed value is compared
+with its relation's representative pair (not a sample).  Every other
+entry follows exactly: over the b of block (s, t) the counts sum to k_a,
+p_{a,identity}^c being [a = c], and over the a of block (r, s) to k'_b.
+A failure names the first (a, b) at which the direct composition
+histograms of its two witness pairs differ.  `check_tensor_identities` is
+the one structural check for any 13x13x13 tensor, computed or reference.
 """
 
 from __future__ import annotations
@@ -49,13 +57,14 @@ from .coherent_fixture import (
 _TRANSPOSE = np.array(TRANSPOSE, dtype=np.int8)
 _IDENTITY = (LABEL_INDEX["11.0"], LABEL_INDEX["22.0"])  # per fiber
 _FIBER_SIZES = (275, 2025)
-# Each non-identity relation's position among those of its block: its digit
-# in a packed count.
-_DIGIT = {
-    b: sum(LABEL_FIBERS[d] == LABEL_FIBERS[b] for d in range(b) if d not in _IDENTITY)
-    for b in range(13)
-    if b not in _IDENTITY
+_SLAB = 256  # rows per counting and product slab
+# The non-identity relations of each fiber block, in LABELS order.  All but
+# the last are free, each at its position i among them.
+_NON_IDENTITY = {
+    f: [c for c, g in enumerate(LABEL_FIBERS) if g == f and c not in _IDENTITY]
+    for f in ((1, 1), (1, 2), (2, 1), (2, 2))
 }
+_FREE = {c: i for block in _NON_IDENTITY.values() for i, c in enumerate(block[:-1])}
 
 
 class RelationClassificationError(RuntimeError):
@@ -135,77 +144,121 @@ def classify_pairs(ws: WeightedPointSet) -> RelationPartition:
     return RelationPartition(labels=labels, fiber_sizes=sizes)
 
 
+def _not_well_defined(labels: np.ndarray, w1: tuple, w2: tuple) -> ConfigurationAxiomError:
+    """Two pairs of one relation c whose composition counts differ, named at
+    the first (a, b) where their direct histograms
+    h[a, b] = #{z : (p, z) in a, (z, q) in b} differ."""
+    h1, h2 = (
+        np.bincount(13 * labels[p].astype(np.int64) + labels[:, q], minlength=169).reshape(13, 13)
+        for p, q in (w1, w2)
+    )
+    a, b = (int(i) for i in np.argwhere(h1 != h2)[0])
+    return ConfigurationAxiomError(
+        f"p_[{LABELS[a]},{LABELS[b]}]^[{LABELS[labels[w1]]}] not well defined: "
+        f"pair {w1} sees {h1[a, b]}, pair {w2} sees {h2[a, b]}",
+        (w1, w2),
+    )
+
+
 def intersection_numbers(part: RelationPartition) -> np.ndarray:
     """The full 13x13x13 tensor, with exhaustive well-definedness checks:
-    one packed product per non-identity relation (see the module notes)."""
+    one packed product per fiber block (see the module notes)."""
     labels = part.labels
+    n = len(labels)
     fiber = _fiber_slices(part.fiber_sizes)
-    # One representative pair per relation; None for a relation no pair
-    # carries.
-    flat = labels.ravel()
-    rep = []
-    for c in range(13):
-        hits = flat == c
-        k = int(np.argmax(hits))
-        rep.append(divmod(k, len(labels)) if flat[k] == c else None)
-        if c in _IDENTITY:
-            f = fiber[_IDENTITY.index(c)]
-            if np.count_nonzero(hits) != f.stop - f.start or bool(
-                (np.diagonal(labels)[f] != c).any()
-            ):
-                raise ConfigurationAxiomError(
-                    f"relation {LABELS[c]} is not exactly the diagonal of its fiber"
-                )
-    tensor = np.zeros((13, 13, 13), dtype=np.int64)
-    for c, (rc, cc) in enumerate(LABEL_FIBERS):
-        if rep[c] is not None:
-            tensor[_IDENTITY[rc - 1], c, c] = tensor[c, _IDENTITY[cc - 1], c] = 1
+    for r, s in _NON_IDENTITY:
+        # LABELS lists the relations of each block contiguously.
+        block = [c for c, g in enumerate(LABEL_FIBERS) if g == (r, s)]
+        lo, hi = block[0], block[-1]
+        entries = labels[fiber[r - 1], fiber[s - 1]]
+        if entries.min(initial=lo) < lo or entries.max(initial=hi) > hi:
+            p, q = np.argwhere((entries < lo) | (entries > hi))[0]
+            c = int(entries[p, q])
+            raise ConfigurationAxiomError(
+                f"pair {(fiber[r - 1].start + int(p), fiber[s - 1].start + int(q))} carries "
+                f"{LABELS[c] if 0 <= c < 13 else c}, not a relation of the {r}{s}.* block"
+            )
 
-    # A count is at most a fiber size, so below 2^w.
-    w = max(part.fiber_sizes).bit_length()
-    weight = np.zeros(13)
-    for b, j in _DIGIT.items():
-        weight[b] = 2.0 ** (w * j)
-
-    def count(packed: int, j: int) -> int:
-        return (packed >> (w * j)) & ((1 << w) - 1)
-
-    packed = packed_fiber = None
-    for a, (ra, ca) in enumerate(LABEL_FIBERS):
-        if a not in _DIGIT:
-            continue
-        if ca != packed_fiber:  # 11.*, then 22.* and 12.*, then 21.*
-            packed = None  # one packed operand at a time
-            packed, packed_fiber = weight[labels[fiber[ca - 1]]], ca
-        rows = fiber[ra - 1]
-        counts = exact_matmul(labels[rows, fiber[ca - 1]] == a, packed)
-        lut = np.zeros(13, dtype=np.int64)
-        for c, (rc, cc) in enumerate(LABEL_FIBERS):
-            if rc == ra and rep[c] is not None:
-                lut[c] = counts[rep[c][0] - rows.start, rep[c][1]]
-                for b, j in _DIGIT.items():
-                    if LABEL_FIBERS[b] == (ca, cc):
-                        tensor[a, b, c] = count(int(lut[c]), j)
-        target = labels[rows]
-        for r in range(0, len(counts), 256):
-            bad = counts[r : r + 256] != lut[target[r : r + 256]]
+    # rows[x, a] = #{z : (x, z) in a} and cols[b, y] = #{z : (z, y) in b}
+    rows = np.zeros((n, 13), dtype=np.int64)
+    cols = np.zeros((13, n), dtype=np.int64)
+    for x in range(0, n, _SLAB):
+        slab = labels[x : x + _SLAB].astype(np.int64)
+        m = len(slab)
+        rows[x : x + m] = np.bincount(
+            (slab + 13 * np.arange(m)[:, None]).ravel(), minlength=13 * m
+        ).reshape(m, 13)
+        cols += np.bincount((slab * n + np.arange(n)).ravel(), minlength=13 * n).reshape(13, n)
+    diagonal = np.diagonal(labels)
+    for f, c in zip(fiber, _IDENTITY):
+        if bool((diagonal[f] != c).any() or (rows[f, c] != 1).any()):
+            raise ConfigurationAxiomError(
+                f"relation {LABELS[c]} is not exactly the diagonal of its fiber"
+            )
+    # Each relation's row count is constant on its source fiber and its
+    # column count on its target fiber; a point where one is not sees a
+    # different histogram at its diagonal pair.
+    for f in fiber:
+        for counts in (rows[f], cols[:, f].T):
+            bad = (counts != counts[:1]).any(axis=1)
             if bool(bad.any()):
-                p, q = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-                c = int(target[r + p, q])
-                got, want = int(counts[r + p, q]), int(lut[c])
-                low = (got ^ want) & -(got ^ want)  # the lowest differing bit
-                j = (low.bit_length() - 1) // w
-                b = next(
-                    d for d, k in _DIGIT.items()
-                    if k == j and LABEL_FIBERS[d] == (ca, LABEL_FIBERS[c][1])
-                )
-                w2 = (rows.start + r + p, q)
-                raise ConfigurationAxiomError(
-                    f"p_[{LABELS[a]},{LABELS[b]}]^[{LABELS[c]}] not well defined: "
-                    f"pair {rep[c]} sees {count(want, j)}, pair {w2} sees {count(got, j)}",
-                    (rep[c], w2),
-                )
-        del counts  # before the next product is allocated
+                x = f.start + int(np.argmax(bad))
+                raise _not_well_defined(labels, (f.start, f.start), (x, x))
+    valency = rows[[fiber[r - 1].start for r, _ in LABEL_FIBERS], range(13)]
+    covalency = cols[range(13), [fiber[t - 1].start for _, t in LABEL_FIBERS]]
+
+    # One representative pair per relation, the first in row order; None for
+    # a relation no pair carries.
+    rep = [None] * 13
+    for c in range(13):
+        x = int(np.argmax(rows[:, c] > 0))
+        if rows[x, c]:
+            rep[c] = (x, int(np.argmax(labels[x] == c)))
+
+    # A count is at most a fiber size, so below 2^w.  A free relation a of
+    # block (r, s) weighs 2^(2wi) on the left and a free b of block (s, t)
+    # 2^(wj) on the right, so count(a, b) is digit 2i + j of the product.
+    w = max(part.fiber_sizes).bit_length()
+    left, right = np.zeros(13, dtype=np.int64), np.zeros(13)
+    for c, i in _FREE.items():
+        left[c], right[c] = 1 << (2 * w * i), 2.0 ** (w * i)
+    # packed[s - 1, c]: the value at rep[c] of the product through fiber s
+    packed = np.zeros((2, 13), dtype=np.int64)
+    for s, inner in zip((1, 2), fiber):
+        # Through inner fiber s, the rows of fiber r are block (r, s)'s
+        # product.  The right operand is built once, in float64, which
+        # `exact_matmul` does not copy.
+        rhs = right[labels[inner]]
+        for x in range(0, n, _SLAB):
+            counts = exact_matmul(left[labels[x : x + _SLAB, inner]], rhs)
+            target = labels[x : x + _SLAB]
+            for c, pair in enumerate(rep):
+                if pair is not None and x <= pair[0] < x + _SLAB:
+                    packed[s - 1, c] = counts[pair[0] - x, pair[1]]
+            bad = counts != packed[s - 1][target]
+            if bool(bad.any()):
+                p, q = np.unravel_index(np.argmax(bad), bad.shape)
+                raise _not_well_defined(labels, rep[target[p, q]], (x + int(p), int(q)))
+        del rhs  # before the next right operand is built
+
+    # Every other entry follows from the valencies.  Over the relations b of
+    # block (s, t), sum_b p_(a,b)^c = k_a, where p_(a,identity)^c = [a = c];
+    # over the a of block (r, s), sum_a p_(a,b)^c = k'_b likewise.
+    tensor = np.zeros((13, 13, 13), dtype=np.int64)
+    for c, (r, t) in enumerate(LABEL_FIBERS):
+        if rep[c] is None:
+            continue
+        tensor[_IDENTITY[r - 1], c, c] = tensor[c, _IDENTITY[t - 1], c] = 1
+        for s in (1, 2):
+            *free_a, last_a = _NON_IDENTITY[r, s]
+            *free_b, last_b = _NON_IDENTITY[s, t]
+            for a in free_a:
+                for b in free_b:
+                    digit = w * (2 * _FREE[a] + _FREE[b])
+                    tensor[a, b, c] = (int(packed[s - 1, c]) >> digit) & ((1 << w) - 1)
+                tensor[a, last_b, c] = valency[a] - (a == c) - tensor[a, free_b, c].sum()
+            for b in (*free_b, last_b):
+                tensor[last_a, b, c] = covalency[b] - (b == c) - tensor[free_a, b, c].sum()
     return tensor
 
 
@@ -226,7 +279,10 @@ def check_tensor_identities(tensor: np.ndarray) -> list[int]:
     Transpose symmetry p_{a,b}^c = p_{b^T,a^T}^{c^T}; the valencies
     k_a = p_{a,a^T}^{identity of a's source fiber}; the valencies of the
     relations from fiber i to fiber j sum to |X_j|; and the column sums
-    sum_b p_{a,b}^c = k_a over the b that compose a into c.
+    sum_b p_{a,b}^c = k_a over the b that compose a into c.  On a tensor of
+    `intersection_numbers` the column sums hold by construction, since it
+    derives each block's last relation from them; on the reference tables
+    they remain a real check.
     """
     swapped = tensor[np.ix_(_TRANSPOSE, _TRANSPOSE, _TRANSPOSE)].transpose(1, 0, 2)
     bad = np.argwhere(tensor != swapped)

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from leechdesign import coherent
 from leechdesign.coherent import (
     ConfigurationAxiomError,
     RelationClassificationError,
@@ -24,7 +25,7 @@ from leechdesign.coherent_fixture import (
     fixture_tensor,
 )
 from leechdesign.cli import verify_coherent_claims
-from leechdesign.construct import PointLayer, WeightedPointSet
+from leechdesign.construct import PointLayer, WeightedPointSet, exact_matmul
 from leechdesign.report import VerificationReport
 
 
@@ -192,26 +193,129 @@ def test_relabelled_pair_breaks_well_definedness(partition):
     assert h1[a, b] != h2[a, b]
 
 
-def _two_relation_partition() -> RelationPartition:
-    """Fibers of 3 and 7 points: 11.1 and 22.1 off the diagonal, 12.1 and
-    21.1 on every cross pair.  Then p_{12.1,21.1}^{11.0} = 7 = 2^3 - 1 fills
-    its digit, 3 being the bit length of the larger fiber."""
+def _two_relation_partition(n2: int = 7) -> RelationPartition:
+    """Fibers of 3 and n2 points: 11.1 and 22.1 off the diagonal, 12.1 and
+    21.1 on every cross pair.  Then p_{12.1,21.1}^{11.0} = n2; at n2 = 7 =
+    2^3 - 1 it fills its digit, 3 being the bit length of the larger fiber."""
     li = LABEL_INDEX
-    fiber = np.repeat([0, 1], [3, 7])
+    fiber = np.repeat([0, 1], [3, n2])
     table = np.array([[li["11.1"], li["12.1"]], [li["21.1"], li["22.1"]]], dtype=np.int8)
     labels = table[fiber[:, None], fiber[None, :]]
-    labels[np.arange(10), np.arange(10)] = np.where(fiber == 0, li["11.0"], li["22.0"])
-    return RelationPartition(labels, (3, 7))
+    labels[np.arange(3 + n2), np.arange(3 + n2)] = np.where(fiber == 0, li["11.0"], li["22.0"])
+    return RelationPartition(labels, (3, n2))
+
+
+def _pairwise_tensor(part: RelationPartition) -> np.ndarray:
+    reference = np.zeros((13, 13, 13), dtype=np.int64)
+    for p, q in np.ndindex(part.labels.shape):
+        reference[:, :, part.labels[p, q]] = _composition_histogram(part.labels, p, q)
+    return reference
 
 
 def test_full_digit_matches_the_pairwise_count():
     part = _two_relation_partition()
-    reference = np.zeros((13, 13, 13), dtype=np.int64)
-    for p, q in np.ndindex(part.labels.shape):
-        reference[:, :, part.labels[p, q]] = _composition_histogram(part.labels, p, q)
     tensor = intersection_numbers(part)
     assert tensor[LABEL_INDEX["12.1"], LABEL_INDEX["21.1"], LABEL_INDEX["11.0"]] == 7
-    assert np.array_equal(tensor, reference)
+    assert np.array_equal(tensor, _pairwise_tensor(part))
+
+
+def _cycle_scheme_partition(n2: int, relation_of_distance: dict) -> RelationPartition:
+    """`_two_relation_partition(n2)` with the relation of each pair of fiber 2
+    set by the cyclic distance of its two points."""
+    part = _two_relation_partition(n2)
+    i = np.arange(n2)
+    distance = np.minimum((i[:, None] - i) % n2, (i - i[:, None]) % n2)
+    part.labels[3:, 3:] = [[LABEL_INDEX[relation_of_distance[d]] for d in row] for row in distance]
+    return part
+
+
+def _assert_names_differing_counts(error, labels, relation: str) -> tuple:
+    """The message names p_[a,b]^[relation] and what its two witnesses of
+    that relation see, which are their direct counts at (a, b) and differ;
+    returns the witnesses."""
+    w1, w2 = error.witnesses
+    assert LABELS[labels[w1]] == LABELS[labels[w2]] == relation
+    found = re.match(
+        rf"^p_\[(.+?),(.+?)\]\^\[{re.escape(relation)}\] not well defined: "
+        rf"pair {re.escape(str(w1))} sees (\d+), pair {re.escape(str(w2))} sees (\d+)$",
+        str(error),
+    )
+    assert found is not None
+    a, b = LABEL_INDEX[found[1]], LABEL_INDEX[found[2]]
+    h1, h2 = (_composition_histogram(labels, *w) for w in (w1, w2))
+    assert (int(found[3]), int(found[4])) == (h1[a, b], h2[a, b])
+    assert h1[a, b] != h2[a, b]
+    return w1, w2
+
+
+def test_two_free_relations_match_the_pairwise_count():
+    # The distance scheme of the 7-cycle: 22.1 and 22.2 are both free, so
+    # the counts of (22.i, 22.j) fill all four digits of the (2, 2) product.
+    part = _cycle_scheme_partition(7, {0: "22.0", 1: "22.1", 2: "22.2", 3: "22.3"})
+    tensor = intersection_numbers(part)
+    li = LABEL_INDEX
+    assert tensor[li["22.1"], li["22.2"], li["22.1"]] == 1
+    assert tensor[li["22.3"], li["22.3"], li["22.1"]] == 1
+    assert np.array_equal(tensor, _pairwise_tensor(part))
+
+
+def test_a_regular_relation_that_is_not_coherent_is_caught_by_the_products():
+    # On the 6-cycle, 22.1 (distance 1) and 22.2 (distance 2 or 3) have
+    # constant valencies 2 and 3, but a 22.2 pair at distance 2 has one
+    # common 22.1-neighbour and one at distance 3 has none.
+    part = _cycle_scheme_partition(6, {0: "22.0", 1: "22.1", 2: "22.2", 3: "22.2"})
+    with pytest.raises(ConfigurationAxiomError) as info:
+        intersection_numbers(part)
+    w1, w2 = _assert_names_differing_counts(info.value, part.labels, "22.2")
+    assert w1 != w2 and w1[0] != w1[1] and w2[0] != w2[1]
+
+
+@pytest.mark.parametrize("pair, relation", [((4, 5), "12.3"), ((0, 1), "22.2")])
+def test_a_label_outside_its_fiber_block_is_rejected(pair, relation):
+    part = _two_relation_partition()
+    part.labels[pair] = LABEL_INDEX[relation]
+    with pytest.raises(ConfigurationAxiomError, match=rf"^pair {re.escape(str(pair))} carries "
+                       rf"{re.escape(relation)}, not a relation of the") as info:
+        intersection_numbers(part)
+    assert len(set(info.value.witnesses)) == len(info.value.witnesses)
+
+
+def test_a_point_with_another_valency_is_named_at_its_diagonal_pair(partition):
+    # Only (p, q) is relabelled: row p loses a 22.1 and column q gains a 22.2.
+    labels = partition.labels.copy()
+    p = 300
+    q = 275 + int(np.argmax(labels[p, 275:] == LABEL_INDEX["22.1"]))
+    labels[p, q] = LABEL_INDEX["22.2"]
+    with pytest.raises(ConfigurationAxiomError) as info:
+        intersection_numbers(RelationPartition(labels, partition.fiber_sizes))
+    assert _assert_names_differing_counts(info.value, labels, "22.0") == ((275, 275), (p, p))
+
+
+def test_a_relation_with_constant_rows_but_not_columns_is_rejected():
+    # Every point of fiber 1 has one 12.2 pair, always to point 3, so the
+    # row counts are constant and the column counts of 12.2 are 3, 0, ..., 0:
+    # point 3 has no 12.1 pair left, point 4 three.
+    part = _two_relation_partition()
+    part.labels[:3, 3] = LABEL_INDEX["12.2"]
+    with pytest.raises(ConfigurationAxiomError, match=r"^p_\[21.1,12.1\]\^\[22.0\] not well "
+                       r"defined: pair \(3, 3\) sees 0, pair \(4, 4\) sees 3$") as info:
+        intersection_numbers(part)
+    assert info.value.witnesses == ((3, 3), (4, 4))
+
+
+def test_the_tensor_costs_one_product_per_fiber_block(partition, monkeypatch):
+    # rows x inner x columns summed over every product: the four block
+    # products (r, s) make n_r n_s n = 2300^3 multiply-adds.
+    work = []
+
+    def spy(a, b):
+        work.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return exact_matmul(a, b)
+
+    monkeypatch.setattr(coherent, "exact_matmul", spy)
+    tensor = intersection_numbers(partition)
+    assert sum(work) == 2300**3 == 12_167_000_000
+    assert compare_with_reference(tensor) == []
 
 
 @pytest.mark.parametrize("pair, relation", [((0, 1), "11.0"), ((4, 4), "22.1"), ((5, 6), "22.0")])
