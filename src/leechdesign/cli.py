@@ -7,10 +7,11 @@ directory and exits 0 only if every claim passed; 1 on a failed claim;
 2 on usage or I/O errors.  The verify commands accept a previously built
 design file so a shipped certificate can be replayed without enumerating.
 
-Each stage checks its claims through one runner, `Stage`: it times a
+Each stage imports the modules it runs, when it runs, so `build` loads
+none of them.  It checks its claims through one runner, `Stage`: it times a
 claim's step, checks the computed value, and turns the program's own error
-types (`STEP_ERRORS`) into that claim's failure.  Any other exception is a
-bug and propagates.
+types (`construct.StepError`) into that claim's failure.  Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from . import io as design_io
 from .arith import rat_to_text
 from .construct import (
     DesignConstructionError,
+    StepError,
     WeightedPointSet,
     build_design,
     build_Y,
@@ -41,23 +43,6 @@ from .construct import (
     y_antipodal_pair_count,
     z_value_histogram,
 )
-from .coherent import (
-    ConfigurationAxiomError,
-    RelationClassificationError,
-    check_tensor_identities,
-    classify_pairs,
-    compare_with_reference,
-    fixture_self_test,
-    intersection_numbers,
-)
-from .coherent_fixture import LABELS, LABEL_INDEX
-from .design import (
-    euclidean_strength,
-    moment_spot_check,
-    spherical_strength,
-    spherical_strength_from_values,
-    tightness_check,
-)
 from .lattice import (
     A_CANONICAL,
     B_CANONICAL,
@@ -67,29 +52,10 @@ from .lattice import (
     rows_as_set,
 )
 from .report import VerificationReport
-from .unique import (
-    UniquenessError,
-    build_dual_frame,
-    enumerate_candidates,
-    generated_lattice_membership,
-    integralize_X1,
-    split_candidates,
-    twin_design,
-)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-# The errors by which the program rejects its input.  A step that raises one
-# fails its claim, and the stage ends there: the claims after it read the
-# step's value.
-STEP_ERRORS = (
-    ConfigurationAxiomError,
-    DesignConstructionError,
-    RelationClassificationError,
-    UniquenessError,
-)
 
 
 class _StageEnd(Exception):
@@ -102,8 +68,9 @@ class Stage:
     `with stage.claim(id, expected) as c:` runs and times the step in its
     block, which sets `c.computed` (and `c.expected`, when the expected value
     depends on the step).  The claim is then checked into the report.  The
-    stage ends, leaving the `with Stage` block, when the step raises one of
-    `STEP_ERRORS` or when a claim made with `stop=True` fails.
+    stage ends, leaving the `with Stage` block, when the step raises a
+    `StepError`, by which the program rejects its input (the claims after
+    it read the step's value), or when a claim made with `stop=True` fails.
     """
 
     def __init__(self, report: VerificationReport):
@@ -121,7 +88,7 @@ class Stage:
         t0 = time.monotonic()
         try:
             yield c
-        except STEP_ERRORS as exc:
+        except StepError as exc:
             c.computed, stop = f"error: {exc}", True
         ms = int((time.monotonic() - t0) * 1000)
         if not self.report.check(claim_id, c.expected, c.computed, ms) and stop:
@@ -144,13 +111,15 @@ def _normalized_value_sets(ws: WeightedPointSet) -> dict[str, str]:
 
 
 def verify_design_claims(ws: WeightedPointSet, report: VerificationReport) -> None:
+    from . import design
+
     with Stage(report) as stage:
         # every claim after the first compares the two shells
         with stage.claim("design/layer-sizes", "[275, 2025]", stop=len(ws.layers) < 2) as c:
             c.computed = [layer.size for layer in ws.layers]
         report.check("design/cardinality", comb(25, 3), ws.size)
         with stage.claim("design/tightness-bound-met", True) as c:
-            c.computed = tightness_check(ws, 3)
+            c.computed = design.tightness_check(ws, 3)
         report.check("design/radius-ratio-squared", 11, ws.layers[1].r2 / ws.layers[0].r2)
         report.check("design/weight-ratio", "1/729", ws.layers[1].weight / ws.layers[0].weight)
 
@@ -161,7 +130,7 @@ def verify_design_claims(ws: WeightedPointSet, report: VerificationReport) -> No
         report.check("design/inner-products-cross-sqrt11", "[1, -1/4, -3/2]", sets["12"])
 
         with stage.claim("design/strength-6-zero-conditions", "all") as c:
-            conds6 = euclidean_strength(ws, 6)
+            conds6 = design.euclidean_strength(ws, 6)
             n = len(conds6)
             c.expected, c.computed = f"{n} of {n}", f"{sum(x.passed for x in conds6)} of {n}"
         report.note("strength-6-values", {x.label: rat_to_text(x.value) for x in conds6})
@@ -171,18 +140,18 @@ def verify_design_claims(ws: WeightedPointSet, report: VerificationReport) -> No
         )
         with stage.claim("design/degree-7-condition-fails", True) as c:
             labels6 = {x.label for x in conds6}
-            degree7 = [x for x in euclidean_strength(ws, 7) if x.label not in labels6]
+            degree7 = [x for x in design.euclidean_strength(ws, 7) if x.label not in labels6]
             c.computed = any(not x.passed for x in degree7)
         report.note("degree-7-values", {x.label: str(x.value) for x in degree7})
 
         with stage.claim("design/shell1-spherical-4", "pass k=1..4, fail k=5") as c:
-            s1 = spherical_strength(ws, 0, 5)
+            s1 = design.spherical_strength(ws, 0, 5)
             ok = all(x.passed for x in s1[:4]) and not s1[4].passed
             c.computed = "pass k=1..4, fail k=5" if ok else [(x.label, x.passed) for x in s1]
         with stage.claim("design/shell2-spherical-4", True) as c:
-            c.computed = all(x.passed for x in spherical_strength(ws, 1, 4))
+            c.computed = all(x.passed for x in design.spherical_strength(ws, 1, 4))
         with stage.claim("design/probe-moment-oracle", True) as c:
-            moments = moment_spot_check(ws, 6)
+            moments = design.moment_spot_check(ws, 6)
             c.computed = all(m.passed for m in moments)
         report.note("probe-moment-conditions-checked", len(moments))
 
@@ -192,19 +161,21 @@ def verify_coherent_claims(
     report: VerificationReport,
     out_dir: Optional[Path] = None,
 ) -> None:
-    fixture_self_test()
+    from . import coherent
+
+    coherent.fixture_self_test()
     with Stage(report) as stage:
         with stage.claim("coherent/nine-admissible-products", True) as c:
-            part = classify_pairs(ws)
+            part = coherent.classify_pairs(ws)
             c.computed = True
         with stage.claim("coherent/composition-counts-well-defined", True) as c:
-            tensor = intersection_numbers(part)
+            tensor = coherent.intersection_numbers(part)
             c.computed = True
         if out_dir is not None:
-            design_io.write_tensor(Path(out_dir) / "tensor.txt", tensor, LABELS)
+            design_io.write_tensor(Path(out_dir) / "tensor.txt", tensor, coherent.LABELS)
 
         with stage.claim("coherent/table-mismatches", 0) as c:
-            mismatches = compare_with_reference(tensor)
+            mismatches = coherent.compare_with_reference(tensor)
             c.computed = len(mismatches)
         if mismatches:
             report.note("first-mismatches", mismatches[:5])
@@ -212,11 +183,11 @@ def verify_coherent_claims(
         spots = {"11.1-11.1-11.1": 105, "22.1-22.1-22.0": 462,
                  "22.2-22.2-22.0": 1232, "22.3-22.3-22.0": 330}
         for spot, count in spots.items():
-            entry = tensor[tuple(LABEL_INDEX[label] for label in spot.split("-"))]
+            entry = tensor[tuple(coherent.LABEL_INDEX[label] for label in spot.split("-"))]
             report.check(f"coherent/spot-{spot}", count, int(entry))
 
         with stage.claim("coherent/transpose-and-valency-identities", True) as c:
-            check_tensor_identities(tensor)
+            coherent.check_tensor_identities(tensor)
             c.computed = True
 
 
@@ -226,14 +197,16 @@ def verify_unique_claims(
     anchors=None,
     out_dir: Optional[Path] = None,
 ) -> None:
+    from . import coherent, design, unique
+
     a, b = anchors if anchors is not None else (A_CANONICAL, B_CANONICAL)
     with Stage(report) as stage:
         with stage.claim("unique/integral-shell-products", "[2, -3] at norm 12") as c:
-            layer = integralize_X1(ws)
+            layer = unique.integralize_X1(ws)
             c.computed = f"{list(layer.products)} at norm {layer.norm}"
 
         with stage.claim("unique/dual-frame-biorthogonal", True) as c:
-            frame = build_dual_frame(layer)
+            frame = unique.build_dual_frame(layer)
             c.computed = all(
                 sum(frame.gram_inv[i][k] * int(frame.gram[k, j]) for k in range(22)) == int(i == j)
                 for i in range(22)
@@ -241,17 +214,17 @@ def verify_unique_claims(
             )
 
         with stage.claim("unique/candidate-count", 4050) as c:
-            cands = enumerate_candidates(frame, layer)
+            cands = unique.enumerate_candidates(frame, layer)
             c.computed = len(cands.vectors3)
         report.check("unique/norm-passing-but-filter-failing", 0, cands.rejected_leaves)
         report.note("candidate-search-nodes", cands.stats.nodes)
         coeff_ok = set(np.unique(cands.dual_coeffs).tolist()) <= {-6, -1, 4}
         report.check("unique/dual-coefficients-in-form", True, bool(coeff_ok))
-        in_m = generated_lattice_membership(frame, cands.dual_coeffs)
+        in_m = unique.generated_lattice_membership(frame, cands.dual_coeffs)
         report.note("candidates-in-literal-generated-lattice", f"{in_m} of 4050")
 
         with stage.claim("unique/split-sizes", "2025 + 2025", stop=True) as c:
-            split = split_candidates(cands, ws)
+            split = unique.split_candidates(cands, ws)
             c.computed = f"{len(split.part_a)} + {len(split.part_b)}"
         if out_dir is not None:
             design_io.write_candidates(Path(out_dir) / "candidates.txt", cands.vectors3)
@@ -269,10 +242,11 @@ def verify_unique_claims(
             c.computed = rows_as_set(split.part_b) == rows_as_set(twin_from_lattice)
 
         with stage.claim("unique/twin-strength-6", True) as c:
-            twin = twin_design(ws, split)
-            c.computed = all(x.passed for x in euclidean_strength(twin, 6))
+            twin = unique.twin_design(ws, split)
+            c.computed = all(x.passed for x in design.euclidean_strength(twin, 6))
         with stage.claim("unique/twin-table-mismatches", 0) as c:
-            c.computed = len(compare_with_reference(intersection_numbers(classify_pairs(twin))))
+            tensor = coherent.intersection_numbers(coherent.classify_pairs(twin))
+            c.computed = len(coherent.compare_with_reference(tensor))
 
 
 def verify_seven_claims(
@@ -280,6 +254,8 @@ def verify_seven_claims(
     report: VerificationReport,
     anchors=None,
 ) -> None:
+    from . import design
+
     a, b = anchors if anchors is not None else (A_CANONICAL, B_CANONICAL)
     with Stage(report) as stage:
         with stage.claim("seven/z-pair-count", 4600 * 4600) as c:
@@ -291,7 +267,7 @@ def verify_seven_claims(
         report.check("seven/z-cardinality-meets-antipodal-bound", 2 * comb(25, 3), 2 * ws.size)
 
         with stage.claim("seven/z-spherical-7", True) as c:
-            strength = spherical_strength_from_values(list(hist.items()), 7, 23)
+            strength = design.spherical_strength_from_values(list(hist.items()), 7, 23)
             c.computed = all(x.passed for x in strength)
 
         with stage.claim("seven/y-family-sizes", "[275, 2025, 2025, 275]") as c:

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construct import WeightedPointSet, exact_matmul
+from .construct import StepError, WeightedPointSet, exact_matmul, max_abs
 from .coherent_fixture import (
     LABELS,
     LABEL_FIBERS,
@@ -67,11 +67,11 @@ _NON_IDENTITY = {
 _FREE = {c: i for block in _NON_IDENTITY.values() for i, c in enumerate(block[:-1])}
 
 
-class RelationClassificationError(RuntimeError):
+class RelationClassificationError(StepError):
     """An inner product outside the nine admissible values appeared."""
 
 
-class ConfigurationAxiomError(RuntimeError):
+class ConfigurationAxiomError(StepError):
     """A composition count is not constant on a relation class, or a tensor
     breaks an identity every coherent configuration satisfies."""
 
@@ -227,10 +227,11 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
     for s, inner in zip((1, 2), fiber):
         # Through inner fiber s, the rows of fiber r are block (r, s)'s
         # product.  The right operand is built once, in float64, which
-        # `exact_matmul` does not copy.
+        # `exact_matmul` does not copy, and its bound is taken once.
         rhs = right[labels[inner]]
+        rhs_max = max_abs(rhs)
         for x in range(0, n, _SLAB):
-            counts = exact_matmul(left[labels[x : x + _SLAB, inner]], rhs)
+            counts = exact_matmul(left[labels[x : x + _SLAB, inner]], rhs, rhs_max)
             target = labels[x : x + _SLAB]
             for c, pair in enumerate(rep):
                 if pair is not None and x <= pair[0] < x + _SLAB:

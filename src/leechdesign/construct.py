@@ -34,6 +34,7 @@ from .lattice import (
     canonical_sort,
     default_context,
     enumerate_coset_shell,
+    has_repeated_row,
     membership_mask,
     conventional_inner,
     rows_as_set,
@@ -58,20 +59,29 @@ COORD_BOUND = 2**24
 NORM_BOUND = 2**53
 
 
-class DesignConstructionError(RuntimeError):
+class StepError(RuntimeError):
+    """Base of the errors by which the program rejects its input; a claim
+    whose step raises one fails."""
+
+
+class DesignConstructionError(StepError):
     pass
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def max_abs(x: np.ndarray) -> int:
+    """max |x| as a Python int: -(-2^63) has no int64."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray, b_max: int | None = None) -> np.ndarray:
     """a @ b for integer arrays, exact in int64 through float64 BLAS.  Every
     partial sum, in any order, is an integer of absolute value at most
     (inner dimension) * max|a| * max|b|; below 2^53 a float64 holds each one
     exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008), and a larger bound
     is refused.  The result is filled in slabs of 256 rows, so that no
-    second full-size array is live."""
-    bound = a.shape[-1]
-    for x in (a, b):  # in Python ints: -(-2^63) has no int64
-        bound *= max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    second full-size array is live.  A caller that multiplies many left
+    operands by one b passes `b_max = max_abs(b)`, taken once."""
+    bound = a.shape[-1] * max_abs(a) * (max_abs(b) if b_max is None else b_max)
     if bound >= 2**53:
         raise DesignConstructionError(f"product bound {bound} is not below 2^53")
     bf = b.astype(np.float64, copy=False)
@@ -164,7 +174,8 @@ class BlockStats:
         # Slabs of 256 rows, so that no second block-sized array is live.
         slabs = [slice(r, r + 256) for r in range(0, len(gram), 256)]
         hists = [np.unique(gram[s], return_counts=True) for s in slabs]
-        values = np.unique(np.concatenate([v for v, _ in hists]))
+        merged = np.sort(np.concatenate([v for v, _ in hists]))
+        values = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
         counts = np.zeros(len(values), dtype=np.int64)
         index = np.empty(gram.shape, dtype=np.min_scalar_type(len(values) - 1))
         for s, (v, c) in zip(slabs, hists):
@@ -245,7 +256,7 @@ def build_design(a, b) -> WeightedPointSet:
     layer1 = PointLayer(points=x1, denom=5, weight=W1, r2=R1_SQ)
     layer2 = PointLayer(points=x2, denom=5, weight=W2, r2=R2_SQ)
 
-    if len(rows_as_set(x1)) != 275 or len(rows_as_set(x2)) != 2025:
+    if has_repeated_row(x1) or has_repeated_row(x2):
         raise DesignConstructionError("projection collapsed points")
     return WeightedPointSet(layers=(layer1, layer2))
 

@@ -36,16 +36,23 @@ def _parse_header(line: str, tag: str) -> dict[str, str]:
     return fields
 
 
+def _block_text(header: str, rows: np.ndarray) -> str:
+    """The header line, then the rows in canonical order, one per line:
+    one format call for the whole block."""
+    rows = canonical_sort(rows)
+    row = " ".join(["%d"] * rows.shape[1]) + "\n"
+    return header + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_design(path: Path, ws: WeightedPointSet) -> None:
-    lines = [f"# design layers={len(ws.layers)}"]
+    text = f"# design layers={len(ws.layers)}\n"
     for layer in ws.layers:
-        pts = canonical_sort(layer.points)
-        lines.append(
+        text += _block_text(
             f"# layer weight={rat_to_text(layer.weight)} r2={rat_to_text(layer.r2)} "
-            f"denom={layer.denom} count={layer.size}"
+            f"denom={layer.denom} count={layer.size}",
+            layer.points,
         )
-        lines.extend(" ".join(str(int(x)) for x in row) for row in pts)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(text)
 
 
 def read_design(path: Path) -> WeightedPointSet:
@@ -90,10 +97,10 @@ def read_design(path: Path) -> WeightedPointSet:
 
 
 def write_candidates(path: Path, vectors3: np.ndarray) -> None:
-    vectors3 = canonical_sort(np.asarray(vectors3, dtype=np.int64))
-    lines = [f"# candidates norm=44/3 count={len(vectors3)}"]
-    lines.extend(" ".join(str(int(x)) for x in row) for row in vectors3)
-    Path(path).write_text("\n".join(lines) + "\n")
+    vectors3 = np.asarray(vectors3, dtype=np.int64)
+    Path(path).write_text(
+        _block_text(f"# candidates norm=44/3 count={len(vectors3)}", vectors3)
+    )
 
 
 def write_tensor(path: Path, tensor: np.ndarray, labels: list[str]) -> None:

@@ -25,6 +25,7 @@ from .leech import (
     B_CANONICAL,
     LeechConstructionError,
     canonical_sort,
+    has_repeated_row,
     membership_mask,
     norm4_blocks,
     norm4_shell,
@@ -46,6 +47,7 @@ __all__ = [
     "default_context",
     "enumerate_coset_shell",
     "enumerate_sphere",
+    "has_repeated_row",
     "membership_mask",
     "norm4_blocks",
     "norm4_shell",
@@ -89,10 +91,17 @@ def enumerate_coset_shell(
     (x'+t)^2 = 4 + 4 - 2 = 6, and every other value shifts by (t, anchor).
     Any other norm raises ValueError.  `stats.solutions` counts the rows
     returned; no search runs, so `stats.nodes` stays 0.
+
+    Each chunk is filtered by one float64 BLAS product with the anchors,
+    exact while 24 * 4 * max|anchor| (|coordinate| <= 4) is below 2^53, as
+    in `construct.exact_matmul`; a larger anchor raises ValueError first.
     """
     if ctx is None:
         ctx = default_context()
     anchors = np.array([c.anchor for c in constraints], dtype=np.int64).reshape(-1, 24).T
+    bound = 24 * 4 * max(int(anchors.max(initial=0)), -int(anchors.min(initial=0)))
+    if bound >= 2**53:
+        raise ValueError(f"anchor product bound {bound} is not below 2^53")
     want = 8 * np.array([c.value for c in constraints], dtype=np.int64)
     norm = Fraction(norm)
     if norm == 4:
@@ -110,14 +119,16 @@ def enumerate_coset_shell(
     else:
         raise ValueError(f"coset shells of norm 4 and 6 only; got {norm}")
 
+    fanchors = anchors.astype(np.float64)
     kept = [
-        block[(block @ anchors == want).all(axis=1)] for block in norm4_blocks(ctx.code)
+        block[(block.astype(np.float64) @ fanchors == want).all(axis=1)]
+        for block in norm4_blocks(ctx.code)
     ]
-    points = np.concatenate(kept).astype(np.int64) + t
+    points = canonical_sort(np.concatenate(kept).astype(np.int64) + t)
     _verify_shell(points, constraints, 8 * norm, ctx)
     if stats is not None:
         stats.solutions += len(points)
-    return canonical_sort(points)
+    return points
 
 
 def _verify_shell(
@@ -135,5 +146,5 @@ def _verify_shell(
             raise LeechConstructionError("enumerated point violates a constraint")
     if not bool(membership_mask(points, ctx.code).all()):
         raise LeechConstructionError("enumerated point is not a lattice member")
-    if len(rows_as_set(points)) != len(points):
+    if has_repeated_row(points):
         raise LeechConstructionError("duplicate points in enumeration")

@@ -2,9 +2,12 @@
 
 Built from the length-23 cyclic code with generator polynomial
 x^11 + x^10 + x^6 + x^5 + x^4 + x^2 + 1, extended by an overall parity
-bit.  All 4096 codewords are materialized both as 24-bit integers
-(bit i = coordinate i) and as a (4096, 24) uint8 array, because the
-lattice layer needs fast vectorized membership tests.
+bit.  The 4096 codewords are the XORs of the generator rows over every
+subset of them, taken in one vectorized reduction, and are materialized
+both as sorted 24-bit integers (bit i = coordinate i) and, by bit
+extraction, as a (4096, 24) uint8 array, because the lattice layer needs
+fast vectorized membership tests.  The construction checks itself: 4096
+distinct words, the weight enumerator, and self-orthogonality.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import numpy as np
 _GEN_POLY_BITS = (0, 2, 4, 5, 6, 10, 11)
 
 EXPECTED_WEIGHT_ENUMERATOR = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+
+_BIT = np.arange(24, dtype=np.int64)
 
 
 class GolayConstructionError(RuntimeError):
@@ -31,12 +36,7 @@ class GolayCode:
     weight_counts: dict[int, int] = field(default_factory=dict)
 
     def masks_of_weight(self, w: int) -> np.ndarray:
-        weights = np.array([int(m).bit_count() for m in self.codewords])
-        return self.codewords[weights == w]
-
-
-def _bits_from_mask(mask: int, n: int = 24) -> np.ndarray:
-    return np.array([(mask >> i) & 1 for i in range(n)], dtype=np.uint8)
+        return self.codewords[self.words.sum(axis=1) == w]
 
 
 def build_golay() -> GolayCode:
@@ -46,54 +46,33 @@ def build_golay() -> GolayCode:
     4096 distinct words, the weight enumerator 1 + 759 x^8 + 2576 x^12 +
     759 x^16 + x^24, or fails self-duality.
     """
-    length23 = 23
-    gen_mask23 = 0
-    for e in _GEN_POLY_BITS:
-        gen_mask23 |= 1 << e
+    # Row i is x^i g(x) on coordinates 0..22, then its parity bit at 23.
+    exponents = np.arange(12)[:, None] + np.array(_GEN_POLY_BITS)
+    if exponents.max() >= 23:
+        raise GolayConstructionError("generator shift left the block")
+    generator = np.zeros((12, 24), dtype=np.uint8)
+    np.put_along_axis(generator, exponents, 1, axis=1)
+    generator[:, 23] = generator.sum(axis=1) & 1
+    gen_masks = generator.astype(np.int64) @ (1 << _BIT)
 
-    gen_rows = []
-    for i in range(12):
-        row23 = gen_mask23 << i
-        if row23 >= (1 << length23):
-            raise GolayConstructionError("generator shift left the block")
-        parity = row23.bit_count() & 1
-        gen_rows.append(row23 | (parity << length23))
-
-    codeword_masks = np.zeros(4096, dtype=np.int64)
-    for sel in range(4096):
-        mask = 0
-        s = sel
-        row = 0
-        while s:
-            if s & 1:
-                mask ^= gen_rows[row]
-            s >>= 1
-            row += 1
-        codeword_masks[sel] = mask
-
-    uniq = np.unique(codeword_masks)
-    if len(uniq) != 4096:
+    # Codeword `sel` is the XOR of the generator rows at the set bits of sel.
+    chosen = (np.arange(4096)[:, None] >> np.arange(12)) & 1
+    codewords = np.sort(np.bitwise_xor.reduce(chosen * gen_masks, axis=1))
+    if not bool((codewords[1:] != codewords[:-1]).all()):
         raise GolayConstructionError("generator rows are not independent")
 
-    weights = np.array([int(m).bit_count() for m in uniq])
-    counts: dict[int, int] = {}
-    for w in np.unique(weights):
-        counts[int(w)] = int(np.sum(weights == w))
+    words = ((codewords[:, None] >> _BIT) & 1).astype(np.uint8)
+    weights = np.bincount(words.sum(axis=1), minlength=25)
+    counts = {w: int(c) for w, c in enumerate(weights.tolist()) if c}
     if counts != EXPECTED_WEIGHT_ENUMERATOR:
         raise GolayConstructionError(f"wrong weight enumerator: {counts}")
 
     # Self-duality: |C| = 2^12 and C is self-orthogonal (all pairwise
     # intersections even), so C = C-perp.  Checking the generators suffices.
-    for i in range(12):
-        for j in range(12):
-            if (gen_rows[i] & gen_rows[j]).bit_count() & 1:
-                raise GolayConstructionError("code is not self-orthogonal")
+    g = generator.astype(np.int64)
+    if bool(((g @ g.T) & 1).any()):
+        raise GolayConstructionError("code is not self-orthogonal")
 
-    words = np.zeros((4096, 24), dtype=np.uint8)
-    for k, m in enumerate(uniq):
-        words[k] = _bits_from_mask(int(m))
-
-    generator = np.stack([_bits_from_mask(r) for r in gen_rows])
     return GolayCode(
-        generator=generator, codewords=uniq, words=words, weight_counts=counts
+        generator=generator, codewords=codewords, words=words, weight_counts=counts
     )

@@ -53,13 +53,10 @@ def membership_mask(arr: np.ndarray, code: GolayCode) -> np.ndarray:
 
 
 def _even_sign_patterns(k: int) -> np.ndarray:
-    """All sign vectors in {+1,-1}^k with an even number of -1 entries."""
-    out = []
-    for mask in range(1 << k):
-        if mask.bit_count() & 1:
-            continue
-        out.append([-1 if (mask >> i) & 1 else 1 for i in range(k)])
-    return np.array(out, dtype=np.int64)
+    """All sign vectors in {+1,-1}^k with an even number of -1 entries, in
+    ascending order of their -1 positions read as a k-bit mask."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return (1 - 2 * bits[bits.sum(axis=1) % 2 == 0]).astype(np.int64)
 
 
 # Rows per streamed chunk of the norm-4 shell: 96 KB in int8.  The whole
@@ -87,26 +84,22 @@ def norm4_blocks(code: GolayCode):
 
 
 def _shape_classes(code: GolayCode):
-    pairs = [(i, j) for i in range(24) for j in range(i + 1, 24)]
-    four = np.zeros((len(pairs) * 4, 24), dtype=np.int8)
-    r = 0
-    for i, j in pairs:
-        for si in (4, -4):
-            for sj in (4, -4):
-                four[r, i] = si
-                four[r, j] = sj
-                r += 1
-    yield four
+    # each pair i < j with the signs (+, +), (+, -), (-, +), (-, -)
+    i, j = np.triu_indices(24, 1)
+    four = np.zeros((len(i), 4, 24), dtype=np.int8)
+    four[np.arange(len(i)), :, i] = [4, 4, -4, -4]
+    four[np.arange(len(i)), :, j] = [4, -4, 4, -4]
+    yield four.reshape(-1, 24)
 
     signs8 = 2 * _even_sign_patterns(8).astype(np.int8)
     octads = code.masks_of_weight(8)
+    support = np.nonzero((octads[:, None] >> np.arange(24)) & 1)[1].reshape(-1, 8)
     per_block = BLOCK_ROWS // len(signs8)
     for start in range(0, len(octads), per_block):
-        batch = octads[start : start + per_block]
-        block = np.zeros((len(batch), len(signs8), 24), dtype=np.int8)
-        for k, m in enumerate(batch):
-            pos = [i for i in range(24) if (int(m) >> i) & 1]
-            block[k][:, pos] = signs8
+        pos = support[start : start + per_block]  # ascending, as `signs8` columns
+        block = np.zeros((len(pos), len(signs8), 24), dtype=np.int8)
+        octad = np.arange(len(pos))[:, None, None]
+        block[octad, np.arange(len(signs8))[:, None], pos[:, None]] = signs8
         yield block.reshape(-1, 24)
 
     s = 1 - 2 * code.words.astype(np.int8)  # (4096, 24), entries +-1
@@ -129,6 +122,12 @@ def canonical_sort(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr)
     order = np.lexsort(arr.T[::-1])
     return arr[order]
+
+
+def has_repeated_row(sorted_rows: np.ndarray) -> bool:
+    """Whether an array in canonical order holds two equal rows; equal rows
+    of a sorted array are adjacent."""
+    return bool((sorted_rows[1:] == sorted_rows[:-1]).all(axis=1).any())
 
 
 def rows_as_set(arr: np.ndarray) -> set[tuple[int, ...]]:

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .construct import BlockStats, PointLayer, WeightedPointSet, exact_matmul
+from .construct import BlockStats, PointLayer, StepError, WeightedPointSet, exact_matmul
 from .lattice import canonical_sort, rows_as_set
 from .lattice.fincke_pohst import EnumerationStats, enumerate_sphere, rational_cholesky
 from .lattice.intlinalg import (
@@ -52,7 +52,7 @@ CANDIDATE_NORM = Fraction(44, 3)
 ADMISSIBLE_PRODUCTS = (4, -1, -6)
 
 
-class UniquenessError(RuntimeError):
+class UniquenessError(StepError):
     pass
 
 

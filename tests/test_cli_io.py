@@ -1,16 +1,28 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import leechdesign
 from conftest import A_ALTERNATE, A_WRAPPING, B_ALTERNATE
 from leechdesign import io as design_io
+from leechdesign.arith import rat_to_text
 from leechdesign.cli import main
 from leechdesign.coherent import RelationClassificationError
 from leechdesign.coherent_fixture import LABELS, fixture_tensor
-from leechdesign.construct import DesignConstructionError, PointLayer, WeightedPointSet
-from leechdesign.lattice import B_CANONICAL
+from leechdesign.construct import (
+    DesignConstructionError,
+    PointLayer,
+    WeightedPointSet,
+    build_design,
+)
+from leechdesign.design import mutate_design
+from leechdesign.lattice import B_CANONICAL, canonical_sort, default_context, norm4_shell
 from leechdesign.report import VerificationReport
 from leechdesign.unique import UniquenessError
 
@@ -30,6 +42,85 @@ def test_design_file_deterministic(tmp_path, design):
     design_io.write_design(p1, design)
     design_io.write_design(p2, design)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _per_token_lines(rows) -> list[str]:
+    """The writers' rows, one token at a time, in canonical order."""
+    return [" ".join(str(int(x)) for x in row) for row in canonical_sort(rows)]
+
+
+def _seeded_design(seed):
+    shell = norm4_shell(default_context().code)
+    rng = np.random.default_rng(seed)
+    a = shell[rng.integers(len(shell))]
+    partners = shell[shell @ a == -8]
+    return build_design(a, partners[rng.integers(len(partners))])
+
+
+@pytest.mark.parametrize("which", ["canonical", "seeded", "one-point-layer"])
+def test_design_writer_bytes_equal_per_token_formatting(tmp_path, design, which):
+    ws = {
+        "canonical": lambda: design,
+        "seeded": lambda: _seeded_design(5),
+        "one-point-layer": lambda: mutate_design(design, 1, 0),
+    }[which]()
+    lines = [f"# design layers={len(ws.layers)}"]
+    for layer in ws.layers:
+        lines.append(
+            f"# layer weight={rat_to_text(layer.weight)} r2={rat_to_text(layer.r2)} "
+            f"denom={layer.denom} count={layer.size}"
+        )
+        lines += _per_token_lines(layer.points)
+    path = tmp_path / "design.txt"
+    design_io.write_design(path, ws)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_candidates_writer_bytes_equal_per_token_formatting(tmp_path, candidates):
+    rows = candidates.vectors3
+    lines = [f"# candidates norm=44/3 count={len(rows)}", *_per_token_lines(rows)]
+    path = tmp_path / "candidates.txt"
+    design_io.write_candidates(path, rows)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _modules_after(argv, tmp_path):
+    """The leechdesign modules, and whether numpy.ma, are loaded after one
+    command-line run in a fresh process."""
+    code = (
+        "import json, sys\n"
+        "from leechdesign.cli import main\n"
+        f"assert main({argv!r}) in (0, 1)\n"
+        "print(json.dumps([sorted(sys.modules), 'numpy.ma' in sys.modules]))\n"
+    )
+    src = str(Path(leechdesign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    modules, ma = json.loads(done.stdout.splitlines()[-1])
+    return {m.removeprefix("leechdesign.") for m in modules if m.startswith("leechdesign.")}, ma
+
+
+def test_each_command_imports_only_the_stages_it_runs(tmp_path, design):
+    path = tmp_path / "design.txt"
+    design_io.write_design(path, design)
+    numpy_alone = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip() == "True"
+    absent = {
+        "build": {"unique", "coherent", "coherent_fixture", "design"},
+        "verify-design": {"unique", "coherent", "coherent_fixture"},
+        "verify-coherent": {"unique", "design"},
+    }
+    for command, modules in absent.items():
+        argv = [command, "--out", str(tmp_path / command)]
+        if command != "build":
+            argv += ["--in", str(path)]
+        loaded, ma = _modules_after(argv, tmp_path)
+        assert not (loaded & modules), (command, loaded & modules)
+        # numpy 1.x loads numpy.ma with numpy itself; there it proves nothing
+        assert numpy_alone or not ma, command
 
 
 def test_candidates_file_round_trip(tmp_path, candidates):
@@ -313,30 +404,34 @@ def test_design_of_other_anchors_is_replayed_with_them(
 
 
 STEP_FAULTS = [
-    # command, patched step, error it raises, claim at which the stage stops
-    ("verify-unique", "build_dual_frame", UniquenessError, "unique/dual-frame-biorthogonal"),
-    ("verify-unique", "enumerate_candidates", UniquenessError, "unique/candidate-count"),
-    ("verify-coherent", "classify_pairs", RelationClassificationError,
+    # command, patched step (in its home module), error it raises, claim at
+    # which the stage stops
+    ("verify-unique", "unique.build_dual_frame", UniquenessError,
+     "unique/dual-frame-biorthogonal"),
+    ("verify-unique", "unique.enumerate_candidates", UniquenessError, "unique/candidate-count"),
+    ("verify-coherent", "coherent.classify_pairs", RelationClassificationError,
      "coherent/nine-admissible-products"),
-    ("verify-unique", "twin_design", DesignConstructionError, "unique/twin-strength-6"),
-    ("verify-coherent", "classify_pairs", KeyError, None),
+    ("verify-unique", "unique.twin_design", DesignConstructionError, "unique/twin-strength-6"),
+    ("verify-coherent", "coherent.classify_pairs", KeyError, None),
 ]
 
 
 @pytest.mark.parametrize(
     "command, step, error, stop_claim",
     STEP_FAULTS,
-    ids=[f"{step}-{claim or error.__name__}" for _, step, error, claim in STEP_FAULTS],
+    ids=[
+        f"{step.rpartition('.')[2]}-{claim or error.__name__}"
+        for _, step, error, claim in STEP_FAULTS
+    ],
 )
 def test_uniqueness_error_of_a_step_fails_its_claim(
     tmp_path, design, capsys, monkeypatch, command, step, error, stop_claim
 ):
-    import leechdesign.cli as cli
-
     def fail(*args, **kwargs):
         raise error("injected")
 
-    monkeypatch.setattr(cli, step, fail)
+    # the stage imports its module when it runs, so the patch is seen there
+    monkeypatch.setattr(f"leechdesign.{step}", fail)
     path = tmp_path / "design.txt"
     design_io.write_design(path, design)
     out = tmp_path / "out"

@@ -134,6 +134,41 @@ def test_exact_matmul_is_exact_below_the_bound_and_refuses_it():
         exact_matmul(np.array([[-(2**63)]]), np.array([[1]]))
 
 
+def test_exact_matmul_refuses_a_right_operand_past_the_bound_taken_once():
+    # the bound of b taken once for many left slabs, as the tensor takes it
+    a = np.ones((3, 32), dtype=np.int64)
+    big = np.full((32, 2), 2**24, dtype=np.int64)
+    big[0, 0] = 2**48  # 32 * 1 * 2^48 = 2^53
+    for b_max in (None, construct.max_abs(big)):
+        with pytest.raises(DesignConstructionError, match="not below 2\\^53"):
+            exact_matmul(a, big, b_max)
+    assert construct.max_abs(np.array([-(2**63)])) == 2**63
+
+
+def test_block_stats_equal_the_unique_histogram():
+    rng = np.random.default_rng(3)
+    gram = rng.integers(-40, 40, size=(600, 300)) ** 3  # three slabs, some values rare
+    st = construct.BlockStats.of(gram)
+    values, inverse, counts = np.unique(gram, return_inverse=True, return_counts=True)
+    assert st.values.dtype == values.dtype and st.values.tolist() == values.tolist()
+    assert st.counts.tolist() == counts.tolist()
+    assert st.index.tolist() == inverse.reshape(gram.shape).tolist()
+
+
+def test_collapsing_projection_is_refused(monkeypatch):
+    # one projected inner point moved onto another: both stay on the sphere
+    project = construct.project_rows_scaled
+
+    def collapsing(rows, a, b, mult):
+        out = project(rows, a, b, mult)
+        out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(construct, "project_rows_scaled", collapsing)
+    with pytest.raises(DesignConstructionError, match="^projection collapsed points$"):
+        build_design(A_CANONICAL, B_CANONICAL)
+
+
 def test_y_union_size_claim_sees_a_row_of_another_family(design, monkeypatch):
     # The (x, b) = -1 shell given one row of the (x, b) = 0 shell: every
     # family keeps its size, so only the union claim can fail.

@@ -11,11 +11,15 @@ from coset_reference import (
     shell_size,
     sphere_coset_shell,
 )
+from golay_reference import golay_by_loop
+import leechdesign.lattice as lattice
 from leechdesign.lattice import (
     A_CANONICAL,
     B_CANONICAL,
     CosetConstraint,
     EnumerationStats,
+    LeechConstructionError,
+    build_golay,
     canonical_sort,
     enumerate_coset_shell,
     membership_mask,
@@ -29,6 +33,19 @@ from leechdesign.lattice.intlinalg import det_int
 
 def test_golay_weight_distribution(ctx):
     assert ctx.code.weight_counts == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+
+
+def test_golay_equals_the_word_by_word_construction():
+    generator, codewords, words, counts = golay_by_loop()
+    code = build_golay()
+    for got, want in ((code.generator, generator), (code.codewords, codewords),
+                      (code.words, words)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert code.weight_counts == counts
+    for w in counts:
+        assert code.masks_of_weight(w).tolist() == [
+            m for m in codewords.tolist() if m.bit_count() == w
+        ]
 
 
 def test_golay_contains_zero_and_all_ones(ctx):
@@ -353,3 +370,31 @@ def test_sphere_search_with_allowed_sets_agrees_with_brute_force():
         assert tuple(w0) in brute
         assert sols == sorted(brute)
         assert stats.leaves == stats.solutions == len(brute)
+
+
+def test_a_repeated_minimal_vector_is_a_duplicate_point(ctx, monkeypatch):
+    # every chunk twice: each point of the shell comes back twice, and passes
+    # the norm, constraint and membership checks
+    blocks = norm4_blocks
+
+    def twice(code):
+        for block in blocks(code):
+            yield block
+            yield block
+
+    monkeypatch.setattr(lattice, "norm4_blocks", twice)
+    with pytest.raises(LeechConstructionError, match="^duplicate points in enumeration$"):
+        enumerate_coset_shell(
+            [CosetConstraint(A_CANONICAL, 2), CosetConstraint(B_CANONICAL, 0)], 4
+        )
+
+
+def test_coset_filter_refuses_an_anchor_past_the_float_bound(ctx, monkeypatch):
+    # 24 * 4 * 2^48 = 1.5 * 2^54: the float64 filter could round
+    def no_products(code):
+        raise AssertionError("a product ran before the bound was checked")
+        yield
+
+    monkeypatch.setattr(lattice, "norm4_blocks", no_products)
+    with pytest.raises(ValueError, match="not below 2\\^53"):
+        enumerate_coset_shell([CosetConstraint(2**48 * A_CANONICAL // 4, 0)], 4)
