@@ -48,8 +48,9 @@ from .lattice import (
     B_CANONICAL,
     CosetConstraint,
     default_context,
+    distinct_rows,
     enumerate_coset_shell,
-    rows_as_set,
+    same_row_set,
 )
 from .report import VerificationReport
 
@@ -207,11 +208,8 @@ def verify_unique_claims(
 
         with stage.claim("unique/dual-frame-biorthogonal", True) as c:
             frame = unique.build_dual_frame(layer)
-            c.computed = all(
-                sum(frame.gram_inv[i][k] * int(frame.gram[k, j]) for k in range(22)) == int(i == j)
-                for i in range(22)
-                for j in range(22)
-            )
+            d_eye = frame.den * np.eye(22, dtype=np.int64)
+            c.computed = bool((exact_matmul(frame.ginv, frame.gram) == d_eye).all())
 
         with stage.claim("unique/candidate-count", 4050) as c:
             cands = unique.enumerate_candidates(frame, layer)
@@ -228,7 +226,7 @@ def verify_unique_claims(
             c.computed = f"{len(split.part_a)} + {len(split.part_b)}"
         if out_dir is not None:
             design_io.write_candidates(Path(out_dir) / "candidates.txt", cands.vectors3)
-        same = rows_as_set(split.part_a) == rows_as_set(ws.layers[1].points)
+        same = same_row_set(split.part_a, ws.layers[1].points)
         report.check("unique/part-a-equals-second-shell", True, same)
         report.check("unique/parts-disjoint", True, split.disjoint and split.covering)
         report.note("cross-part-products", [str(v) for v in split.cross_products])
@@ -239,7 +237,7 @@ def verify_unique_claims(
                 [CosetConstraint(a, 0), CosetConstraint(b, -2)], 4, default_context()
             )
             twin_from_lattice = project_rows_scaled(shell, a, b, mult=15)
-            c.computed = rows_as_set(split.part_b) == rows_as_set(twin_from_lattice)
+            c.computed = same_row_set(split.part_b, twin_from_lattice)
 
         with stage.claim("unique/twin-strength-6", True) as c:
             twin = unique.twin_design(ws, split)
@@ -273,12 +271,9 @@ def verify_seven_claims(
         with stage.claim("seven/y-family-sizes", "[275, 2025, 2025, 275]") as c:
             ys = build_Y(a, b)
             c.computed = [ys[i].shape[0] for i in (1, 2, -2, -1)]
-        union = set().union(*(rows_as_set(ys[i]) for i in (1, 2, -1, -2)))
+        union = distinct_rows(np.concatenate([ys[i] for i in (1, 2, -1, -2)]))
         report.check("seven/y-union-size", 4600, len(union))
-        mirrored = all(
-            rows_as_set(ys[i]) == {tuple(-x for x in v) for v in rows_as_set(ys[-i])}
-            for i in (1, 2)
-        )
+        mirrored = all(same_row_set(ys[i], -ys[-i]) for i in (1, 2))
         report.check("seven/y-plus-equals-minus-negated", True, mirrored)
         with stage.claim("seven/y-antipodal-pairs", 2300) as c:
             c.computed = y_antipodal_pair_count(ys)

@@ -33,11 +33,12 @@ from .lattice import (
     CosetConstraint,
     canonical_sort,
     default_context,
+    distinct_rows,
     enumerate_coset_shell,
     has_repeated_row,
     membership_mask,
     conventional_inner,
-    rows_as_set,
+    same_row_set,
 )
 
 W1 = Fraction(1)
@@ -285,13 +286,11 @@ def build_Y(a, b):
 
 def y_antipodal_pair_count(y_sets) -> int:
     """Number of {v, -v} pairs in the union of the four projected families."""
-    union = set().union(*(rows_as_set(y_sets[k]) for k in (1, 2, -1, -2)))
-    for v in union:
-        neg = tuple(-c for c in v)
-        if neg == v:
-            raise DesignConstructionError("self-antipodal point in Y union")
-        if neg not in union:
-            raise DesignConstructionError("Y union is not antipode-closed")
+    union = distinct_rows(np.concatenate([y_sets[k] for k in (1, 2, -1, -2)]))
+    if not union.any(axis=1).all():  # only the zero row is its own antipode
+        raise DesignConstructionError("self-antipodal point in Y union")
+    if not np.array_equal(union, distinct_rows(-union)):
+        raise DesignConstructionError("Y union is not antipode-closed")
     return len(union) // 2
 
 
@@ -306,7 +305,7 @@ def check_X1_equals_PY(ws: WeightedPointSet, y_plus1: np.ndarray, a, b) -> bool:
     proj = project_rows_scaled(y_plus1, a, b, mult=5)
     if np.any(proj % 2):
         return False
-    return rows_as_set(proj // 2) == rows_as_set(ws.layers[0].points)
+    return same_row_set(proj // 2, ws.layers[0].points)
 
 
 # -- the antipodal double cover on S^22 ---------------------------------------

@@ -25,12 +25,13 @@ from .leech import (
     B_CANONICAL,
     LeechConstructionError,
     canonical_sort,
+    distinct_rows,
     has_repeated_row,
     membership_mask,
     norm4_blocks,
     norm4_shell,
     conventional_inner,
-    rows_as_set,
+    same_row_set,
 )
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "build_golay",
     "canonical_sort",
     "default_context",
+    "distinct_rows",
     "enumerate_coset_shell",
     "enumerate_sphere",
     "has_repeated_row",
@@ -52,7 +54,7 @@ __all__ = [
     "norm4_blocks",
     "norm4_shell",
     "conventional_inner",
-    "rows_as_set",
+    "same_row_set",
 ]
 
 

@@ -1,13 +1,13 @@
-"""Small exact linear algebra: row HNF and its back-substitution, the
-Bareiss determinant, and one rational Gauss-Jordan for ranks and inverses.
+"""Small exact linear algebra in integers: row HNF and its
+back-substitution, and the adjugate with the determinant by one
+fraction-free Gauss-Jordan.
 
-Everything here works on Python ints and Fractions (no overflow) in plain
-nested lists; the matrices involved are at most a few hundred rows.
+Everything here works on Python ints (no overflow) in plain nested lists;
+the matrices involved are at most a few hundred rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 
@@ -84,60 +84,28 @@ def hnf_coordinates(h, vec) -> Optional[list[int]]:
     return None if any(resid) else y
 
 
-def det_int(mat) -> int:
-    """Determinant of a square integer matrix (Bareiss, fraction free)."""
-    a = _as_int_rows(mat)
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
+def adjugate(mat) -> tuple[Optional[list[list[int]]], int]:
+    """(adj M, det M) of a square integer matrix, with adj M @ M = M @ adj M
+    = det M * I: one fraction-free Gauss-Jordan on [M | I] (Bareiss, Math.
+    Comp. 22, 1968).  Every entry stays a minor of [M | I], so each
+    division by the previous pivot is exact.  A singular M gives (None, 0).
+    """
+    n = len(mat)
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return None, 0
+        if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def gauss_jordan(mat) -> tuple[list[list[Fraction]], int]:
-    """Reduced row echelon form over Q of a rational matrix, and its rank."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(m):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return a, rank
-
-
-def rank_rational(mat) -> int:
-    """Rank over Q of an integer/rational matrix."""
-    return gauss_jordan(mat)[1]
-
-
-def rational_matrix_inverse(mat) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix: Gauss-Jordan on [M | I]."""
-    n = len(mat)
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    a, _ = gauss_jordan([list(row) + e for row, e in zip(mat, eye)])
-    if [row[:n] for row in a] != eye:  # the left block reduces to I iff M is regular
-        raise ValueError("singular matrix")
-    return [row[n:] for row in a]
+        pk = a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk[k] * x - f * y) // prev for x, y in zip(a[i], pk)]
+        prev = pk[k]
+    # The swaps permute [M | I] to [PM | P], which ends as [d I | d (PM)^-1 P]
+    # with d = det PM = sign * det M; the right block is d M^-1 = sign * adj M.
+    return [[sign * x for x in row[n:]] for row in a], sign * prev

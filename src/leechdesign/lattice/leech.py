@@ -130,5 +130,14 @@ def has_repeated_row(sorted_rows: np.ndarray) -> bool:
     return bool((sorted_rows[1:] == sorted_rows[:-1]).all(axis=1).any())
 
 
-def rows_as_set(arr: np.ndarray) -> set[tuple[int, ...]]:
-    return {tuple(int(x) for x in row) for row in np.asarray(arr)}
+def distinct_rows(arr: np.ndarray) -> np.ndarray:
+    """The distinct rows of an integer array, in canonical order."""
+    rows = canonical_sort(arr)
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def same_row_set(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two integer arrays hold the same set of rows, repeats ignored."""
+    return np.array_equal(distinct_rows(a), distinct_rows(b))

@@ -16,36 +16,33 @@ coefficient is <y, e_i>, and the three admissible values are congruent
 to -1 mod 5.  The search over c in {0,+-1}^22 with the exact norm
 constraint is therefore complete; no candidate outside that cube exists.
 
-The computation runs in three steps: the sphere search over the cube
-(`enumerate_sphere`, which checks the norm only), one integer check of
-the 275 admissibility conditions on the array of its leaves, and one
-integer matmul over the common denominator D of G^-1 that turns the
-surviving coefficient vectors into integer vectors 3 * y in stored
-coordinates.  Every integer product is one `construct.exact_matmul` call,
-and all pairwise decisions downstream are exact integer arithmetic, read
-from pair statistics (`construct.BlockStats`): the shell's products
-from the design's, the two-class split from the candidates'.
+The dual frame is integral throughout: the basis comes from one
+fraction-free row reduction and a swap descent on adjugates, and G^-1 is
+kept as the integer matrix D * G^-1 over its common denominator D, both
+from `intlinalg.adjugate`.  The computation then runs in three steps: the
+sphere search over the cube (`enumerate_sphere`, which checks the norm
+only), one integer check of the 275 admissibility conditions on the array
+of its leaves, and one integer matmul over D that turns the surviving
+coefficient vectors into integer vectors 3 * y in stored coordinates.
+Every integer product is one `construct.exact_matmul` call, and all
+pairwise decisions downstream are exact integer arithmetic, read from
+pair statistics (`construct.BlockStats`): the shell's products from the
+design's, the two-class split from the candidates'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Optional
 
 import numpy as np
 
 from .construct import BlockStats, PointLayer, StepError, WeightedPointSet, exact_matmul
-from .lattice import canonical_sort, rows_as_set
+from .lattice import canonical_sort, distinct_rows, has_repeated_row
 from .lattice.fincke_pohst import EnumerationStats, enumerate_sphere, rational_cholesky
-from .lattice.intlinalg import (
-    det_int,
-    hnf_coordinates,
-    hnf_rows,
-    rank_rational,
-    rational_matrix_inverse,
-)
+from .lattice.intlinalg import adjugate, hnf_coordinates, hnf_rows
 
 WORK_DEN = 40  # stored dot / 40 = lattice inner product
 CANDIDATE_NORM = Fraction(44, 3)
@@ -70,7 +67,8 @@ class DualFrame:
     basis_indices: tuple[int, ...]  # 22 rows of the layer
     basis_points: np.ndarray  # (22, 24)
     gram: np.ndarray  # (22, 22) int
-    gram_inv: list  # exact Fractions
+    ginv: np.ndarray  # (22, 22) int: den * G^-1
+    den: int  # the common denominator D of G^-1
     coeffs: np.ndarray  # (275, 22) int: x = sum_j coeffs[x, j] e_j
 
 
@@ -107,13 +105,12 @@ def integralize_X1(ws: WeightedPointSet) -> IntegralizedLayer:
     return IntegralizedLayer(points=layer.points, norm=norm, products=tuple(off.tolist()[::-1]))
 
 
-def _scaled_inverse(gram_inv: list) -> tuple[np.ndarray, int]:
-    """(D * G^-1 as int64, D) for the common denominator D of G^-1."""
-    den = lcm(*(v.denominator for row in gram_inv for v in row))
-    scaled = [[int(v * den) for v in row] for row in gram_inv]
-    if max(abs(v) for row in scaled for v in row) >= 2**63:
-        raise UniquenessError("D * G^-1 does not fit in int64")
-    return np.array(scaled, dtype=np.int64), den
+def _operand(rows: list[list[int]]) -> np.ndarray:
+    """An integer matrix as an int64 `exact_matmul` operand; an entry at or
+    above 2^53 is refused."""
+    if max(abs(v) for row in rows for v in row) >= 2**53:
+        raise UniquenessError("adjugate entry is not below 2^53")
+    return np.array(rows, dtype=np.int64)
 
 
 def _lattice_coordinates(pts: np.ndarray) -> np.ndarray:
@@ -133,61 +130,56 @@ def _unimodular_point_subset(coords: np.ndarray, pref: list[int]) -> list[int]:
     """22 point indices whose rows form a basis of Z^22: greedy independent
     start, then swap descent on |det| using single-point exchanges.
 
-    Each accepted swap replaces basis row k by a point whose coordinate
-    over the current basis has fractional entry of absolute value < 1 at
-    position k, which multiplies |det| by that value: |det| is a strictly
-    decreasing positive integer sequence, so the descent terminates."""
-    rows: list[list[int]] = []
+    The start takes each row, in `pref` order, that a fraction-free row
+    reduction against the rows already taken leaves nonzero.  With
+    adj = adj(B) of the basis rows B, a point's coordinates over the basis
+    are its row of coords @ adj, divided by det B.  Each accepted swap
+    replaces basis row k by a point whose coordinate at position k is not
+    an integer and has absolute value < 1, which multiplies |det| by that
+    value: |det| is a strictly decreasing positive integer sequence, so the
+    descent terminates."""
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, primitive row)
     subset: list[int] = []
     for idx in pref:
-        cand = rows + [list(map(int, coords[idx]))]
-        if rank_rational(cand) == len(cand):
+        v = coords[idx].tolist()
+        for c, r in echelon:
+            if v[c]:
+                g = gcd(v[c], r[c])
+                f, h = r[c] // g, v[c] // g
+                v = [f * x - h * y for x, y in zip(v, r)]
+        piv = next((c for c, x in enumerate(v) if x), None)
+        if piv is not None:
+            g = gcd(*v)
+            echelon.append((piv, [x // g for x in v]))
             subset.append(idx)
-            rows.append(cand[-1])
             if len(subset) == 22:
                 break
     if len(subset) != 22:
         raise UniquenessError("shell does not span 22 dimensions")
 
     while True:
-        basis = [[int(x) for x in coords[i]] for i in subset]
-        det = abs(det_int(basis))
+        adj, det = adjugate(coords[subset].tolist())
         if det == 0:
             raise UniquenessError("basis degenerated during swap descent")
-        if det == 1:
+        if abs(det) == 1:
             return subset
-        inv = rational_matrix_inverse(
-            [[Fraction(v) for v in row] for row in basis]
-        )
-        improved = False
-        for idx in pref:
-            if idx in subset:
-                continue
-            m = [
-                sum(Fraction(int(coords[idx, c])) * inv[c][k] for c in range(22))
-                for k in range(22)
-            ]
-            frac = [
-                (abs(v), k)
-                for k, v in enumerate(m)
-                if v.denominator != 1 and abs(v) < 1
-            ]
-            if frac:
-                _, k = min(frac)
-                subset[k] = idx
-                improved = True
-                break
-        if not improved:
+        m = exact_matmul(coords, _operand(adj))  # det * coordinates over the basis
+        fits = (m % det != 0) & (np.abs(m) < abs(det))
+        idx = next((i for i in pref if fits[i].any()), None)
+        if idx is None:
             raise UniquenessError(
-                f"swap descent stuck at index^2 {det}; no single-point "
+                f"swap descent stuck at index^2 {abs(det)}; no single-point "
                 "exchange improves the basis"
             )
+        # the fitting position of least |coordinate|, the first on a tie
+        subset[int(np.where(fits[idx], np.abs(m[idx]), abs(det)).argmin())] = idx
 
 
 def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None) -> DualFrame:
     """Choose 22 shell vectors forming a basis of the lattice generated by
-    the whole shell, invert their Gram matrix exactly, and express all 275
-    shell vectors integrally over the chosen basis.
+    the whole shell, invert their Gram matrix exactly as D * G^-1 over its
+    common denominator D, and express all 275 shell vectors integrally over
+    the chosen basis.
 
     A greedy independent subset generally generates a finite-index
     sublattice, so the choice is repaired by determinant swap descent
@@ -204,17 +196,17 @@ def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None
     if np.any(gram_raw % WORK_DEN):
         raise UniquenessError("basis Gram is not integral")
     gram_np = gram_raw // WORK_DEN
-    if det_int([list(map(int, r)) for r in gram_np]) <= 0:
+    adj, det = adjugate(gram_np.tolist())
+    if det <= 0:
         raise UniquenessError("basis Gram is not positive definite")
-    gram_inv = rational_matrix_inverse(
-        [[Fraction(int(gram_np[i, j])) for j in range(22)] for i in range(22)]
-    )
+    # G^-1 = adj / det in lowest terms: D = det / g is its common denominator
+    g = gcd(det, *(v for row in adj for v in row))
+    ginv, den = _operand([[v // g for v in row] for row in adj]), det // g
 
     prods_raw = exact_matmul(pts, basis.T)
     if np.any(prods_raw % WORK_DEN):
         raise UniquenessError("non-integral inner product against basis")
     prods = prods_raw // WORK_DEN  # <x, e_j>, exact ints
-    ginv, den = _scaled_inverse(gram_inv)
     scaled = exact_matmul(prods, ginv.T)  # D * coefficients
     if np.any(scaled % den):
         raise UniquenessError(
@@ -229,7 +221,8 @@ def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None
         basis_indices=tuple(chosen),
         basis_points=basis,
         gram=gram_np,
-        gram_inv=gram_inv,
+        ginv=ginv,
+        den=den,
         coeffs=coeffs,
     )
 
@@ -241,9 +234,6 @@ def enumerate_candidates(frame: DualFrame, layer: IntegralizedLayer) -> Candidat
     runs once on all of its leaves, and the leaves it rejects are counted
     in `CandidateSet.rejected_leaves`.
     """
-    gram_q = [
-        [25 * frame.gram_inv[i][j] for j in range(22)] for i in range(22)
-    ]
     shift = [Fraction(-1, 5)] * 22
 
     sums = frame.coeffs.sum(axis=1)
@@ -254,9 +244,15 @@ def enumerate_candidates(frame: DualFrame, layer: IntegralizedLayer) -> Candidat
         )
     k = (sums - 1) // 5
 
+    # The form 25 G^-1 and the target, both scaled by D: the same solutions
+    # and the same search, since every interval reads their ratio.
     stats = EnumerationStats()
     leaves = enumerate_sphere(
-        rational_cholesky(gram_q), shift, CANDIDATE_NORM, allowed=[(-1, 0, 1)] * 22, stats=stats
+        rational_cholesky((25 * frame.ginv).tolist()),
+        shift,
+        CANDIDATE_NORM * frame.den,
+        allowed=[(-1, 0, 1)] * 22,
+        stats=stats,
     )
     # <y, x> = 5 (c . coeffs_x) - sum(coeffs_x) is in {4, -1, -6} exactly
     # when c . coeffs_x lies in [k_x - 1, k_x + 1].
@@ -269,11 +265,10 @@ def enumerate_candidates(frame: DualFrame, layer: IntegralizedLayer) -> Candidat
     u_arr = 5 * c_arr - 1
 
     # y = sum_i (G^-1 u)_i e_i, materialized as 3 y (integral).
-    ginv, den = _scaled_inverse(frame.gram_inv)
-    scaled = exact_matmul(exact_matmul(u_arr, ginv.T), 3 * frame.basis_points)
-    if np.any(scaled % den):
+    scaled = exact_matmul(exact_matmul(u_arr, frame.ginv.T), 3 * frame.basis_points)
+    if np.any(scaled % frame.den):
         raise UniquenessError("candidate is not in (1/3) * stored frame")
-    vecs3 = scaled // den
+    vecs3 = scaled // frame.den
 
     order = np.lexsort(vecs3.T[::-1])
     vecs3 = vecs3[order]
@@ -296,7 +291,7 @@ def _verify_candidates(
     vals = prods // (3 * WORK_DEN)
     if not set(np.unique(vals).tolist()) <= set(ADMISSIBLE_PRODUCTS):
         raise UniquenessError("candidate with inadmissible inner product")
-    if len(rows_as_set(vecs3)) != len(vecs3):
+    if has_repeated_row(vecs3):  # in canonical order
         raise UniquenessError("duplicate candidates")
     # Dual coefficients are the inner products against the basis vectors.
     against_basis = vals[:, list(frame.basis_indices)]
@@ -357,8 +352,12 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
 
     part_a = canonical_sort(vec[in_a])
     part_b = canonical_sort(vec[in_b])
-    x2_stored = rows_as_set(ws.layers[1].points)
-    if len(rows_as_set(part_b) & x2_stored) > len(rows_as_set(part_a) & x2_stored):
+    x2 = distinct_rows(ws.layers[1].points)
+
+    def shared(part):  # rows of the part (distinct candidates) that x2 holds
+        return len(part) + len(x2) - len(distinct_rows(np.concatenate([part, x2])))
+
+    if shared(part_b) > shared(part_a):
         part_a, part_b = part_b, part_a
     return CandidateSplit(
         part_a=part_a,

@@ -9,6 +9,10 @@ integral LLL of the sublattice, a coset representative shortened against
 it, the coset centre from the LDL^T of the sublattice Gram, and the
 Fincke-Pohst search of `leechdesign.lattice.fincke_pohst` on that coset.
 It works for every norm and every independent set of lattice anchors.
+
+Also here: the exact references the tests compare the program's integer
+routines with, in rational arithmetic or Python sets (`det_rational`,
+`rows_as_set`).
 """
 
 from __future__ import annotations
@@ -24,9 +28,32 @@ from leechdesign.lattice import (
     membership_mask,
 )
 from leechdesign.lattice.fincke_pohst import enumerate_sphere, rational_cholesky
-from leechdesign.lattice.intlinalg import det_int, hnf_coordinates, hnf_rows
+from leechdesign.lattice.intlinalg import adjugate, hnf_coordinates, hnf_rows
 
 _LEECH_SCALED_DET = 8**12  # covolume of the sqrt8-scaled lattice
+
+
+def det_rational(mat) -> Fraction:
+    """Determinant of a square rational matrix by Gaussian elimination over
+    Fractions, the reference for `intlinalg.adjugate`."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+def rows_as_set(arr) -> set[tuple[int, ...]]:
+    return {tuple(int(x) for x in row) for row in np.asarray(arr)}
 
 
 class InfeasibleCosetError(RuntimeError):
@@ -56,7 +83,7 @@ def leech_basis(code) -> np.ndarray:
     rows = [r for r in h if any(r)]
     if len(rows) != 24:
         raise LeechConstructionError(f"basis rank {len(rows)} != 24")
-    d = abs(det_int(rows))
+    d = abs(adjugate(rows)[1])
     if d != _LEECH_SCALED_DET:
         raise LeechConstructionError(f"basis determinant {d} != 8^12")
     basis = np.array(rows, dtype=np.int64)

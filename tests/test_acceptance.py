@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from coset_reference import sphere_coset_shell
+from coset_reference import rows_as_set, sphere_coset_shell
 from float_oracle import float_polynomial_check
 from leechdesign.coherent import classify_pairs, compare_with_reference, intersection_numbers
 from leechdesign.coherent_fixture import LABEL_INDEX
@@ -35,7 +35,6 @@ from leechdesign.lattice import (
     A_CANONICAL,
     B_CANONICAL,
     CosetConstraint,
-    rows_as_set,
 )
 from leechdesign.unique import CANDIDATE_NORM
 

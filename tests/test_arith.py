@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from coset_reference import ldl_solve
+from coset_reference import det_rational, ldl_solve
 from leechdesign.arith import rat_from_text, rat_to_text
 from leechdesign.lattice.fincke_pohst import NotPositiveDefiniteError, rational_cholesky
-from leechdesign.lattice.intlinalg import hnf_coordinates, hnf_rows, rational_matrix_inverse
+from leechdesign.lattice.intlinalg import adjugate, hnf_coordinates, hnf_rows
 
 
 def test_text_round_trip():
@@ -41,12 +41,43 @@ def test_singular_matrix_reports_rank():
         rational_cholesky([[1, 2], [2, 4]])
 
 
-def test_matrix_inverse_exact():
-    m = [[Fraction(4), Fraction(-1)], [Fraction(-1), Fraction(4)]]
-    inv = rational_matrix_inverse(m)
-    assert inv == [[Fraction(4, 15), Fraction(1, 15)], [Fraction(1, 15), Fraction(4, 15)]]
-    with pytest.raises(ValueError, match="singular"):
-        rational_matrix_inverse([[1, 2], [2, 4]])
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_adjugate_examples():
+    assert adjugate([[4, -1], [-1, 4]]) == ([[4, 1], [1, 4]], 15)
+    assert adjugate([[0, 1], [1, 0]]) == ([[0, -1], [-1, 0]], -1)  # a pivot swap
+    assert adjugate([[1, 2], [2, 4]]) == (None, 0)
+
+
+def test_adjugate_of_random_integer_matrices():
+    # adj M M = M adj M = det M I, with det M from the rational reference;
+    # the small entry range makes singular and pivot-swapping inputs common
+    rng = random.Random(11)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        adj, det = adjugate(m)
+        assert det == det_rational(m)
+        if det == 0:
+            assert adj is None
+            singular += 1
+            continue
+        eye = [[det * (i == j) for j in range(n)] for i in range(n)]
+        assert _matmul(adj, m) == _matmul(m, adj) == eye
+        if n > 1:  # a row swap flips the sign and swaps the adjugate's columns
+            i, j = rng.sample(range(n), 2)
+            swapped = list(m)
+            swapped[i], swapped[j] = m[j], m[i]
+            adj2, det2 = adjugate(swapped)
+            assert det2 == -det
+            assert [[-row[k] for k in range(n)] for row in adj2] == [
+                [row[j] if k == i else row[i] if k == j else row[k] for k in range(n)]
+                for row in adj
+            ]
+    assert 0 < singular < 300
 
 
 def test_hnf_coordinates_inside_and_outside_the_lattice():

@@ -23,6 +23,7 @@ from leechdesign.construct import (
 )
 from leechdesign.design import mutate_design
 from leechdesign.lattice import B_CANONICAL, canonical_sort, default_context, norm4_shell
+from leechdesign.lattice.intlinalg import adjugate
 from leechdesign.report import VerificationReport
 from leechdesign.unique import UniquenessError
 
@@ -449,6 +450,30 @@ def test_uniqueness_error_of_a_step_fails_its_claim(
     last = json.loads((out / f"report_{stage}.canonical.json").read_text())["claims"][-1]
     # the stage stops at the failed step's claim
     assert (last["claim"], last["pass"], last["computed"]) == (stop_claim, False, "error: injected")
+
+
+def test_wrong_adjugate_fails_the_biorthogonality_claim(tmp_path, design, capsys, monkeypatch):
+    def one_entry_wrong(mat):
+        adj, det = adjugate(mat)
+        if mat == [list(col) for col in zip(*mat)]:  # the Gram, the one symmetric input
+            adj[0][1] += det  # one entry of G^-1 off by exactly 1
+        return adj, det
+
+    monkeypatch.setattr("leechdesign.unique.adjugate", one_entry_wrong)
+    path = tmp_path / "design.txt"
+    design_io.write_design(path, design)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["verify-unique", "--in", str(path), "--out", str(out)])
+    assert code == 1
+    assert "FIRST FAILED CLAIM: unique/dual-frame-biorthogonal " in capsys.readouterr().err
+    claims = json.loads((out / "report_unique.canonical.json").read_text())["claims"]
+    # the frame's own round trip catches the wrong inverse and ends the stage
+    assert [(c["claim"], c["pass"]) for c in claims] == [
+        ("unique/integral-shell-products", True),
+        ("unique/dual-frame-biorthogonal", False),
+    ]
+    assert claims[-1]["computed"] == "error: dual-frame coefficient round trip failed"
 
 
 def test_cli_usage_error_on_missing_file(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coset_reference import sphere_coset_shell
+from coset_reference import rows_as_set, sphere_coset_shell
 from leechdesign import construct
 from leechdesign.cli import verify_seven_claims
 from leechdesign.construct import (
@@ -24,7 +24,6 @@ from leechdesign.lattice import (
     B_CANONICAL,
     CosetConstraint,
     enumerate_coset_shell,
-    rows_as_set,
 )
 from leechdesign.report import VerificationReport
 

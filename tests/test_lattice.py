@@ -8,6 +8,7 @@ from coset_reference import (
     InfeasibleCosetError,
     coset_setup,
     reduce_basis_rows,
+    rows_as_set,
     shell_size,
     sphere_coset_shell,
 )
@@ -21,14 +22,15 @@ from leechdesign.lattice import (
     LeechConstructionError,
     build_golay,
     canonical_sort,
+    distinct_rows,
     enumerate_coset_shell,
     membership_mask,
     norm4_blocks,
     norm4_shell,
     conventional_inner,
-    rows_as_set,
+    same_row_set,
 )
-from leechdesign.lattice.intlinalg import det_int
+from leechdesign.lattice.intlinalg import adjugate
 
 
 def test_golay_weight_distribution(ctx):
@@ -78,8 +80,16 @@ def test_conventional_inner_examples(ctx):
     assert conventional_inner(zero, zero) == 0
 
 
+def test_row_sets_compare_sorted_distinct_rows():
+    a = np.array([[1, 2], [0, 5], [1, 2], [-3, 0]], dtype=np.int64)
+    assert distinct_rows(a).tolist() == [[-3, 0], [0, 5], [1, 2]]
+    assert same_row_set(a, a[1:])  # order and repeats are ignored
+    assert not same_row_set(a, a[:2])
+    assert distinct_rows(a[:0]).shape == (0, 2)
+
+
 def test_basis_determinant(basis):
-    assert abs(det_int([list(map(int, r)) for r in basis])) == 8**12
+    assert abs(adjugate(basis.tolist())[1]) == 8**12
 
 
 def test_shell_sizes(ctx):
@@ -217,8 +227,6 @@ def _exact_gram_schmidt(rows):
 def test_reduced_kernel_rows_are_an_lll_basis_of_norm_32(basis, a, b, values):
     from fractions import Fraction
 
-    from leechdesign.lattice.intlinalg import rational_matrix_inverse
-
     cons = [CosetConstraint(a, values[0]), CosetConstraint(b, values[1])]
     _, k_rows = coset_setup(cons, basis)
     out = reduce_basis_rows(k_rows)
@@ -227,15 +235,16 @@ def test_reduced_kernel_rows_are_an_lll_basis_of_norm_32(basis, a, b, values):
     r = [list(map(int, row)) for row in out]
 
     # same lattice: each output row is an integer combination of the input
-    # rows (U = R K^T (K K^T)^-1 is integral), and the Gram determinants agree
+    # rows (U = R K^T (K K^T)^-1 = R K^T adj / det is integral), and the Gram
+    # determinants agree
     gram_k = [[sum(x * y for x, y in zip(u, v)) for v in k] for u in k]
     gram_r = [[sum(x * y for x, y in zip(u, v)) for v in r] for u in r]
-    inv = rational_matrix_inverse([[Fraction(x) for x in row] for row in gram_k])
+    adj, det = adjugate(gram_k)
     for row in r:
         prods = [sum(x * y for x, y in zip(row, v)) for v in k]
-        coeffs = [sum(p * inv[i][j] for i, p in enumerate(prods)) for j in range(22)]
-        assert all(c.denominator == 1 for c in coeffs)
-    assert det_int(gram_r) == det_int(gram_k)
+        coeffs = [sum(p * adj[i][j] for i, p in enumerate(prods)) for j in range(22)]
+        assert all(c % det == 0 for c in coeffs)
+    assert adjugate(gram_r)[1] == det
 
     mu, bstar_sq = _exact_gram_schmidt(r)
     assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(22) for j in range(i))

@@ -4,18 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from coset_reference import sphere_coset_shell
+from coset_reference import rows_as_set, sphere_coset_shell
 from leechdesign import io as design_io
 from leechdesign.coherent import classify_pairs, compare_with_reference, intersection_numbers
 from leechdesign.construct import project_rows_scaled
 from leechdesign.design import euclidean_strength
-from leechdesign.lattice import (
-    A_CANONICAL,
-    B_CANONICAL,
-    CosetConstraint,
-    rows_as_set,
-)
-from leechdesign.lattice.intlinalg import det_int
+from leechdesign.lattice import A_CANONICAL, B_CANONICAL, CosetConstraint
+from leechdesign.lattice.intlinalg import adjugate
 from leechdesign.unique import (
     CANDIDATE_NORM,
     build_dual_frame,
@@ -38,18 +33,26 @@ def test_integralized_layer(x1_integral):
 
 
 def test_dual_frame_biorthogonality(dual_frame):
-    for i in range(22):
-        for j in range(22):
-            v = sum(
-                dual_frame.gram_inv[i][k] * int(dual_frame.gram[k, j])
-                for k in range(22)
-            )
-            assert v == (1 if i == j else 0)
+    # D G^-1 G = G D G^-1 = D I, in Python ints
+    ginv, gram = dual_frame.ginv.tolist(), dual_frame.gram.tolist()
+    eye = [[dual_frame.den * (i == j) for j in range(22)] for i in range(22)]
+    for a, b in ((ginv, gram), (gram, ginv)):
+        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a] == eye
 
 
 def test_dual_frame_gram_positive_definite(dual_frame):
-    d = det_int([list(map(int, r)) for r in dual_frame.gram])
-    assert d > 0
+    _, d = adjugate(dual_frame.gram.tolist())
+    assert d == 3 * 5**21  # D = 15 is d over the gcd of d and adj G
+
+
+def test_dual_frame_is_pinned(dual_frame):
+    # the basis the swap descent reaches from the greedy start in row order,
+    # and G^-1 in lowest terms over its common denominator
+    assert dual_frame.basis_indices == (
+        22, 23, 27, 24, 26, 28, 30, 29, 38, 9, 25, 78, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21
+    )
+    assert dual_frame.den == 15
+    assert int(np.abs(dual_frame.ginv).max()) == 1476
 
 
 def test_dual_frame_coefficients_reconstruct_points(x1_integral, dual_frame):
@@ -170,8 +173,9 @@ def test_basis_choice_does_not_change_candidates(x1_integral, candidates):
 
 def test_two_bases_have_equal_gram_determinant(x1_integral, dual_frame):
     frame2 = build_dual_frame(x1_integral, order=list(reversed(range(275))))
-    d1 = det_int([list(map(int, r)) for r in dual_frame.gram])
-    d2 = det_int([list(map(int, r)) for r in frame2.gram])
+    assert frame2.basis_indices != dual_frame.basis_indices
+    d1 = adjugate(dual_frame.gram.tolist())[1]
+    d2 = adjugate(frame2.gram.tolist())[1]
     assert d1 == d2  # both are bases of the same lattice
 
 
