@@ -47,7 +47,6 @@ from .lattice import (
     A_CANONICAL,
     B_CANONICAL,
     CosetConstraint,
-    default_context,
     distinct_rows,
     enumerate_coset_shell,
     same_row_set,
@@ -233,9 +232,7 @@ def verify_unique_claims(
 
         with stage.claim("unique/part-b-equals-projected-coset", True) as c:
             check_orthogonal_to_anchors(ws, a, b)
-            shell = enumerate_coset_shell(
-                [CosetConstraint(a, 0), CosetConstraint(b, -2)], 4, default_context()
-            )
+            shell = enumerate_coset_shell([CosetConstraint(a, 0), CosetConstraint(b, -2)], 4)
             twin_from_lattice = project_rows_scaled(shell, a, b, mult=15)
             c.computed = same_row_set(split.part_b, twin_from_lattice)
 

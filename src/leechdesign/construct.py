@@ -244,7 +244,9 @@ def build_design(a, b) -> WeightedPointSet:
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     check_anchor_pair(a, b)
 
-    shell1 = enumerate_coset_shell([CosetConstraint(a, 3), CosetConstraint(b, -3)], 6)
+    # The inner shell {(x, a) = 3, (x, b) = -3} at norm 6 is the translate by
+    # a of this norm-4 shell, and the projection does not see a.
+    shell1 = enumerate_coset_shell([CosetConstraint(a, -1), CosetConstraint(b, -2)], 4)
     shell2 = enumerate_coset_shell([CosetConstraint(a, 2), CosetConstraint(b, 0)], 4)
     if shell1.shape[0] != 275 or shell2.shape[0] != 2025:
         raise DesignConstructionError(

@@ -75,12 +75,15 @@ def read_design(path: Path) -> WeightedPointSet:
             count = int(fields["count"])
             if denom < 1 or count < 1:
                 raise FormatError("layer denom and count must be positive")
-            rows = [[int(x) for x in line.split()] for line in text[i + 1 : i + 1 + count]]
-            if len(rows) != count or any(len(r) != 24 for r in rows):
+            block = text[i + 1 : i + 1 + count]
+            # a ragged block or a token that is not an int64 raises ValueError
+            # or OverflowError
+            points = np.array([line.split() for line in block], dtype=np.int64)
+            if points.shape != (count, 24):
                 raise FormatError("layer point count or width mismatch")
             layers.append(
                 PointLayer(
-                    points=np.array(rows, dtype=np.int64),
+                    points=points,
                     denom=denom,
                     weight=weight,
                     r2=r2,

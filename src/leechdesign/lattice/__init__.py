@@ -1,18 +1,16 @@
-"""Leech lattice construction and fixed-norm coset shells.
+"""Leech lattice construction and norm-4 coset shells.
 
 The public surface: build the Golay code and lattice context once, then
-list {x in Lambda : (x,x) = norm, (x, anchor_k) = value_k} exactly, for
-norms 4 and 6.  Every such shell the pipeline needs is a filter of the
-196560 minimal vectors, which `leech.norm4_blocks` builds from the Golay
-code in small chunks; a norm-6 shell is a translate of a norm-4 one.  The
-exact sphere search (`enumerate_sphere`) serves the candidate search of
-`unique`.
+list {x in Lambda : (x,x) = 4, (x, anchor_k) = value_k} exactly.  Every
+shell the pipeline needs is such a filter of the 196560 minimal vectors,
+which `leech.norm4_blocks` builds from the Golay code in small chunks.
+The exact sphere search (`enumerate_sphere`) serves the candidate search
+of `unique`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -79,74 +77,53 @@ def default_context() -> LeechContext:
 def enumerate_coset_shell(
     constraints: Sequence[CosetConstraint],
     norm,
-    ctx: Optional[LeechContext] = None,
+    *,
     stats: Optional[EnumerationStats] = None,
 ) -> np.ndarray:
-    """The complete set {x in Lambda : (x,x)=norm, (x,anchor_i)=value_i}
-    for norm 4, or for norm 6 with a constraint (t, 3) on a norm-4 lattice
-    vector t.
+    """The complete set {x in Lambda : (x,x)=4, (x,anchor_i)=value_i}, a
+    filter of the minimal vectors; `norm` must be 4, and any other norm
+    raises ValueError.
 
     Returns an (n, 24) int64 array in canonical (lexicographic) order; an
-    empty array means an empty shell.  Norm 4 is a filter of the minimal
-    vectors.  Norm 6 is reached by translation: x -> x - t maps the shell
-    one to one onto the minimal vectors x' with (x', t) = -1, since
-    (x'+t)^2 = 4 + 4 - 2 = 6, and every other value shifts by (t, anchor).
-    Any other norm raises ValueError.  `stats.solutions` counts the rows
+    empty array means an empty shell.  `stats.solutions` counts the rows
     returned; no search runs, so `stats.nodes` stays 0.
 
     Each chunk is filtered by one float64 BLAS product with the anchors,
     exact while 24 * 4 * max|anchor| (|coordinate| <= 4) is below 2^53, as
     in `construct.exact_matmul`; a larger anchor raises ValueError first.
     """
-    if ctx is None:
-        ctx = default_context()
+    if norm != 4:
+        raise ValueError(f"coset shells of norm 4 only; got {norm}")
     anchors = np.array([c.anchor for c in constraints], dtype=np.int64).reshape(-1, 24).T
     bound = 24 * 4 * max(int(anchors.max(initial=0)), -int(anchors.min(initial=0)))
     if bound >= 2**53:
         raise ValueError(f"anchor product bound {bound} is not below 2^53")
     want = 8 * np.array([c.value for c in constraints], dtype=np.int64)
-    norm = Fraction(norm)
-    if norm == 4:
-        t = np.zeros(24, dtype=np.int64)
-    elif norm == 6:
-        threes = [np.asarray(c.anchor, dtype=np.int64) for c in constraints if c.value == 3]
-        minimal = [
-            v for v in threes
-            if conventional_inner(v, v) == 4 and membership_mask(v[None], ctx.code)[0]
-        ]
-        if not minimal:
-            raise ValueError("norm 6 needs a constraint (t, 3) on a norm-4 lattice vector t")
-        t = minimal[0]
-        want = want - t @ anchors
-    else:
-        raise ValueError(f"coset shells of norm 4 and 6 only; got {norm}")
 
+    code = default_context().code
     fanchors = anchors.astype(np.float64)
     kept = [
         block[(block.astype(np.float64) @ fanchors == want).all(axis=1)]
-        for block in norm4_blocks(ctx.code)
+        for block in norm4_blocks(code)
     ]
-    points = canonical_sort(np.concatenate(kept).astype(np.int64) + t)
-    _verify_shell(points, constraints, 8 * norm, ctx)
+    points = canonical_sort(np.concatenate(kept).astype(np.int64))
+    _verify_shell(points, constraints, code)
     if stats is not None:
         stats.solutions += len(points)
     return points
 
 
 def _verify_shell(
-    points: np.ndarray,
-    constraints: Sequence[CosetConstraint],
-    target_scaled: Fraction,
-    ctx: LeechContext,
+    points: np.ndarray, constraints: Sequence[CosetConstraint], code: GolayCode
 ) -> None:
     norms = (points.astype(np.int64) ** 2).sum(axis=1)
-    if not bool((norms == int(target_scaled)).all()):
+    if not bool((norms == 32).all()):
         raise LeechConstructionError("enumerated point with wrong norm")
     for c in constraints:
         dots = points @ np.asarray(c.anchor, dtype=np.int64)
         if not bool((dots == 8 * c.value).all()):
             raise LeechConstructionError("enumerated point violates a constraint")
-    if not bool(membership_mask(points, ctx.code).all()):
+    if not bool(membership_mask(points, code).all()):
         raise LeechConstructionError("enumerated point is not a lattice member")
     if has_repeated_row(points):
         raise LeechConstructionError("duplicate points in enumeration")

@@ -15,17 +15,14 @@ def _as_int_rows(mat) -> list[list[int]]:
     return [[int(x) for x in row] for row in mat]
 
 
-def hnf_rows(mat) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form.
-
-    Returns (H, U) with U unimodular, U @ mat = H, H in row echelon form
-    with positive pivots and entries above each pivot reduced mod the pivot.
-    Zero rows of H sink to the bottom.
+def hnf_rows(mat) -> list[list[int]]:
+    """Row Hermite normal form H of an integer matrix, by unimodular row
+    operations: row echelon form with positive pivots and entries above
+    each pivot reduced mod the pivot.  Zero rows of H sink to the bottom.
     """
     a = _as_int_rows(mat)
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     row = 0
     for col in range(n):
@@ -36,14 +33,12 @@ def hnf_rows(mat) -> tuple[list[list[int]], list[list[int]]]:
                 break
             piv = min(nz, key=lambda r: abs(a[r][col]))
             a[row], a[piv] = a[piv], a[row]
-            u[row], u[piv] = u[piv], u[row]
             done = True
             for r in range(row + 1, m):
                 if a[r][col] != 0:
                     q = a[r][col] // a[row][col]
                     if q:
                         a[r] = [x - q * y for x, y in zip(a[r], a[row])]
-                        u[r] = [x - q * y for x, y in zip(u[r], u[row])]
                     if a[r][col] != 0:
                         done = False
             if done:
@@ -51,16 +46,14 @@ def hnf_rows(mat) -> tuple[list[list[int]], list[list[int]]]:
         if row < m and a[row][col] != 0:
             if a[row][col] < 0:
                 a[row] = [-x for x in a[row]]
-                u[row] = [-x for x in u[row]]
             for r in range(row):
                 q = a[r][col] // a[row][col]
                 if q:
                     a[r] = [x - q * y for x, y in zip(a[r], a[row])]
-                    u[r] = [x - q * y for x, y in zip(u[r], u[row])]
             row += 1
         if row == m:
             break
-    return a, u
+    return a
 
 
 def hnf_coordinates(h, vec) -> Optional[list[int]]:

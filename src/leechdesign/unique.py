@@ -16,14 +16,17 @@ coefficient is <y, e_i>, and the three admissible values are congruent
 to -1 mod 5.  The search over c in {0,+-1}^22 with the exact norm
 constraint is therefore complete; no candidate outside that cube exists.
 
-The dual frame is integral throughout: the basis comes from one
-fraction-free row reduction and a swap descent on adjugates, and G^-1 is
-kept as the integer matrix D * G^-1 over its common denominator D, both
-from `intlinalg.adjugate`.  The computation then runs in three steps: the
-sphere search over the cube (`enumerate_sphere`, which checks the norm
-only), one integer check of the 275 admissibility conditions on the array
-of its leaves, and one integer matmul over D that turns the surviving
-coefficient vectors into integer vectors 3 * y in stored coordinates.
+The dual frame is integral throughout and reads only the shell Gram: the
+basis comes from one fraction-free row reduction and a swap descent that
+stops when every shell vector has integer coordinates over the basis,
+and G^-1 is kept as the integer matrix D * G^-1 over its common
+denominator D, from `intlinalg.adjugate`.  Every swap lowers det G, a
+positive integer, or the descent raises; so it terminates.  The
+computation then runs in three steps: the sphere search over the cube
+(`enumerate_sphere`, which checks the norm only), one integer check of
+the 275 admissibility conditions on the array of its leaves, and one
+integer matmul over D that turns the surviving coefficient vectors into
+integer vectors 3 * y in stored coordinates.
 Every integer product is one `construct.exact_matmul` call, and all
 pairwise decisions downstream are exact integer arithmetic, read from
 pair statistics (`construct.BlockStats`): the shell's products from the
@@ -113,35 +116,34 @@ def _operand(rows: list[list[int]]) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _lattice_coordinates(pts: np.ndarray) -> np.ndarray:
-    """Integer coordinates of every shell vector over an HNF basis of the
-    lattice the whole shell generates (exact back-substitution)."""
-    h, _ = hnf_rows(pts.tolist())
-    hrows = [r for r in h if any(r)]
-    if len(hrows) != 22:
-        raise UniquenessError(f"shell lattice has rank {len(hrows)}, expected 22")
-    coords = [hnf_coordinates(hrows, p) for p in pts.tolist()]
-    if None in coords:
-        raise UniquenessError("point outside its own generated lattice")
-    return np.array(coords, dtype=np.int64).reshape(-1, 22)
+def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None) -> DualFrame:
+    """Choose 22 shell vectors forming a basis of the lattice generated by
+    the whole shell, invert their Gram matrix exactly as D * G^-1 over its
+    common denominator D, and express all 275 shell vectors integrally over
+    the chosen basis.
 
+    The start takes each point, in `order`, that a fraction-free row
+    reduction against the points already taken leaves nonzero.  The descent
+    reads the shell Gram S, computed once: for a basis B with G = S[B, B],
+    the rows of S[:, B] @ (D * G^-1) are D times every point's coordinates
+    over B.  It stops when every coordinate is an integer.  Otherwise it
+    replaces basis vector k by a point whose coordinate at k is not an
+    integer and has absolute value c < 1, which multiplies det G, a
+    positive integer, by c^2.  A swap that does not lower det G raises
+    UniquenessError, so the descent terminates; a shell of rank above 22
+    fails there or at the coefficient round trip.
+    """
+    pts = layer.points
+    pref = list(range(len(pts))) if order is None else list(order)
+    shell_gram = exact_matmul(pts, pts.T)
+    if np.any(shell_gram % WORK_DEN):
+        raise UniquenessError("shell Gram is not integral")
+    shell_gram //= WORK_DEN
 
-def _unimodular_point_subset(coords: np.ndarray, pref: list[int]) -> list[int]:
-    """22 point indices whose rows form a basis of Z^22: greedy independent
-    start, then swap descent on |det| using single-point exchanges.
-
-    The start takes each row, in `pref` order, that a fraction-free row
-    reduction against the rows already taken leaves nonzero.  With
-    adj = adj(B) of the basis rows B, a point's coordinates over the basis
-    are its row of coords @ adj, divided by det B.  Each accepted swap
-    replaces basis row k by a point whose coordinate at position k is not
-    an integer and has absolute value < 1, which multiplies |det| by that
-    value: |det| is a strictly decreasing positive integer sequence, so the
-    descent terminates."""
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, primitive row)
     subset: list[int] = []
     for idx in pref:
-        v = coords[idx].tolist()
+        v = pts[idx].tolist()
         for c, r in echelon:
             if v[c]:
                 g = gcd(v[c], r[c])
@@ -157,70 +159,39 @@ def _unimodular_point_subset(coords: np.ndarray, pref: list[int]) -> list[int]:
     if len(subset) != 22:
         raise UniquenessError("shell does not span 22 dimensions")
 
+    last = None  # det G of the previous basis
     while True:
-        adj, det = adjugate(coords[subset].tolist())
-        if det == 0:
-            raise UniquenessError("basis degenerated during swap descent")
-        if abs(det) == 1:
-            return subset
-        m = exact_matmul(coords, _operand(adj))  # det * coordinates over the basis
-        fits = (m % det != 0) & (np.abs(m) < abs(det))
+        gram = shell_gram[np.ix_(subset, subset)]
+        adj, det = adjugate(gram.tolist())
+        if last is not None and det >= last:
+            raise UniquenessError(f"swap descent did not lower det G ({last} -> {det})")
+        # G^-1 = adj / det in lowest terms: D = det / g is its common denominator
+        g = gcd(det, *(v for row in adj for v in row))
+        ginv, den = _operand([[v // g for v in row] for row in adj]), det // g
+        scaled = exact_matmul(shell_gram[:, subset], ginv)  # D * coordinates over B
+        fractional = scaled % den != 0
+        if not fractional.any():
+            break
+        fits = fractional & (np.abs(scaled) < den)
         idx = next((i for i in pref if fits[i].any()), None)
         if idx is None:
             raise UniquenessError(
-                f"swap descent stuck at index^2 {abs(det)}; no single-point "
+                f"swap descent stuck at det G = {det}; no single-point "
                 "exchange improves the basis"
             )
         # the fitting position of least |coordinate|, the first on a tie
-        subset[int(np.where(fits[idx], np.abs(m[idx]), abs(det)).argmin())] = idx
+        subset[int(np.where(fits[idx], np.abs(scaled[idx]), den).argmin())] = idx
+        last = det
 
-
-def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None) -> DualFrame:
-    """Choose 22 shell vectors forming a basis of the lattice generated by
-    the whole shell, invert their Gram matrix exactly as D * G^-1 over its
-    common denominator D, and express all 275 shell vectors integrally over
-    the chosen basis.
-
-    A greedy independent subset generally generates a finite-index
-    sublattice, so the choice is repaired by determinant swap descent
-    until the subset is a genuine lattice basis.
-    """
-    pts = layer.points
-    n = len(pts)
-    pref = list(range(n)) if order is None else list(order)
-    coords = _lattice_coordinates(pts)
-    chosen = _unimodular_point_subset(coords, pref)
-
-    basis = pts[chosen]
-    gram_raw = exact_matmul(basis, basis.T)
-    if np.any(gram_raw % WORK_DEN):
-        raise UniquenessError("basis Gram is not integral")
-    gram_np = gram_raw // WORK_DEN
-    adj, det = adjugate(gram_np.tolist())
-    if det <= 0:
-        raise UniquenessError("basis Gram is not positive definite")
-    # G^-1 = adj / det in lowest terms: D = det / g is its common denominator
-    g = gcd(det, *(v for row in adj for v in row))
-    ginv, den = _operand([[v // g for v in row] for row in adj]), det // g
-
-    prods_raw = exact_matmul(pts, basis.T)
-    if np.any(prods_raw % WORK_DEN):
-        raise UniquenessError("non-integral inner product against basis")
-    prods = prods_raw // WORK_DEN  # <x, e_j>, exact ints
-    scaled = exact_matmul(prods, ginv.T)  # D * coefficients
-    if np.any(scaled % den):
-        raise UniquenessError(
-            "shell vector has fractional coordinates over the chosen "
-            "basis even after swap descent"
-        )
+    basis = pts[subset]
     coeffs = scaled // den
     # Round trip: the coefficients must reproduce the points exactly.
     if not bool((exact_matmul(coeffs, basis) == pts).all()):
         raise UniquenessError("dual-frame coefficient round trip failed")
     return DualFrame(
-        basis_indices=tuple(chosen),
+        basis_indices=tuple(subset),
         basis_points=basis,
-        gram=gram_np,
+        gram=gram,
         ginv=ginv,
         den=den,
         coeffs=coeffs,
@@ -304,7 +275,7 @@ def generated_lattice_membership(frame: DualFrame, u_arr: np.ndarray) -> int:
     and -sum_i e'_i (coefficients over e': rows 5 G and all -1)."""
     gen_rows = [[5 * int(frame.gram[i, j]) for j in range(22)] for i in range(22)]
     gen_rows.append([-1] * 22)
-    h, _ = hnf_rows(gen_rows)
+    h = hnf_rows(gen_rows)
     return sum(hnf_coordinates(h, u) is not None for u in u_arr.tolist())
 
 

@@ -79,8 +79,7 @@ def leech_basis(code) -> np.ndarray:
         gens.append(v)
     gens.append(list(B_CANONICAL))
 
-    h, _ = hnf_rows(gens)
-    rows = [r for r in h if any(r)]
+    rows = [r for r in hnf_rows(gens) if any(r)]
     if len(rows) != 24:
         raise LeechConstructionError(f"basis rank {len(rows)} != 24")
     d = abs(adjugate(rows)[1])
@@ -119,10 +118,10 @@ def shell_size(norm, code) -> int:
 def coset_setup(constraints, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Particular solution x0 and sublattice rows K for the constraint set.
 
-    One row HNF H = U M of the 24 x k inner-product matrix M gives all
-    three: its rank (M has the rank of the anchors, the basis being
-    regular), the kernel (the rows of U at the zero rows of H), and x0
-    (y U for the y with y H = target).
+    One row HNF [H | U] of [M | I_24], M the 24 x k inner-product matrix,
+    gives all three: the rank of M (that of the anchors, the basis being
+    regular), the kernel (the rows of U where H is zero), and x0 (y U for
+    the y with y H = target).
     """
     if not constraints:
         return np.zeros(24, dtype=np.int64), basis.copy()
@@ -133,9 +132,11 @@ def coset_setup(constraints, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         if np.any(prod % 8):
             raise ValueError("anchor is not in the lattice dual (scaled by 8)")
         cols.append(prod // 8)
-    h, u = hnf_rows(np.stack(cols, axis=1).tolist())  # 24 x k
+    k = len(constraints)
+    hu = hnf_rows(np.concatenate([np.stack(cols, axis=1), np.eye(24, dtype=np.int64)], axis=1))
+    h, u = [row[:k] for row in hu], [row[k:] for row in hu]
     zero = [not any(row) for row in h]
-    if 24 - sum(zero) != len(constraints):
+    if 24 - sum(zero) != k:
         raise ValueError("constraint anchors must be linearly independent")
 
     target = [c.value for c in constraints]

@@ -82,7 +82,10 @@ def test_adjugate_of_random_integer_matrices():
 
 def test_hnf_coordinates_inside_and_outside_the_lattice():
     rows = [[2, 4, 6, 0], [0, 3, 3, 3], [2, 7, 9, 3], [4, 2, 0, 0]]  # row 3 = row 1 + row 2
-    h, u = hnf_rows(rows)
+    # the HNF of [rows | I] carries its transform U in the right block
+    hu = hnf_rows([r + [int(i == j) for j in range(4)] for i, r in enumerate(rows)])
+    h, u = [r[:4] for r in hu], [r[4:] for r in hu]
+    assert h == hnf_rows(rows)
     assert not any(h[-1])  # rank 3: the zero row sinks to the bottom
     vec = [sum(c * r[k] for c, r in zip((3, -2, 0, 5), rows)) for k in range(4)]
     y = hnf_coordinates(h, vec)

@@ -215,7 +215,8 @@ def test_cli_detects_deleted_point(tmp_path, design):
 @pytest.mark.parametrize(
     "fault",
     ["empty-file", "non-integer-token", "huge-coordinate", "zero-denominator-weight",
-     "truncated-layer", "missing-layer", "trailing-line", "extra-point"],
+     "truncated-layer", "missing-layer", "trailing-line", "extra-point", "short-row",
+     "long-row"],
 )
 def test_malformed_design_file_is_a_format_error(tmp_path, design, capsys, fault):
     valid = tmp_path / "valid.txt"
@@ -240,6 +241,8 @@ def test_malformed_design_file_is_a_format_error(tmp_path, design, capsys, fault
         # lines after the declared layers, which a reader would never look at
         "trailing-line": "\n".join(lines + ["signed: nobody"]),
         "extra-point": "\n".join(lines + [lines[-1]]),  # count=2025 left as it is
+        "short-row": "\n".join(lines[:7] + [" ".join(tokens[:23])] + lines[8:]),
+        "long-row": "\n".join(lines[:7] + [" ".join(tokens + ["0"])] + lines[8:]),
     }[fault]
     path = tmp_path / f"{fault}.txt"
     path.write_text(text + "\n")

@@ -3,6 +3,7 @@ import hashlib
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from coset_reference import rows_as_set, sphere_coset_shell
 from leechdesign import io as design_io
@@ -10,9 +11,10 @@ from leechdesign.coherent import classify_pairs, compare_with_reference, interse
 from leechdesign.construct import project_rows_scaled
 from leechdesign.design import euclidean_strength
 from leechdesign.lattice import A_CANONICAL, B_CANONICAL, CosetConstraint
-from leechdesign.lattice.intlinalg import adjugate
+from leechdesign.lattice.intlinalg import adjugate, hnf_rows
 from leechdesign.unique import (
     CANDIDATE_NORM,
+    UniquenessError,
     build_dual_frame,
     enumerate_candidates,
     _verify_candidates,
@@ -59,6 +61,28 @@ def test_dual_frame_coefficients_reconstruct_points(x1_integral, dual_frame):
     assert bool(
         (dual_frame.coeffs @ dual_frame.basis_points == x1_integral.points).all()
     )
+
+
+def test_dual_frame_basis_generates_the_shell_lattice(x1_integral, dual_frame):
+    # equal row HNFs: the 22 chosen rows and all 275 generate one lattice
+    def nonzero_hnf(rows):
+        return [row for row in hnf_rows(rows) if any(row)]
+
+    assert nonzero_hnf(dual_frame.basis_points) == nonzero_hnf(x1_integral.points)
+
+
+@pytest.mark.parametrize("extra_first", [True, False], ids=["first", "last"])
+def test_dual_frame_refuses_a_shell_of_rank_23(x1_integral, extra_first):
+    # 5 a is orthogonal to every shell vector.  Taken first, it stays in the
+    # basis and the descent over the other 21 rows cannot lower det G; taken
+    # last, every coordinate over the basis is an integer, but the basis does
+    # not reach 5 a.
+    points = np.concatenate([x1_integral.points, 5 * A_CANONICAL[None]])
+    layer = dataclasses.replace(x1_integral, points=points)
+    order = [275, *range(275)] if extra_first else None
+    match = "did not lower det G" if extra_first else "round trip failed"
+    with pytest.raises(UniquenessError, match=match):
+        build_dual_frame(layer, order=order)
 
 
 def test_candidate_count_and_norms(candidates):
