@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .construct import (
     check_orthogonal_to_anchors,
     check_X1_equals_PY,
     exact_matmul,
+    max_abs,
     project_rows_scaled,
     y_antipodal_pair_count,
     z_value_histogram,
@@ -157,9 +157,7 @@ def verify_design_claims(ws: WeightedPointSet, report: VerificationReport) -> No
 
 
 def verify_coherent_claims(
-    ws: WeightedPointSet,
-    report: VerificationReport,
-    out_dir: Optional[Path] = None,
+    ws: WeightedPointSet, report: VerificationReport, out_dir: Path
 ) -> None:
     from . import coherent
 
@@ -171,8 +169,7 @@ def verify_coherent_claims(
         with stage.claim("coherent/composition-counts-well-defined", True) as c:
             tensor = coherent.intersection_numbers(part)
             c.computed = True
-        if out_dir is not None:
-            design_io.write_tensor(Path(out_dir) / "tensor.txt", tensor, coherent.LABELS)
+        design_io.write_tensor(out_dir / "tensor.txt", tensor, coherent.LABELS)
 
         with stage.claim("coherent/table-mismatches", 0) as c:
             mismatches = coherent.compare_with_reference(tensor)
@@ -192,14 +189,11 @@ def verify_coherent_claims(
 
 
 def verify_unique_claims(
-    ws: WeightedPointSet,
-    report: VerificationReport,
-    anchors=None,
-    out_dir: Optional[Path] = None,
+    ws: WeightedPointSet, report: VerificationReport, anchors, out_dir: Path
 ) -> None:
     from . import coherent, design, unique
 
-    a, b = anchors if anchors is not None else (A_CANONICAL, B_CANONICAL)
+    a, b = anchors
     with Stage(report) as stage:
         with stage.claim("unique/integral-shell-products", "[2, -3] at norm 12") as c:
             layer = unique.integralize_X1(ws)
@@ -223,8 +217,7 @@ def verify_unique_claims(
         with stage.claim("unique/split-sizes", "2025 + 2025", stop=True) as c:
             split = unique.split_candidates(cands, ws)
             c.computed = f"{len(split.part_a)} + {len(split.part_b)}"
-        if out_dir is not None:
-            design_io.write_candidates(Path(out_dir) / "candidates.txt", cands.vectors3)
+        design_io.write_candidates(out_dir / "candidates.txt", cands.vectors3)
         same = same_row_set(split.part_a, ws.layers[1].points)
         report.check("unique/part-a-equals-second-shell", True, same)
         report.check("unique/parts-disjoint", True, split.disjoint and split.covering)
@@ -244,14 +237,10 @@ def verify_unique_claims(
             c.computed = len(coherent.compare_with_reference(tensor))
 
 
-def verify_seven_claims(
-    ws: WeightedPointSet,
-    report: VerificationReport,
-    anchors=None,
-) -> None:
+def verify_seven_claims(ws: WeightedPointSet, report: VerificationReport, anchors) -> None:
     from . import design
 
-    a, b = anchors if anchors is not None else (A_CANONICAL, B_CANONICAL)
+    a, b = anchors
     with Stage(report) as stage:
         with stage.claim("seven/z-pair-count", 4600 * 4600) as c:
             if len(ws.layers) < 2:  # every claim compares the two shells
@@ -283,14 +272,17 @@ def verify_seven_claims(
         # value histogram of the 4600 projected points, normalized by their
         # common squared radius 3, equals the symbolic histogram.  Every
         # stored point has squared norm 96 (checked by `build_Y`), so by
-        # Cauchy-Schwarz each dot lies in [-96, 96].
+        # Cauchy-Schwarz each dot lies in [-96, 96], and each 256-row slab
+        # of a block is counted as it is made.
         with stage.claim("seven/z-matches-projected-model", True) as c:
             fams = [ys[1], ys[2], ys[-1], ys[-2]]
             counts = np.zeros(193, dtype=np.int64)  # dots -96..96
             for i, f in enumerate(fams):
                 for j in range(i, 4):  # block (j, i) holds the values of (i, j)
-                    dots = exact_matmul(f, fams[j].T).ravel() + 96
-                    counts += (1 if i == j else 2) * np.bincount(dots, minlength=193)
+                    g, g_max = fams[j].T, max_abs(fams[j])
+                    for r in range(0, len(f), 256):
+                        dots = exact_matmul(f[r : r + 256], g, g_max).ravel() + 96
+                        counts += (1 if i == j else 2) * np.bincount(dots, minlength=193)
             y_hist = {Fraction(v - 96, 96): int(n) for v, n in enumerate(counts.tolist()) if n}
             c.computed = y_hist == hist
 

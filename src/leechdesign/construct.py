@@ -11,10 +11,11 @@ later stages, is one `exact_matmul` call; the `PointLayer` bounds, checked
 where a design enters, make every product of stored design rows pass it.
 
 Every claim about a design reads the exact inner products of its pairs
-from one Gram pass: `WeightedPointSet.pair_stats(i, j)` keeps of each
-block only its value histogram and each entry's position in it, so every
-classification of the block's pairs is one lookup, and the probe-moment
-oracle groups its probes from the sorted rows of that index.
+from `WeightedPointSet.pair_stats(i, j)`, streamed from the two layers in
+256-row slabs: it keeps of each block only its value histogram and each
+entry's position in it, so every classification of the block's pairs is
+one lookup, and the probe-moment oracle groups its probes from the
+sorted rows of that index.
 
 The companions are the four norm-4 families Y projected along one anchor,
 and the antipodal double cover of the design on S^22.  The cover is never
@@ -74,19 +75,23 @@ def max_abs(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray, b_max: int | None = None) -> np.ndarray:
+def exact_matmul(
+    a: np.ndarray, b: np.ndarray, b_max: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """a @ b for integer arrays, exact in int64 through float64 BLAS.  Every
     partial sum, in any order, is an integer of absolute value at most
     (inner dimension) * max|a| * max|b|; below 2^53 a float64 holds each one
     exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008), and a larger bound
     is refused.  The result is filled in slabs of 256 rows, so that no
     second full-size array is live.  A caller that multiplies many left
-    operands by one b passes `b_max = max_abs(b)`, taken once."""
+    operands by one b passes `b_max = max_abs(b)`, taken once, and may pass
+    one int64 `out` to take each product in turn."""
     bound = a.shape[-1] * max_abs(a) * (max_abs(b) if b_max is None else b_max)
     if bound >= 2**53:
         raise DesignConstructionError(f"product bound {bound} is not below 2^53")
     bf = b.astype(np.float64, copy=False)
-    out = np.empty(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    if out is None:
+        out = np.empty(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     for r in range(0, len(a), 256):
         out[r : r + 256] = a[r : r + 256].astype(np.float64) @ bf
     return out
@@ -136,18 +141,12 @@ class WeightedPointSet:
         """Stored-int dot D corresponds to conventional inner D / dot_scale."""
         return 8 * self.layers[i].denom * self.layers[j].denom
 
-    def gram_block(self, i: int, j: int) -> np.ndarray:
-        """Stored-integer inner products of the rows of layer i with those of
-        layer j; the `PointLayer` bounds let every such product pass
-        `exact_matmul`."""
-        return exact_matmul(self.layers[i].points, self.layers[j].points.T)
-
     def pair_stats(self, i: int, j: int) -> BlockStats:
-        """`BlockStats` of the layer block (i, j), i <= j.  The Gram block is
-        built and classified the first time it is asked for, and dropped
-        after: a check that fails in one block never builds the others."""
+        """`BlockStats` of the stored-integer dots of layers i <= j, which the
+        `PointLayer` bounds keep exact, made when first asked for: a check
+        that fails in one block never reads the others."""
         if (i, j) not in self._stats:
-            self._stats[(i, j)] = BlockStats.of(self.gram_block(i, j))
+            self._stats[(i, j)] = BlockStats.of(self.layers[i].points, self.layers[j].points)
         return self._stats[(i, j)]
 
     def pair_values(self, i: int, j: int) -> np.ndarray:
@@ -162,26 +161,36 @@ class WeightedPointSet:
 
 @dataclass(frozen=True)
 class BlockStats:
-    """Inner-product statistics of one Gram block: its value histogram, and
-    the position of each entry in it, from which every classification of
-    the block's pairs is one lookup."""
+    """Inner-product statistics of the block a @ b.T of two integer point
+    sets: its value histogram, and the position of each entry in it, from
+    which every classification of the block's pairs is one lookup."""
 
     values: np.ndarray  # distinct stored dots, ascending
     counts: np.ndarray  # occurrences of each value in the block
     index: np.ndarray  # values[index] is the block; the smallest unsigned dtype
 
     @classmethod
-    def of(cls, gram: np.ndarray) -> BlockStats:
-        # Slabs of 256 rows, so that no second block-sized array is live.
-        slabs = [slice(r, r + 256) for r in range(0, len(gram), 256)]
-        hists = [np.unique(gram[s], return_counts=True) for s in slabs]
+    def of(cls, a: np.ndarray, b: np.ndarray) -> BlockStats:
+        """Two passes over 256-row slabs of a @ b.T under the bound of b
+        taken once: the first merges the slabs' histograms, the second
+        recomputes each slab, which costs less than its sort, to place its
+        entries.  Only the index is block-sized.  Every slab's product
+        reuses one buffer, so that its pages are not faulted in anew."""
+        bt, b_max = b.T, max_abs(b)
+        buf = np.empty((min(len(a), 256), len(b)), dtype=np.int64)
+
+        def product(x: np.ndarray) -> np.ndarray:
+            return exact_matmul(x, bt, b_max, buf[: len(x)])
+
+        slabs = [(r, a[r : r + 256]) for r in range(0, len(a), 256)]
+        hists = [np.unique(product(x), return_counts=True) for _, x in slabs]
         merged = np.sort(np.concatenate([v for v, _ in hists]))
         values = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
         counts = np.zeros(len(values), dtype=np.int64)
-        index = np.empty(gram.shape, dtype=np.min_scalar_type(len(values) - 1))
-        for s, (v, c) in zip(slabs, hists):
+        index = np.empty((len(a), len(b)), dtype=np.min_scalar_type(len(values) - 1))
+        for (r, x), (v, c) in zip(slabs, hists):
             counts[np.searchsorted(values, v)] += c
-            index[s] = np.searchsorted(values, gram[s])
+            index[r : r + 256] = np.searchsorted(values, product(x))
         return cls(values=values, counts=counts, index=index)
 
 

@@ -41,6 +41,8 @@ import numpy as np
 
 from .construct import DesignConstructionError, PointLayer, WeightedPointSet
 
+DIMENSION = 22  # the design lives in R^22, the orthogonal complement of the anchors
+
 
 @dataclass(frozen=True)
 class StrengthCondition:
@@ -64,9 +66,7 @@ def zonal_values(t: int, n: int, dot: Fraction, nx2ny2: Fraction) -> list[Fracti
     return h[: t + 1]
 
 
-def euclidean_strength(
-    ws: WeightedPointSet, t: int, dimension: int = 22
-) -> list[StrengthCondition]:
+def euclidean_strength(ws: WeightedPointSet, t: int) -> list[StrengthCondition]:
     """One condition per (l, j); the set is a t-design iff all pass.
 
     The l = 0 conditions are omitted: they hold identically for any union
@@ -86,7 +86,7 @@ def euclidean_strength(
             st = ws.pair_stats(bi, bj)
             sums = [Fraction(0)] * (t + 1)  # sum over the block of c * H_l
             for d, c in zip(st.values.tolist(), st.counts.tolist()):
-                for l, h in enumerate(zonal_values(t, dimension, Fraction(d, scale), nx2ny2)):
+                for l, h in enumerate(zonal_values(t, DIMENSION, Fraction(d, scale), nx2ny2)):
                     sums[l] += c * h
             w2 = (1 if bi == bj else 2) * ws.layers[bi].weight * ws.layers[bj].weight
             for l, j in totals:
@@ -111,15 +111,13 @@ def spherical_strength_from_values(
     ]
 
 
-def spherical_strength(
-    ws: WeightedPointSet, i: int, t: int, dimension: int = 22
-) -> list[StrengthCondition]:
+def spherical_strength(ws: WeightedPointSet, i: int, t: int) -> list[StrengthCondition]:
     """Spherical design strength of layer i on its own (unweighted), from
     the histogram of its Gram block; `PointLayer` holds one radius."""
     st = ws.pair_stats(i, i)
     unit = ws.dot_scale(i, i) * ws.layers[i].r2  # the stored squared norm
     hist = [(Fraction(v) / unit, c) for v, c in zip(st.values.tolist(), st.counts.tolist())]
-    return spherical_strength_from_values(hist, t, dimension)
+    return spherical_strength_from_values(hist, t, DIMENSION)
 
 
 def sphere_monomial_average(alpha: Sequence[int], n: int) -> Fraction:
@@ -152,9 +150,7 @@ class ProbeMomentResult(NamedTuple):
         return self.lhs == self.rhs
 
 
-def moment_spot_check(
-    ws: WeightedPointSet, t: int, dimension: int = 22
-) -> list[ProbeMomentResult]:
+def moment_spot_check(ws: WeightedPointSet, t: int) -> list[ProbeMomentResult]:
     """Necessary-condition oracle, independent of the kernel route.
 
     Every design point y is a probe.  For each k <= t the design property
@@ -171,7 +167,7 @@ def moment_spot_check(
     p = len(ws.layers)
     # the right side without |y|^k: the sphere average of u^k times the radial sum
     radial = [
-        sphere_monomial_average([k], dimension)
+        sphere_monomial_average([k], DIMENSION)
         * sum(layer.weight * layer.size * layer.r2 ** (k // 2) for layer in ws.layers)
         for k in range(t + 1)
     ]
@@ -210,9 +206,9 @@ def moment_spot_check(
     return results
 
 
-def tightness_check(ws: WeightedPointSet, e: int, dimension: int = 22) -> bool:
+def tightness_check(ws: WeightedPointSet, e: int) -> bool:
     """Cardinality meets the dim P_e(R^n) bound: |X| = C(n+e, e)."""
-    return ws.size == comb(dimension + e, e)
+    return ws.size == comb(DIMENSION + e, e)
 
 
 def mutate_design(

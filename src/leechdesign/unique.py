@@ -30,7 +30,8 @@ integer vectors 3 * y in stored coordinates.
 Every integer product is one `construct.exact_matmul` call, and all
 pairwise decisions downstream are exact integer arithmetic, read from
 pair statistics (`construct.BlockStats`): the shell's products from the
-design's, the two-class split from the candidates'.
+design's, the two-class split from the candidates', streamed from the
+4050 candidate rows so that their 4050 x 4050 Gram is never kept.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     n = len(vec)
     if n != 4050:
         raise UniquenessError(f"expected 4050 candidates, got {n}")
-    st = BlockStats.of(exact_matmul(vec, vec.T))  # dots 9 * 40 * <y, y'>
+    st = BlockStats.of(vec, vec)  # dots 9 * 40 * <y, y'>
     scale = 9 * WORK_DEN
     shell2 = (Fraction(7, 22), Fraction(-1, 44), Fraction(-4, 11))  # normalized products
     same = np.isin(st.values, [int(u * CANDIDATE_NORM * scale) for u in shell2])[st.index]

@@ -3,7 +3,7 @@ import pytest
 
 from coset_reference import leech_basis
 from leechdesign.coherent import classify_pairs, intersection_numbers
-from leechdesign.construct import WeightedPointSet, build_design, build_Y
+from leechdesign.construct import BlockStats, build_design, build_Y
 from leechdesign.lattice import A_CANONICAL, B_CANONICAL, default_context
 from leechdesign.unique import (
     build_dual_frame,
@@ -24,16 +24,17 @@ A_WRAPPING = A_CANONICAL + 2**32 * np.array([0, 0, 4, -4] + [0] * 20, dtype=np.i
 
 
 @pytest.fixture
-def gram_calls(monkeypatch):
-    """The (i, j) of every Gram block built while the test runs."""
+def block_calls(monkeypatch):
+    """The operand row counts (len(a), len(b)) of every `BlockStats.of`
+    call made while the test runs: one per block whose pairs are read."""
     calls = []
-    gram_block = WeightedPointSet.gram_block
+    of = BlockStats.of
 
-    def counted(self, i, j):
-        calls.append((i, j))
-        return gram_block(self, i, j)
+    def counted(cls, a, b):
+        calls.append((len(a), len(b)))
+        return of(a, b)
 
-    monkeypatch.setattr(WeightedPointSet, "gram_block", counted)
+    monkeypatch.setattr(BlockStats, "of", classmethod(counted))
     return calls
 
 

@@ -3,26 +3,17 @@ import hashlib
 import pytest
 
 from leechdesign.cli import main
-from leechdesign.construct import BlockStats
 
 
 @pytest.mark.slow
-def test_cli_all_passes_end_to_end(tmp_path, monkeypatch, gram_calls):
-    stats = []
-    of = BlockStats.of
-
-    def counted(cls, gram):
-        stats.append(gram.shape)
-        return of(gram)
-
-    monkeypatch.setattr(BlockStats, "of", classmethod(counted))
+def test_cli_all_passes_end_to_end(tmp_path, block_calls):
     out = tmp_path / "out"
     code = main(["all", "--out", str(out)])
     assert code == 0
-    # one Gram pass per point set (the design and its twin), and one
-    # product of the 4050 candidates
-    assert sorted(gram_calls) == [(0, 0), (0, 0), (0, 1), (0, 1), (1, 1), (1, 1)]
-    assert stats.count((4050, 4050)) == 1 and len(stats) == 7
+    # one pass per layer block of each point set (the design and its twin),
+    # and one over the 4050 candidates
+    design_blocks = [(275, 275), (275, 2025), (2025, 2025)]
+    assert sorted(block_calls) == sorted(2 * design_blocks + [(4050, 4050)])
     for stage in ("design", "coherent", "unique", "seven"):
         assert (out / f"report_{stage}.json").exists()
         assert (out / f"report_{stage}.canonical.json").exists()

@@ -358,7 +358,7 @@ def _per_entry_labels(ws) -> np.ndarray:
     labels = np.full((ws.size, ws.size), -1, dtype=np.int8)
     for i in (0, 1):
         for j in (0, 1):
-            gram = ws.gram_block(i, j)
+            gram = exact_matmul(ws.layers[i].points, ws.layers[j].points.T)
             block = labels[fiber[i], fiber[j]]
             for c, dot in _block_dots(ws, i, j):
                 block[gram == dot] = c
@@ -373,7 +373,7 @@ def test_labels_match_the_per_entry_reference(request, fixture):
     assert np.array_equal(labels, _per_entry_labels(ws))
 
 
-def test_negated_inner_point_fails_in_the_first_block(design, gram_calls):
+def test_negated_inner_point_fails_in_the_first_block(design, block_calls):
     inner, outer = design.layers
     points = inner.points.copy()
     points[100] = -points[100]
@@ -386,11 +386,11 @@ def test_negated_inner_point_fails_in_the_first_block(design, gram_calls):
         match=r"^inner product -80/200 in block \(0,0\) is outside the admissible set$",
     ):
         classify_pairs(ws)
-    assert gram_calls == [(0, 0)]  # the other blocks are never built
+    assert block_calls == [(275, 275)]  # the other blocks are never read
 
 
-def test_verify_coherent_builds_each_gram_block_once(design, gram_calls):
+def test_verify_coherent_builds_each_gram_block_once(design, block_calls, tmp_path):
     report = VerificationReport(name="coherent")
-    verify_coherent_claims(WeightedPointSet(layers=design.layers), report)
+    verify_coherent_claims(WeightedPointSet(layers=design.layers), report, tmp_path)
     assert report.passed
-    assert sorted(gram_calls) == [(0, 0), (0, 1), (1, 1)]
+    assert sorted(block_calls) == [(275, 275), (275, 2025), (2025, 2025)]

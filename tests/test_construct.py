@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -61,18 +62,23 @@ def test_design_shape(design):
     assert design.layers[1].weight / design.layers[0].weight == Fraction(1, 729)
 
 
+def _gram(ws, i, j):
+    """The whole Gram block of layers i and j, as a reference."""
+    return exact_matmul(ws.layers[i].points, ws.layers[j].points.T)
+
+
 def test_normalized_product_sets(design):
-    g11 = design.gram_block(0, 0)
+    g11 = _gram(design, 0, 0)
     off = g11[~np.eye(275, dtype=bool)]
     s11 = {Fraction(int(v), 8 * 25) / design.layers[0].r2 for v in np.unique(off)}
     assert s11 == {Fraction(1, 6), Fraction(-1, 4)}
 
-    g22 = design.gram_block(1, 1)
+    g22 = _gram(design, 1, 1)
     off = g22[~np.eye(2025, dtype=bool)]
     s22 = {Fraction(int(v), 8 * 25) / design.layers[1].r2 for v in np.unique(off)}
     assert s22 == {Fraction(7, 22), Fraction(-1, 44), Fraction(-4, 11)}
 
-    g12 = design.gram_block(0, 1)
+    g12 = _gram(design, 0, 1)
     # normalized product * sqrt(11) = D / (scale * r1^2)
     s12 = {Fraction(int(v), 8 * 25) / design.layers[0].r2 for v in np.unique(g12)}
     assert s12 == {Fraction(1), Fraction(-1, 4), Fraction(-3, 2)}
@@ -89,8 +95,8 @@ def test_outer_shell_is_three_times_projection(basis, design):
 def test_rebuild_with_other_anchor_pair_same_gram_multiset(design, alt_design):
     for i in range(2):
         for j in range(2):
-            a = design.gram_block(i, j)
-            b = alt_design.gram_block(i, j)
+            a = _gram(design, i, j)
+            b = _gram(alt_design, i, j)
             va, ca = np.unique(a, return_counts=True)
             vb, cb = np.unique(b, return_counts=True)
             assert bool((va == vb).all()) and bool((ca == cb).all())
@@ -113,8 +119,9 @@ def test_layer_bounds_keep_int64_products_exact(design):
     rng = np.random.default_rng(0)
     edge = (2**24 - 1) * rng.choice([-1, 1], size=(64, 24))
     layer = PointLayer(edge, 1, Fraction(1), Fraction(3 * (2**24 - 1) ** 2))
-    gram = WeightedPointSet(layers=(layer,)).gram_block(0, 0)
-    assert gram.tolist() == (edge.astype(object) @ edge.T.astype(object)).tolist()
+    st = WeightedPointSet(layers=(layer,)).pair_stats(0, 0)
+    exact = edge.astype(object) @ edge.T.astype(object)
+    assert st.values[st.index].tolist() == exact.tolist()
 
 
 def test_exact_matmul_is_exact_below_the_bound_and_refuses_it():
@@ -145,13 +152,40 @@ def test_exact_matmul_refuses_a_right_operand_past_the_bound_taken_once():
 
 
 def test_block_stats_equal_the_unique_histogram():
+    # three slabs of a non-square block with thousands of distinct values,
+    # some of them rare, so that the index is uint16
     rng = np.random.default_rng(3)
-    gram = rng.integers(-40, 40, size=(600, 300)) ** 3  # three slabs, some values rare
-    st = construct.BlockStats.of(gram)
+    a = rng.integers(-40, 40, size=(600, 24))
+    b = rng.integers(-40, 40, size=(300, 24))
+    st = construct.BlockStats.of(a, b)
+    gram = a @ b.T
     values, inverse, counts = np.unique(gram, return_inverse=True, return_counts=True)
+    assert len(values) > 256 and st.index.dtype == np.uint16
     assert st.values.dtype == values.dtype and st.values.tolist() == values.tolist()
     assert st.counts.tolist() == counts.tolist()
     assert st.index.tolist() == inverse.reshape(gram.shape).tolist()
+
+
+def test_block_stats_refuse_operands_past_the_product_bound():
+    # 32 * 2^24 * 2^24 = 2^53: the kernel's bound, reached by one entry of b
+    a = np.ones((300, 32), dtype=np.int64)
+    b = np.ones((5, 32), dtype=np.int64)
+    b[4, 0] = 2**48
+    with pytest.raises(DesignConstructionError, match="not below 2\\^53"):
+        construct.BlockStats.of(a, b)
+
+
+def test_pair_stats_keep_no_block_sized_product(design):
+    # the int64 Gram of the outer layer alone would be 2025^2 * 8 bytes, 33 MB
+    ws = WeightedPointSet(layers=design.layers)
+    tracemalloc.start()
+    try:
+        st = ws.pair_stats(1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.counts.sum() == 2025**2
+    assert peak < 20 * 2**20
 
 
 def test_collapsing_projection_is_refused(monkeypatch):
@@ -180,7 +214,7 @@ def test_y_union_size_claim_sees_a_row_of_another_family(design, monkeypatch):
 
     monkeypatch.setattr(construct, "enumerate_coset_shell", mixed)
     report = VerificationReport(name="seven")
-    verify_seven_claims(design, report)
+    verify_seven_claims(design, report, (A_CANONICAL, B_CANONICAL))
     results = {r.claim: r for r in report.results}
     assert results["seven/y-family-sizes"].passed
     assert report.first_failure().claim == "seven/y-union-size"

@@ -272,8 +272,8 @@ def test_moment_spot_check_with_a_uint16_block_matches_per_probe_reference():
         assert got == _probe_moments(ws, *probe, 6)
 
 
-def test_verify_design_builds_each_gram_block_once(design, gram_calls):
+def test_verify_design_builds_each_gram_block_once(design, block_calls):
     report = VerificationReport(name="design")
     verify_design_claims(WeightedPointSet(layers=design.layers), report)
     assert report.passed
-    assert sorted(gram_calls) == [(0, 0), (0, 1), (1, 1)]
+    assert sorted(block_calls) == [(275, 275), (275, 2025), (2025, 2025)]

@@ -14,14 +14,19 @@ from hypothesis import strategies as st
 import leechdesign.cli as cli
 from leechdesign import io as design_io
 from leechdesign.construct import DesignConstructionError
+from leechdesign.lattice import A_CANONICAL, B_CANONICAL
 from leechdesign.report import VerificationReport
 
-# (stage, its first claim)
+ANCHORS = (A_CANONICAL, B_CANONICAL)
+
+# (stage, run on a design, a report and an output directory; its first
+# claim, which writes nothing to the directory)
 STAGES = [
-    (cli.verify_design_claims, "design/layer-sizes"),
+    (lambda ws, report, out: cli.verify_design_claims(ws, report), "design/layer-sizes"),
     (cli.verify_coherent_claims, "coherent/nine-admissible-products"),
-    (cli.verify_unique_claims, "unique/integral-shell-products"),
-    (cli.verify_seven_claims, "seven/z-pair-count"),
+    (lambda ws, report, out: cli.verify_unique_claims(ws, report, ANCHORS, out),
+     "unique/integral-shell-products"),
+    (lambda ws, report, out: cli.verify_seven_claims(ws, report, ANCHORS), "seven/z-pair-count"),
 ]
 
 
@@ -124,5 +129,5 @@ def test_mutated_certificate_ends_in_a_report_or_an_input_error(certificate, mut
     with mock.patch.object(cli, "Stage", FirstClaimOnly):
         for stage, first_claim in STAGES:
             report = VerificationReport(name=first_claim.split("/")[0])
-            stage(ws, report)
+            stage(ws, report, path.parent)
             assert [r.claim for r in report.results] == [first_claim]
