@@ -224,6 +224,10 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
         left[c], right[c] = 1 << (2 * w * i), 2.0 ** (w * i)
     # packed[s - 1, c]: the value at rep[c] of the product through fiber s
     packed = np.zeros((2, 13), dtype=np.int64)
+    # Every slab's product reuses one buffer, so that its pages are not
+    # faulted in anew; the gathered left operand and its float64 copy are
+    # still made per slab.
+    buf = np.empty((min(n, _SLAB), n), dtype=np.int64)
     for s, inner in zip((1, 2), fiber):
         # Through inner fiber s, the rows of fiber r are block (r, s)'s
         # product.  The right operand is built once, in float64, which
@@ -231,7 +235,8 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
         rhs = right[labels[inner]]
         rhs_max = max_abs(rhs)
         for x in range(0, n, _SLAB):
-            counts = exact_matmul(left[labels[x : x + _SLAB, inner]], rhs, rhs_max)
+            lhs = left[labels[x : x + _SLAB, inner]]
+            counts = exact_matmul(lhs, rhs, rhs_max, buf[: len(lhs)])
             target = labels[x : x + _SLAB]
             for c, pair in enumerate(rep):
                 if pair is not None and x <= pair[0] < x + _SLAB:

@@ -14,8 +14,8 @@ Every claim about a design reads the exact inner products of its pairs
 from `WeightedPointSet.pair_stats(i, j)`, streamed from the two layers in
 256-row slabs: it keeps of each block only its value histogram and each
 entry's position in it, so every classification of the block's pairs is
-one lookup, and the probe-moment oracle groups its probes from the
-sorted rows of that index.
+one lookup, and the probe-moment oracle groups its probes by the count
+of each value in their rows of that index.
 
 The companions are the four norm-4 families Y projected along one anchor,
 and the antipodal double cover of the design on S^22.  The cover is never

@@ -24,10 +24,11 @@ value comes from one three-term recurrence (`zonal_values`).  The
 probe-moment oracle probes with every design point y.  Its moment sum
 sum_x w(x) (x.y)^k depends on y only through the multiset of y's inner
 products with each layer, its profile (Delsarte, Goethals and Seidel
-1977), and the oracle groups the probes by profile from the sorted rows
-of each block's index.  So the sum is evaluated exactly once per distinct
-profile and copied to every probe with that profile: an identity, not a
-sample, and each probe is still checked and named by its index.
+1977), and the oracle groups the probes by profile: by the count of each
+value in the probe's row of every block's index.  So the sum is evaluated
+exactly once per distinct profile and copied to every probe with that
+profile: an identity, not a sample, and each probe is still checked and
+named by its index.
 """
 
 from __future__ import annotations
@@ -175,30 +176,27 @@ def moment_spot_check(ws: WeightedPointSet, t: int) -> list[ProbeMomentResult]:
     first_index = 0
     for m, probe_layer in enumerate(ws.layers):
         stats = [ws.pair_stats(m, i) if m <= i else ws.pair_stats(i, m) for i in range(p)]
-        # Each probe's row of every block, sorted: two probes have the same
-        # profile exactly when these rows are equal.
-        rows = [
-            np.array(st.index if m <= i else st.index.T, order="C") for i, st in enumerate(stats)
-        ]
-        for row in rows:
-            row.sort(axis=1, kind="stable")  # a radix sort on the small unsigned dtype
-        keys = np.hstack(rows)
-        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # counts[q, c]: how often column c's value occurs in probe q's row of
+        # its block; two probes have the same profile exactly when these are
+        # equal.
+        counts, columns = [], []
+        for i, st in enumerate(stats):
+            axis = 1 if m <= i else 0  # the block (i, m) holds probe rows as columns
+            counts += [(st.index == v).sum(axis=axis) for v in range(len(st.values))]
+            weight, scale = ws.layers[i].weight, ws.dot_scale(i, m)
+            columns += [(weight, Fraction(v, scale)) for v in st.values.tolist()]
+        profiles, inverse = np.unique(np.stack(counts, axis=1), axis=0, return_inverse=True)
         lhs = []
-        for q in first.tolist():
+        for profile in profiles.tolist():
             sums = [Fraction(0)] * (t + 1)
-            for i, (st, row) in enumerate(zip(stats, rows)):
-                positions, counts = np.unique(row[q], return_counts=True)
-                scale, w = ws.dot_scale(i, m), ws.layers[i].weight
-                for v, c in zip(st.values[positions].tolist(), counts.tolist()):
-                    term, u = w * c, Fraction(v, scale)
-                    for k in range(t + 1):
-                        sums[k] += term
-                        term *= u
+            for c, (w, u) in zip(profile, columns):
+                term = w * c
+                for k in range(t + 1):
+                    sums[k] += term
+                    term *= u
             lhs.append(sums)
         rhs = [radial[k] * probe_layer.r2 ** (k // 2) for k in range(t + 1)]
-        for q, g in enumerate(inverse.tolist()):
+        for q, g in enumerate(inverse.ravel().tolist()):
             results.extend(
                 ProbeMomentResult(first_index + q, k, lhs[g][k], rhs[k]) for k in range(t + 1)
             )

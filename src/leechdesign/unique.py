@@ -26,7 +26,10 @@ computation then runs in three steps: the sphere search over the cube
 (`enumerate_sphere`, which checks the norm only), one integer check of
 the 275 admissibility conditions on the array of its leaves, and one
 integer matmul over D that turns the surviving coefficient vectors into
-integer vectors 3 * y in stored coordinates.
+integer vectors 3 * y in stored coordinates.  The same D * G^-1 answers
+the report's one note on the lattice read literally, generated by 5 e_i
+and -sum e'_i: membership is one congruence mod 5 D
+(`generated_lattice_membership`).
 Every integer product is one `construct.exact_matmul` call, and all
 pairwise decisions downstream are exact integer arithmetic, read from
 pair statistics (`construct.BlockStats`): the shell's products from the
@@ -39,14 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 import numpy as np
 
 from .construct import BlockStats, PointLayer, StepError, WeightedPointSet, exact_matmul
 from .lattice import canonical_sort, distinct_rows, has_repeated_row
 from .lattice.fincke_pohst import EnumerationStats, enumerate_sphere, rational_cholesky
-from .lattice.intlinalg import adjugate, hnf_coordinates, hnf_rows
+from .lattice.intlinalg import adjugate
 
 WORK_DEN = 40  # stored dot / 40 = lattice inner product
 CANDIDATE_NORM = Fraction(44, 3)
@@ -117,13 +119,13 @@ def _operand(rows: list[list[int]]) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None) -> DualFrame:
+def build_dual_frame(layer: IntegralizedLayer) -> DualFrame:
     """Choose 22 shell vectors forming a basis of the lattice generated by
     the whole shell, invert their Gram matrix exactly as D * G^-1 over its
     common denominator D, and express all 275 shell vectors integrally over
     the chosen basis.
 
-    The start takes each point, in `order`, that a fraction-free row
+    The start takes each point, in row order, that a fraction-free row
     reduction against the points already taken leaves nonzero.  The descent
     reads the shell Gram S, computed once: for a basis B with G = S[B, B],
     the rows of S[:, B] @ (D * G^-1) are D times every point's coordinates
@@ -135,7 +137,6 @@ def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None
     fails there or at the coefficient round trip.
     """
     pts = layer.points
-    pref = list(range(len(pts))) if order is None else list(order)
     shell_gram = exact_matmul(pts, pts.T)
     if np.any(shell_gram % WORK_DEN):
         raise UniquenessError("shell Gram is not integral")
@@ -143,8 +144,7 @@ def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None
 
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, primitive row)
     subset: list[int] = []
-    for idx in pref:
-        v = pts[idx].tolist()
+    for idx, v in enumerate(pts.tolist()):
         for c, r in echelon:
             if v[c]:
                 g = gcd(v[c], r[c])
@@ -174,13 +174,14 @@ def build_dual_frame(layer: IntegralizedLayer, order: Optional[list[int]] = None
         if not fractional.any():
             break
         fits = fractional & (np.abs(scaled) < den)
-        idx = next((i for i in pref if fits[i].any()), None)
-        if idx is None:
+        if not fits.any():
             raise UniquenessError(
                 f"swap descent stuck at det G = {det}; no single-point "
                 "exchange improves the basis"
             )
-        # the fitting position of least |coordinate|, the first on a tie
+        # the first point that fits; its fitting position of least
+        # |coordinate|, the first on a tie
+        idx = int(fits.any(axis=1).argmax())
         subset[int(np.where(fits[idx], np.abs(scaled[idx]), den).argmin())] = idx
         last = det
 
@@ -273,11 +274,20 @@ def _verify_candidates(
 
 def generated_lattice_membership(frame: DualFrame, u_arr: np.ndarray) -> int:
     """How many candidates lie in the lattice generated by 5 e_1..5 e_22
-    and -sum_i e'_i (coefficients over e': rows 5 G and all -1)."""
-    gen_rows = [[5 * int(frame.gram[i, j]) for j in range(22)] for i in range(22)]
-    gen_rows.append([-1] * 22)
-    h = hnf_rows(gen_rows)
-    return sum(hnf_coordinates(h, u) is not None for u in u_arr.tolist())
+    and -sum_i e'_i (coefficients over e': rows 5 G and all -1).
+
+    u = 5 G m - k 1 has an integer solution m exactly when
+    D G^-1 (u + k 1) = 0 mod 5 D, G being symmetric; only k mod 5 D
+    matters, since D G^-1 (5 D 1) = 0 mod 5 D.  One residue at a time, so
+    that no (5 D, n, 22) array is made.
+    """
+    mod = 5 * frame.den
+    a = exact_matmul(u_arr, frame.ginv) % mod
+    b = frame.ginv.sum(axis=0) % mod
+    member = np.zeros(len(a), dtype=bool)
+    for k in range(mod):
+        member |= ((a + k * b) % mod == 0).all(axis=1)
+    return int(member.sum())
 
 
 @dataclass(frozen=True)

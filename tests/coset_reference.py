@@ -11,13 +11,14 @@ Fincke-Pohst search of `leechdesign.lattice.fincke_pohst` on that coset.
 It works for every norm and every independent set of lattice anchors.
 
 Also here: the exact references the tests compare the program's integer
-routines with, in rational arithmetic or Python sets (`det_rational`,
-`rows_as_set`).
+routines with, in rational arithmetic, row HNF or Python sets
+(`det_rational`, `hnf_rows` and `hnf_coordinates`, `rows_as_set`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from leechdesign.lattice import (
     membership_mask,
 )
 from leechdesign.lattice.fincke_pohst import enumerate_sphere, rational_cholesky
-from leechdesign.lattice.intlinalg import adjugate, hnf_coordinates, hnf_rows
+from leechdesign.lattice.intlinalg import adjugate
 
 _LEECH_SCALED_DET = 8**12  # covolume of the sqrt8-scaled lattice
 
@@ -50,6 +51,68 @@ def det_rational(mat) -> Fraction:
             f = a[r][k] / a[k][k]
             a[r] = [x - f * y for x, y in zip(a[r], a[k])]
     return det
+
+
+def hnf_rows(mat) -> list[list[int]]:
+    """Row Hermite normal form H of an integer matrix, by unimodular row
+    operations: row echelon form with positive pivots and entries above
+    each pivot reduced mod the pivot.  Zero rows of H sink to the bottom.
+    """
+    a = [[int(x) for x in row] for row in mat]
+    m = len(a)
+    n = len(a[0]) if m else 0
+
+    row = 0
+    for col in range(n):
+        # Euclid on the entries of this column, below `row`.
+        while True:
+            nz = [r for r in range(row, m) if a[r][col] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda r: abs(a[r][col]))
+            a[row], a[piv] = a[piv], a[row]
+            done = True
+            for r in range(row + 1, m):
+                if a[r][col] != 0:
+                    q = a[r][col] // a[row][col]
+                    if q:
+                        a[r] = [x - q * y for x, y in zip(a[r], a[row])]
+                    if a[r][col] != 0:
+                        done = False
+            if done:
+                break
+        if row < m and a[row][col] != 0:
+            if a[row][col] < 0:
+                a[row] = [-x for x in a[row]]
+            for r in range(row):
+                q = a[r][col] // a[row][col]
+                if q:
+                    a[r] = [x - q * y for x, y in zip(a[r], a[row])]
+            row += 1
+        if row == m:
+            break
+    return a
+
+
+def hnf_coordinates(h, vec) -> Optional[list[int]]:
+    """Integer y with y @ h == vec, one entry per row of the row HNF `h`
+    (as `hnf_rows` returns it; zero rows get 0), or None when vec lies
+    outside the lattice the rows of h generate."""
+    resid = [int(v) for v in vec]
+    y = [0] * len(h)
+    piv = 0
+    for r, row in enumerate(h):
+        while piv < len(row) and row[piv] == 0:  # pivots strictly increase
+            piv += 1
+        if piv == len(row):
+            break  # only zero rows follow
+        q, rem = divmod(resid[piv], row[piv])
+        if rem:
+            return None
+        if q:
+            y[r] = q
+            resid = [x - q * hx for x, hx in zip(resid, row)]
+    return None if any(resid) else y
 
 
 def rows_as_set(arr) -> set[tuple[int, ...]]:

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from coset_reference import det_rational, ldl_solve
+from coset_reference import det_rational, hnf_coordinates, hnf_rows, ldl_solve
 from leechdesign.arith import rat_from_text, rat_to_text
 from leechdesign.lattice.fincke_pohst import NotPositiveDefiniteError, rational_cholesky
-from leechdesign.lattice.intlinalg import adjugate, hnf_coordinates, hnf_rows
+from leechdesign.lattice.intlinalg import adjugate
 
 
 def test_text_round_trip():

@@ -308,9 +308,9 @@ def test_the_tensor_costs_one_product_per_fiber_block(partition, monkeypatch):
     # products (r, s) make n_r n_s n = 2300^3 multiply-adds.
     work = []
 
-    def spy(a, b, b_max=None):
+    def spy(a, b, b_max=None, out=None):
         work.append(a.shape[0] * a.shape[1] * b.shape[1])
-        return exact_matmul(a, b, b_max)
+        return exact_matmul(a, b, b_max, out)
 
     monkeypatch.setattr(coherent, "exact_matmul", spy)
     tensor = intersection_numbers(partition)

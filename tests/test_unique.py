@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coset_reference import rows_as_set, sphere_coset_shell
+from coset_reference import hnf_coordinates, hnf_rows, rows_as_set, sphere_coset_shell
 from leechdesign import io as design_io
 from leechdesign.coherent import classify_pairs, compare_with_reference, intersection_numbers
-from leechdesign.construct import project_rows_scaled
+from leechdesign.construct import exact_matmul, project_rows_scaled
 from leechdesign.design import euclidean_strength
 from leechdesign.lattice import A_CANONICAL, B_CANONICAL, CosetConstraint
-from leechdesign.lattice.intlinalg import adjugate, hnf_rows
+from leechdesign.lattice.intlinalg import adjugate
 from leechdesign.unique import (
     CANDIDATE_NORM,
     UniquenessError,
@@ -77,12 +77,12 @@ def test_dual_frame_refuses_a_shell_of_rank_23(x1_integral, extra_first):
     # basis and the descent over the other 21 rows cannot lower det G; taken
     # last, every coordinate over the basis is an integer, but the basis does
     # not reach 5 a.
-    points = np.concatenate([x1_integral.points, 5 * A_CANONICAL[None]])
-    layer = dataclasses.replace(x1_integral, points=points)
-    order = [275, *range(275)] if extra_first else None
+    extra = 5 * A_CANONICAL[None]
+    rows = [extra, x1_integral.points] if extra_first else [x1_integral.points, extra]
+    layer = dataclasses.replace(x1_integral, points=np.concatenate(rows))
     match = "did not lower det G" if extra_first else "round trip failed"
     with pytest.raises(UniquenessError, match=match):
-        build_dual_frame(layer, order=order)
+        build_dual_frame(layer)
 
 
 def test_candidate_count_and_norms(candidates):
@@ -189,15 +189,20 @@ def test_twin_tensor_matches_reference(twin):
     assert compare_with_reference(tensor) == []
 
 
+def _reversed(layer):
+    # the shell with its rows in reverse order: another basis for the descent
+    return dataclasses.replace(layer, points=layer.points[::-1])
+
+
 def test_basis_choice_does_not_change_candidates(x1_integral, candidates):
-    frame2 = build_dual_frame(x1_integral, order=list(reversed(range(275))))
-    cands2 = enumerate_candidates(frame2, x1_integral)
+    layer2 = _reversed(x1_integral)
+    cands2 = enumerate_candidates(build_dual_frame(layer2), layer2)
     assert bool((cands2.vectors3 == candidates.vectors3).all())
 
 
 def test_two_bases_have_equal_gram_determinant(x1_integral, dual_frame):
-    frame2 = build_dual_frame(x1_integral, order=list(reversed(range(275))))
-    assert frame2.basis_indices != dual_frame.basis_indices
+    frame2 = build_dual_frame(_reversed(x1_integral))
+    assert tuple(274 - i for i in frame2.basis_indices) != dual_frame.basis_indices
     d1 = adjugate(dual_frame.gram.tolist())[1]
     d2 = adjugate(frame2.gram.tolist())[1]
     assert d1 == d2  # both are bases of the same lattice
@@ -209,6 +214,25 @@ def test_literal_generated_lattice_membership_is_rare(dual_frame, candidates):
     # by construction.  Recorded as data, not a claim.
     n = generated_lattice_membership(dual_frame, candidates.dual_coeffs)
     assert n == 1
+
+
+def test_membership_congruence_matches_hnf_reference(dual_frame):
+    # Rows 5 G m - k 1 are members by construction.  The same rows + e_1 are
+    # not: 5 G m - k 1 = e_1 would need k = -1 and k = 0 mod 5 at the first
+    # two entries.  Every count must equal the one from the generators' HNF.
+    rng = np.random.default_rng(20)
+    m = rng.integers(-3, 4, size=(40, 22))
+    k = rng.integers(-4, 5, size=(40, 1))
+    members = exact_matmul(m, 5 * dual_frame.gram) - k
+    shifted = members.copy()
+    shifted[:, 0] += 1
+    h = hnf_rows([*(5 * dual_frame.gram).tolist(), [-1] * 22])
+
+    def reference(rows):
+        return sum(hnf_coordinates(h, u) is not None for u in rows.tolist())
+
+    for rows, expect in ((members, 40), (shifted, 0), (np.concatenate([members, shifted]), 40)):
+        assert generated_lattice_membership(dual_frame, rows) == reference(rows) == expect
 
 
 def test_coefficient_sums_are_one_mod_five(dual_frame):
