@@ -6,7 +6,8 @@ always in lowest terms with positive denominator) is the only exact number
 type.  The radicals of the construction never need representing: the
 strength sums are rational, and the cross-shell products are reported
 multiplied by sqrt(11), which makes them rational too.  The exact linear
-algebra lives in `lattice.intlinalg` and `lattice.fincke_pohst`.
+algebra (`lattice.intlinalg`) and the candidate search (`unique`) run on
+integers alone.
 """
 
 from __future__ import annotations

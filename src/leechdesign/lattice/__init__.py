@@ -4,8 +4,6 @@ The public surface: build the Golay code and lattice context once, then
 list {x in Lambda : (x,x) = 4, (x, anchor_k) = value_k} exactly.  Every
 shell the pipeline needs is such a filter of the 196560 minimal vectors,
 which `leech.norm4_blocks` builds from the Golay code in small chunks.
-The exact sphere search (`enumerate_sphere`) serves the candidate search
-of `unique`.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fincke_pohst import EnumerationStats, enumerate_sphere
 from .golay import GolayCode, GolayConstructionError, build_golay
 from .leech import (
     A_CANONICAL,
@@ -46,7 +43,6 @@ __all__ = [
     "default_context",
     "distinct_rows",
     "enumerate_coset_shell",
-    "enumerate_sphere",
     "has_repeated_row",
     "membership_mask",
     "norm4_blocks",
@@ -54,6 +50,16 @@ __all__ = [
     "conventional_inner",
     "same_row_set",
 ]
+
+
+@dataclass
+class EnumerationStats:
+    """Work counters of an enumeration: nodes visited, leaves reached and
+    solutions kept."""
+
+    nodes: int = 0
+    leaves: int = 0
+    solutions: int = 0
 
 
 @dataclass(frozen=True)

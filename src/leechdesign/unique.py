@@ -13,8 +13,9 @@ second shell rescaled to squared norm 44/3) must satisfy
 and writing y over the dual basis e'_1..e'_22 of 22 chosen shell vectors
 forces the coefficient of e'_i to be 5 c_i - 1 with c_i in {0, +-1}: the
 coefficient is <y, e_i>, and the three admissible values are congruent
-to -1 mod 5.  The search over c in {0,+-1}^22 with the exact norm
-constraint is therefore complete; no candidate outside that cube exists.
+to -1 mod 5.  The search over u = 5 c - 1 in {-6, -1, 4}^22 with the
+exact norm constraint u^T G^-1 u = 44/3 is therefore complete; no
+candidate outside that cube exists.
 
 The dual frame is integral throughout and reads only the shell Gram: the
 basis comes from one fraction-free row reduction and a swap descent that
@@ -22,9 +23,10 @@ stops when every shell vector has integer coordinates over the basis,
 and G^-1 is kept as the integer matrix D * G^-1 over its common
 denominator D, from `intlinalg.adjugate`.  Every swap lowers det G, a
 positive integer, or the descent raises; so it terminates.  The
-computation then runs in three steps: the sphere search over the cube
-(`enumerate_sphere`, which checks the norm only), one integer check of
-the 275 admissibility conditions on the array of its leaves, and one
+computation then runs in three steps: the search of that cube for
+u^T (3 D G^-1) u = 44 D in integers alone (`_cube_leaves`, which checks
+the norm only), one integer check of the 275 admissibility conditions
+<y, x> = u . coeffs_x on the array of its leaves, and one
 integer matmul over D that turns the surviving coefficient vectors into
 integer vectors 3 * y in stored coordinates.  The same D * G^-1 answers
 the report's one note on the lattice read literally, generated by 5 e_i
@@ -41,18 +43,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .construct import BlockStats, PointLayer, StepError, WeightedPointSet, exact_matmul
-from .lattice import canonical_sort, distinct_rows, has_repeated_row
-from .lattice.fincke_pohst import EnumerationStats, enumerate_sphere, rational_cholesky
+from .lattice import EnumerationStats, canonical_sort, distinct_rows, has_repeated_row
 from .lattice.intlinalg import adjugate
 
 WORK_DEN = 40  # stored dot / 40 = lattice inner product
 CANDIDATE_NORM = Fraction(44, 3)
 ADMISSIBLE_PRODUCTS = (4, -1, -6)
+CUBE = (-6, -1, 4)  # the coefficients 5 c - 1, c in {-1, 0, 1}
 
 
 class UniquenessError(StepError):
@@ -200,42 +202,84 @@ def build_dual_frame(layer: IntegralizedLayer) -> DualFrame:
     )
 
 
+def _cube_leaves(form, target: int, stats: EnumerationStats) -> list[tuple[int, ...]]:
+    """Every u in CUBE^n with u^T form u == target, for a positive-definite
+    integer form, by depth-first search from the last coordinate down.
+
+    One forward Bareiss elimination (Bareiss, Math. Comp. 22, 1968) of the
+    form leaves integer rows r_k with r_k[k] = d_k, the k-th leading minor,
+    and u^T form u = sum_k (r_k . u)^2 / (d_(k-1) d_k) (Fincke & Pohst,
+    Math. Comp. 44, 1985).  Scaled by M = lcm_k d_(k-1) d_k, level k's term
+    is coef_k (r_k . u)^2 and the rest of the target an integer.  A node is
+    a value whose term fits into that rest (`stats.nodes`); a leaf, one
+    whose last term uses it up exactly (`stats.leaves`).
+    """
+    n = len(form)
+    rows = [[int(x) for x in row] for row in form]
+    prev = 1
+    for k in range(n):
+        if rows[k][k] <= 0:
+            raise UniquenessError(f"search form is not positive definite (minor {k + 1})")
+        for i in range(k + 1, n):
+            f = rows[i][k]
+            rows[i] = [(rows[k][k] * x - f * y) // prev for x, y in zip(rows[i], rows[k])]
+        prev = rows[k][k]
+    dets = [1] + [rows[k][k] for k in range(n)]
+    scale = lcm(*(dets[k] * dets[k + 1] for k in range(n)))
+    coef = [scale // (dets[k] * dets[k + 1]) for k in range(n)]
+    cols = [[rows[i][k] for i in range(k)] for k in range(n)]  # what u_k adds to r_i . u
+    leaves: list[tuple[int, ...]] = []
+    u = [0] * n
+
+    def descend(k: int, partial: list[int], rest: int) -> None:
+        # partial[i] = sum over the fixed j > k of r_i[j] u_j, for i <= k
+        piv, scale_k = rows[k][k], coef[k]
+        for v in CUBE:
+            num = piv * v + partial[k]
+            left = rest - scale_k * num * num
+            if left < 0:
+                continue
+            stats.nodes += 1
+            u[k] = v
+            if k:
+                descend(k - 1, [p + r * v for p, r in zip(partial, cols[k])], left)
+            elif not left:
+                stats.leaves += 1
+                leaves.append(tuple(u))
+
+    descend(n - 1, [0] * n, target * scale)
+    return leaves
+
+
 def enumerate_candidates(frame: DualFrame, layer: IntegralizedLayer) -> CandidateSet:
     """Complete candidate enumeration (see module docstring).
 
-    The sphere search checks the norm only; the admissibility filter then
-    runs once on all of its leaves, and the leaves it rejects are counted
-    in `CandidateSet.rejected_leaves`.
+    The search runs on the levels sorted by the diagonal of G^-1, ascending
+    (Wubben et al., Electron. Lett. 37, 2001): the same leaves, in a
+    fraction of the nodes.  It checks the norm only; the admissibility filter
+    then runs once on all of its leaves, and the leaves it rejects are
+    counted in `CandidateSet.rejected_leaves`.
     """
-    shift = [Fraction(-1, 5)] * 22
-
     sums = frame.coeffs.sum(axis=1)
     if np.any((sums - 1) % 5):
         raise UniquenessError(
             "a shell vector has coefficient sum != 1 mod 5; no candidate "
             "can satisfy its admissibility constraint"
         )
-    k = (sums - 1) // 5
 
-    # The form 25 G^-1 and the target, both scaled by D: the same solutions
-    # and the same search, since every interval reads their ratio.
+    # u^T G^-1 u = 44/3 for y = sum_i u_i e'_i; times 3 D, integers only
+    levels = np.argsort(np.diag(frame.ginv), kind="stable")
+    form = 3 * frame.ginv[np.ix_(levels, levels)]
     stats = EnumerationStats()
-    leaves = enumerate_sphere(
-        rational_cholesky((25 * frame.ginv).tolist()),
-        shift,
-        CANDIDATE_NORM * frame.den,
-        allowed=[(-1, 0, 1)] * 22,
-        stats=stats,
-    )
-    # <y, x> = 5 (c . coeffs_x) - sum(coeffs_x) is in {4, -1, -6} exactly
-    # when c . coeffs_x lies in [k_x - 1, k_x + 1].
-    c_arr = np.array(leaves, dtype=np.int64).reshape(-1, 22)
-    dots = exact_matmul(c_arr, frame.coeffs.T)
-    c_arr = c_arr[((dots >= k - 1) & (dots <= k + 1)).all(axis=1)]
-    stats.solutions = len(c_arr)
-    if not len(c_arr):
+    leaves = _cube_leaves(form.tolist(), 44 * frame.den, stats)
+    u_arr = np.empty((len(leaves), 22), dtype=np.int64)
+    u_arr[:, levels] = np.array(leaves, dtype=np.int64).reshape(-1, 22)
+    # <y, x> = u . coeffs_x for every shell vector x
+    admissible = np.isin(exact_matmul(u_arr, frame.coeffs.T), ADMISSIBLE_PRODUCTS)
+    u_arr = u_arr[admissible.all(axis=1)]
+    stats.solutions = len(u_arr)
+    if not len(u_arr):
         raise UniquenessError("no candidates found")
-    u_arr = 5 * c_arr - 1
 
     # y = sum_i (G^-1 u)_i e_i, materialized as 3 y (integral).
     scaled = exact_matmul(exact_matmul(u_arr, frame.ginv.T), 3 * frame.basis_points)

@@ -7,8 +7,11 @@ HNF, the rank-(24-k) sublattice orthogonal to the anchors and one
 particular solution of the inner-product system from one more HNF, an
 integral LLL of the sublattice, a coset representative shortened against
 it, the coset centre from the LDL^T of the sublattice Gram, and the
-Fincke-Pohst search of `leechdesign.lattice.fincke_pohst` on that coset.
-It works for every norm and every independent set of lattice anchors.
+Fincke-Pohst search (`enumerate_sphere`, on a rational LDL^T from
+`rational_cholesky`) on that coset.  It works for every norm and every
+independent set of lattice anchors.  The same general search, restricted
+to the cube, is the reference for the uniqueness stage's integer cube
+search.
 
 Also here: the exact references the tests compare the program's integer
 routines with, in rational arithmetic, row HNF or Python sets
@@ -18,17 +21,18 @@ routines with, in rational arithmetic, row HNF or Python sets
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from math import isqrt, lcm
+from typing import Optional, Sequence
 
 import numpy as np
 
 from leechdesign.lattice import (
     B_CANONICAL,
+    EnumerationStats,
     LeechConstructionError,
     canonical_sort,
     membership_mask,
 )
-from leechdesign.lattice.fincke_pohst import enumerate_sphere, rational_cholesky
 from leechdesign.lattice.intlinalg import adjugate
 
 _LEECH_SCALED_DET = 8**12  # covolume of the sqrt8-scaled lattice
@@ -294,6 +298,124 @@ def shorten_against(vec, basis_rows) -> np.ndarray:
             break
         v = v - q @ k
     return v
+
+
+class NotPositiveDefiniteError(ValueError):
+    pass
+
+
+def rational_cholesky(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Decompose Q(y) = y^T gram y as sum_i d_i (y_i + sum_{j>i} mu_ij y_j)^2."""
+    n = len(gram)
+    q = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    d: list[Fraction] = [Fraction(0)] * n
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = q[i][i]
+        if d[i] <= 0:
+            raise NotPositiveDefiniteError(f"pivot {i} is {d[i]}")
+        for j in range(i + 1, n):
+            mu[i][j] = q[i][j] / d[i]
+        for k in range(i + 1, n):
+            for m in range(k, n):
+                q[k][m] -= q[i][k] * q[i][m] / d[i]  # upper triangle only
+    return d, mu
+
+
+def enumerate_sphere(
+    ldl,
+    shift,
+    target,
+    allowed: Optional[Sequence[Sequence[int]]] = None,
+    stats: Optional[EnumerationStats] = None,
+) -> list[tuple[int, ...]]:
+    """All integer w with (w + shift)^T G (w + shift) == target, sorted,
+    for the form G given by `ldl = rational_cholesky(G)` (Fincke & Pohst,
+    Math. Comp. 44, 1985).  Every level is scaled by one common integer, so
+    the remaining radius and each level's bound are Python ints.
+
+    allowed: per-coordinate finite candidate sets (sorted ints).
+    """
+    d, mu = ldl
+    n = len(d)
+    if stats is None:
+        stats = EnumerationStats()
+    tau = [Fraction(x) for x in shift]
+    target = Fraction(target)
+
+    tden = lcm(*(t.denominator for t in tau))
+    tau_num = [int(t * tden) for t in tau]
+    mden = [lcm(*(mu[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    # mucol[j][i] = mu_ij * mden_i for i < j: what fixing y_j adds to ctr_i
+    mucol = [[int(mu[i][j] * mden[i]) for i in range(j)] for j in range(n)]
+    sden = [mden[i] * tden for i in range(n)]
+    # Level i contributes d_i (num / sden_i)^2 with num = w sden_i + ctr_i.
+    # Scaling every level by one integer M turns it into coef_i num^2 and
+    # the remaining radius into the integer R = M * (target - partial sum).
+    scale = lcm(target.denominator, *(x.denominator * s * s for x, s in zip(d, sden)))
+    coef = [int(x * scale) // (s * s) for x, s in zip(d, sden)]
+
+    # Preallocated per-level state (valid along the current DFS path only).
+    ctr = [[0] * n for _ in range(n)]
+    rstack = [0] * n
+    wlists: list[list[int]] = [[] for _ in range(n)]
+    widx = [0] * n
+    wcur = [0] * n
+
+    solutions: list[tuple[int, ...]] = []
+
+    def candidate_values(level: int) -> list[int]:
+        # coef num^2 <= R  <=>  |num| <= isqrt(R // coef), num integral
+        r = rstack[level]
+        if r < 0:
+            return []
+        s = isqrt(r // coef[level])
+        c, den = ctr[level][level], sden[level]
+        lo, hi = -((s + c) // den), (s - c) // den
+        if lo > hi:
+            return []
+        if allowed is not None:
+            return [v for v in allowed[level] if lo <= v <= hi]
+        return list(range(lo, hi + 1))
+
+    top = n - 1
+    ctr[top] = [t * m for t, m in zip(tau_num, mden)]
+    rstack[top] = int(target * scale)
+    wlists[top] = candidate_values(top)
+
+    level = top
+    while level <= top:
+        if widx[level] >= len(wlists[level]):
+            level += 1
+            continue
+        w = wlists[level][widx[level]]
+        widx[level] += 1
+        stats.nodes += 1
+
+        num = w * sden[level] + ctr[level][level]
+        rem = rstack[level] - coef[level] * num * num
+
+        if level == 0:
+            if rem == 0:
+                stats.leaves += 1
+                wcur[0] = w
+                solutions.append(tuple(wcur))
+                stats.solutions += 1
+            continue
+
+        wcur[level] = w
+        y_num = w * tden + tau_num[level]
+        child = level - 1
+        row_src, row_dst, col = ctr[level], ctr[child], mucol[level]
+        for i in range(level):
+            row_dst[i] = row_src[i] + col[i] * y_num
+        rstack[child] = rem
+        wlists[child] = candidate_values(child)
+        widx[child] = 0
+        level = child
+
+    solutions.sort()
+    return solutions
 
 
 def ldl_solve(ldl, rhs) -> list[Fraction]:

@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from coset_reference import det_rational, hnf_coordinates, hnf_rows, ldl_solve
+from coset_reference import (
+    NotPositiveDefiniteError,
+    det_rational,
+    hnf_coordinates,
+    hnf_rows,
+    ldl_solve,
+    rational_cholesky,
+)
 from leechdesign.arith import rat_from_text, rat_to_text
-from leechdesign.lattice.fincke_pohst import NotPositiveDefiniteError, rational_cholesky
 from leechdesign.lattice.intlinalg import adjugate
 
 

@@ -25,7 +25,7 @@ def test_cli_all_passes_end_to_end(tmp_path, block_calls):
         "report_coherent.canonical.json":
             "dfff756ba5701b79b061eb7f79e575420ac300d26d5eb6edc6bad1a7045d8beb",
         "report_unique.canonical.json":
-            "44b6febdd270d4a030a0bd13851bbd67b834eaaf7130504a214838a188b695fd",
+            "f222fd5aa6b3f1d34b58da70441b25d7c33222fbfeaeafdc74d26af81c82f8bf",
         "report_seven.canonical.json":
             "adbc90ce68aefdf28832577984aff207bbd7eae82f7e70b2b83ca41495b2cc0a",
         "tensor.txt": "539e2f77573d9fb473e5a4961c67d76dfe5644cb93756b99c64eb4447245d476",

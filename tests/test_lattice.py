@@ -7,6 +7,8 @@ from conftest import A_ALTERNATE, B_ALTERNATE
 from coset_reference import (
     InfeasibleCosetError,
     coset_setup,
+    enumerate_sphere,
+    rational_cholesky,
     reduce_basis_rows,
     rows_as_set,
     shell_size,
@@ -293,8 +295,6 @@ def test_sphere_search_agrees_with_brute_force():
     import random
     from fractions import Fraction
 
-    from leechdesign.lattice.fincke_pohst import enumerate_sphere, rational_cholesky
-
     rng = random.Random(2024)
     for _ in range(15):
         n = rng.randint(1, 3)
@@ -330,24 +330,17 @@ def test_sphere_search_agrees_with_brute_force():
 def test_sphere_search_finds_solutions_exactly_on_the_bound(gram, shift, target, expected):
     from fractions import Fraction
 
-    from leechdesign.lattice.fincke_pohst import enumerate_sphere, rational_cholesky
-
     shift = [Fraction(x) for x in shift]
     assert enumerate_sphere(rational_cholesky(gram), shift, Fraction(target)) == expected
 
 
 def test_sphere_search_with_allowed_sets_agrees_with_brute_force():
-    # the candidate search's setting: a shift of -1/5 and a finite allowed
-    # set per coordinate, which excludes solutions outside it
+    # the setting in which it is the cube search's reference: a shift of
+    # -1/5 and a finite allowed set per coordinate, which excludes
+    # solutions outside it
     import itertools
     import random
     from fractions import Fraction
-
-    from leechdesign.lattice.fincke_pohst import (
-        EnumerationStats,
-        enumerate_sphere,
-        rational_cholesky,
-    )
 
     rng = random.Random(77)
     for _ in range(10):

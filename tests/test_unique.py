@@ -1,20 +1,30 @@
 import dataclasses
 import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from coset_reference import hnf_coordinates, hnf_rows, rows_as_set, sphere_coset_shell
+from coset_reference import (
+    enumerate_sphere,
+    hnf_coordinates,
+    hnf_rows,
+    rational_cholesky,
+    rows_as_set,
+    sphere_coset_shell,
+)
 from leechdesign import io as design_io
 from leechdesign.coherent import classify_pairs, compare_with_reference, intersection_numbers
 from leechdesign.construct import exact_matmul, project_rows_scaled
 from leechdesign.design import euclidean_strength
-from leechdesign.lattice import A_CANONICAL, B_CANONICAL, CosetConstraint
+from leechdesign.lattice import A_CANONICAL, B_CANONICAL, CosetConstraint, EnumerationStats
 from leechdesign.lattice.intlinalg import adjugate
 from leechdesign.unique import (
     CANDIDATE_NORM,
+    CUBE,
     UniquenessError,
+    _cube_leaves,
     build_dual_frame,
     enumerate_candidates,
     _verify_candidates,
@@ -111,7 +121,7 @@ def test_no_norm_leaf_fails_the_filter(candidates):
 
 def test_candidate_search_output_is_pinned(tmp_path, candidates):
     # work counters and the exact candidate file of the canonical pair
-    assert candidates.stats.nodes == 773264
+    assert candidates.stats.nodes == 205836
     assert candidates.stats.leaves == candidates.stats.solutions == 4050
     assert candidates.rejected_leaves == 0
     path = tmp_path / "candidates.txt"
@@ -121,10 +131,71 @@ def test_candidate_search_output_is_pinned(tmp_path, candidates):
     )
 
 
-def test_filter_rejects_leaves_of_a_shifted_frame(dual_frame, x1_integral):
+def _reference_cube_search(form, target):
+    """The sorted u leaves and the node count of the general rational sphere
+    search on the cube: with u = 5 c - 1 and c in {-1, 0, 1},
+    u^T form u = (c - 1/5)^T (25 form) (c - 1/5)."""
+    n = len(form)
+    stats = EnumerationStats()
+    leaves = enumerate_sphere(
+        rational_cholesky([[25 * x for x in row] for row in form]),
+        [Fraction(-1, 5)] * n,
+        target,
+        allowed=[(-1, 0, 1)] * n,
+        stats=stats,
+    )
+    return sorted(tuple(5 * c - 1 for c in w) for w in leaves), stats.nodes
+
+
+@pytest.fixture(scope="module")
+def reference_leaves(dual_frame):
+    # the canonical frame's search form 3 D G^-1 in its own (unsorted) order
+    return _reference_cube_search((3 * dual_frame.ginv).tolist(), 44 * dual_frame.den)
+
+
+def test_cube_search_agrees_with_brute_force_and_reference():
+    # one target a random cube vector hits, and one between the form's
+    # values on the cube that no cube vector hits; the reference also pins
+    # the node count
+    rng = np.random.default_rng(21)
+    outcomes = []
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        a = rng.integers(-3, 4, size=(n, n))
+        form = a.T @ a + np.eye(n, dtype=np.int64)
+        cube = np.array(list(itertools.product(CUBE, repeat=n)))
+        values = np.einsum("ij,jk,ik->i", cube, form, cube)
+        missed = rng.choice(np.setdiff1d(np.arange(values.min(), values.max()), values))
+        for target in (int(rng.choice(values)), int(missed)):
+            stats = EnumerationStats()
+            leaves = _cube_leaves(form.tolist(), target, stats)
+            brute = sorted(map(tuple, cube[values == target].tolist()))
+            assert sorted(leaves) == brute
+            assert stats.leaves == len(brute)
+            assert (sorted(leaves), stats.nodes) == _reference_cube_search(form.tolist(), target)
+            outcomes.append(bool(brute))
+    assert outcomes.count(True) == outcomes.count(False) == 20
+
+
+def test_cube_search_refuses_a_form_that_is_not_positive_definite():
+    with pytest.raises(UniquenessError, match="not positive definite \\(minor 2\\)"):
+        _cube_leaves([[1, 2], [2, 4]], 5, EnumerationStats())
+
+
+def test_cube_search_matches_the_reference_on_the_unsorted_form(dual_frame, reference_leaves):
+    # the same nodes as the general search in the same level order: one
+    # node definition; sorting the levels alone brings 773,264 to 205,836
+    stats = EnumerationStats()
+    leaves = _cube_leaves((3 * dual_frame.ginv).tolist(), 44 * dual_frame.den, stats)
+    assert (sorted(leaves), stats.nodes) == reference_leaves
+    assert (stats.nodes, stats.leaves) == (773264, 4050)
+
+
+def test_filter_rejects_leaves_of_a_shifted_frame(dual_frame, x1_integral, reference_leaves):
     # Adding 5 to one coefficient keeps every coefficient sum 1 mod 5 but
     # moves that shell vector's admissible window, so some norm-passing
-    # leaves must now fail the filter; the survivors are still candidates.
+    # leaves must now fail the filter; the survivors are still candidates,
+    # and they are the reference's leaves u with every u . coeffs_x admissible.
     coeffs = dual_frame.coeffs.copy()
     coeffs[0, 0] += 5
     shifted = dataclasses.replace(dual_frame, coeffs=coeffs)
@@ -133,6 +204,9 @@ def test_filter_rejects_leaves_of_a_shifted_frame(dual_frame, x1_integral):
     assert cands.stats.leaves == 4050
     assert len(cands.vectors3) == cands.stats.solutions == 4050 - cands.rejected_leaves
     _verify_candidates(cands.vectors3, cands.dual_coeffs, x1_integral, dual_frame)
+    u = np.array(reference_leaves[0], dtype=np.int64)
+    admissible = u[np.isin(u @ coeffs.T, [4, -1, -6]).all(axis=1)]
+    assert rows_as_set(cands.dual_coeffs) == rows_as_set(admissible)
 
 
 def test_split_sizes_and_equivalence(split):
