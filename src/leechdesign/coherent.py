@@ -8,32 +8,35 @@ builds no Gram block of its own: it reads the design's pair statistics,
 one table lookup per block, and transposes the (1, 2) labels into the
 (2, 1) block, so the matrix is transpose-consistent by construction.
 
-`intersection_numbers` computes the composition counts p_{a,b}^c for
-every ordered pair of relations.  It first checks, on every pair, that
-each label lies in its own fiber block, that the identity relations are
-exactly the diagonal, and that each relation a has a constant count k_a
-per row on its source fiber and k'_a per column on its target fiber
-(counted in slabs of 256 rows).  Then the counts of identity relations are
-[b = c] and [a = c].  In a coherent configuration the relations of each
-fiber block sum to J (Higman, Geom. Dedicata 4, 1975), so of the
-non-identity relations of a block all but the last are free: at most two
-per block.  Each fiber block (r, s) is one product A @ B, A weighting the
-free relation a_i of block (r, s) by 2^(2wi) and B the free b_j of each
-block (s, t) by 2^(wj), so one entry holds up to four counts, count(a_i,
-b_j) at base-2^w digit 2i + j (Kronecker substitution on both operands;
-Harvey, J. Symb. Comput. 44, 2009).  The digit width w is the bit length
-of the larger fiber, 11 here: a count is at most a fiber size, so it never
-carries.  The products run through `construct.exact_matmul`, whose 2^53
-bound is the one exactness check; every fiber of fewer than 2^13 points
-keeps it, since the bound is a fiber size times 2^(3w), below 2^(4w).  The
-blocks sharing an inner fiber s run as one product, 256 rows at a time,
-against a right operand built once; every pair's packed value is compared
-with its relation's representative pair (not a sample).  Every other
-entry follows exactly: over the b of block (s, t) the counts sum to k_a,
-p_{a,identity}^c being [a = c], and over the a of block (r, s) to k'_b.
+`intersection_numbers` computes the composition counts p_{a,b}^c for every
+ordered pair of relations.  It first checks, on every pair and in this
+order, that each label lies in its own fiber block, that the identity
+relations are exactly the diagonal, that each relation a has a constant
+count k_a per row on its source fiber, and that labels[q, p] is
+T(labels[p, q]).  Then b has k_(T b) per column, and H_qp[a, b] =
+H_pq[T b, T a] for H_pq[a, b] = #{z : (p, z) in a, (z, q) in b}, so the
+pairs with q >= p decide every count.  In a coherent configuration the
+relations of each fiber block sum to J (Higman, Geom. Dedicata 4, 1975),
+so of the non-identity relations of a block all but the last are free: at
+most two per block.  Each fiber block (r, s) is one product A @ B, A
+weighting the free relation a_i of block (r, s) by 2^(2wi) and B the free
+b_j of each block (s, t) by 2^(wj), so one entry holds up to four counts,
+count(a_i, b_j) at base-2^w digit 2i + j (Kronecker substitution on both
+operands; Harvey, J. Symb. Comput. 44, 2009).  The digit width w is the
+bit length of the larger fiber, 11 here: a count is at most a fiber size,
+so it never carries.  The products run through `construct.exact_matmul`,
+whose 2^53 bound is the one exactness check; every fiber of fewer than
+2^13 points keeps it, since the bound is a fiber size times 2^(3w), below
+2^(4w).  The blocks sharing an inner fiber run as one product against a
+right operand built once, the slab of 256 rows at x on the columns q >= x
+only: 6,759,460,800 multiply-adds, 56 % of 2300^3.  Every pair with q >= p
+is compared with its relation's first pair in row order (not a sample).
+Every other entry follows exactly: the identity relations give [b = c] and
+[a = c], over the b of block (s, t) the counts sum to k_a, over the a of
+block (r, s) to k_(T b), and a (2, 1) relation c takes p_{a,b}^c =
+p_{T b,T a}^{T c}, which a symmetric c must satisfy at its representative.
 A failure names the first (a, b) at which the direct composition
-histograms of its two witness pairs differ.  `check_tensor_identities` is
-the one structural check for any 13x13x13 tensor, computed or reference.
+histograms of its two witness pairs differ.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .coherent_fixture import (
 _TRANSPOSE = np.array(TRANSPOSE, dtype=np.int8)
 _IDENTITY = (LABEL_INDEX["11.0"], LABEL_INDEX["22.0"])  # per fiber
 _FIBER_SIZES = (275, 2025)
-_SLAB = 256  # rows per counting and product slab
+_SLAB = 256  # rows per slab of the counts, the transpose check and the products
 # The non-identity relations of each fiber block, in LABELS order.  All but
 # the last are free, each at its position i among them.
 _NON_IDENTITY = {
@@ -162,7 +165,7 @@ def _not_well_defined(labels: np.ndarray, w1: tuple, w2: tuple) -> Configuration
 
 def intersection_numbers(part: RelationPartition) -> np.ndarray:
     """The full 13x13x13 tensor, with exhaustive well-definedness checks:
-    one packed product per fiber block (see the module notes)."""
+    one packed product per fiber block, on the pairs q >= p (module notes)."""
     labels = part.labels
     n = len(labels)
     fiber = _fiber_slices(part.fiber_sizes)
@@ -179,40 +182,47 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
                 f"{LABELS[c] if 0 <= c < 13 else c}, not a relation of the {r}{s}.* block"
             )
 
-    # rows[x, a] = #{z : (x, z) in a} and cols[b, y] = #{z : (z, y) in b}
+    # rows[x, a] = #{z : (x, z) in a}
     rows = np.zeros((n, 13), dtype=np.int64)
-    cols = np.zeros((13, n), dtype=np.int64)
     for x in range(0, n, _SLAB):
         slab = labels[x : x + _SLAB].astype(np.int64)
         m = len(slab)
         rows[x : x + m] = np.bincount(
             (slab + 13 * np.arange(m)[:, None]).ravel(), minlength=13 * m
         ).reshape(m, 13)
-        cols += np.bincount((slab * n + np.arange(n)).ravel(), minlength=13 * n).reshape(13, n)
     diagonal = np.diagonal(labels)
     for f, c in zip(fiber, _IDENTITY):
         if bool((diagonal[f] != c).any() or (rows[f, c] != 1).any()):
             raise ConfigurationAxiomError(
                 f"relation {LABELS[c]} is not exactly the diagonal of its fiber"
             )
-    # Each relation's row count is constant on its source fiber and its
-    # column count on its target fiber; a point where one is not sees a
-    # different histogram at its diagonal pair.
+    # Each relation's row count is constant on its source fiber; a point
+    # where it is not sees a different histogram at its diagonal pair.
     for f in fiber:
-        for counts in (rows[f], cols[:, f].T):
-            bad = (counts != counts[:1]).any(axis=1)
-            if bool(bad.any()):
-                x = f.start + int(np.argmax(bad))
-                raise _not_well_defined(labels, (f.start, f.start), (x, x))
+        bad = (rows[f] != rows[f][:1]).any(axis=1)
+        if bool(bad.any()):
+            x = f.start + int(np.argmax(bad))
+            raise _not_well_defined(labels, (f.start, f.start), (x, x))
+    # Transposing a pair transposes its relation, so the column counts of b
+    # are the row counts of T b and H_qp[a, b] = H_pq[T b, T a].
+    for x in range(0, n, _SLAB):
+        bad = labels[x : x + _SLAB] != _TRANSPOSE[labels[:, x : x + _SLAB].T]
+        if bool(bad.any()):
+            p, q = divmod(x * n + int(np.argmax(bad)), n)
+            raise ConfigurationAxiomError(
+                f"pair {(p, q)} carries {LABELS[labels[p, q]]}, but its transpose {(q, p)} "
+                f"carries {LABELS[labels[q, p]]}, not {LABELS[_TRANSPOSE[labels[p, q]]]}",
+                ((p, q), (q, p)),
+            )
     valency = rows[[fiber[r - 1].start for r, _ in LABEL_FIBERS], range(13)]
-    covalency = cols[range(13), [fiber[t - 1].start for _, t in LABEL_FIBERS]]
+    covalency = valency[_TRANSPOSE]
 
     # One representative pair per relation, the first in row order; None for
-    # a relation no pair carries.
+    # a relation no pair carries, or of block (2, 1), whose pairs have q < p.
     rep = [None] * 13
     for c in range(13):
         x = int(np.argmax(rows[:, c] > 0))
-        if rows[x, c]:
+        if rows[x, c] and c not in _NON_IDENTITY[2, 1]:
             rep[c] = (x, int(np.argmax(labels[x] == c)))
 
     # A count is at most a fiber size, so below 2^w.  A free relation a of
@@ -230,26 +240,26 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
     buf = np.empty((min(n, _SLAB), n), dtype=np.int64)
     for s, inner in zip((1, 2), fiber):
         # Through inner fiber s, the rows of fiber r are block (r, s)'s
-        # product.  The right operand is built once, in float64, which
-        # `exact_matmul` does not copy, and its bound is taken once.
+        # product, slab x taking the columns q >= x.  The right operand is
+        # built once, in float64, which `exact_matmul` does not copy.
         rhs = right[labels[inner]]
         rhs_max = max_abs(rhs)
         for x in range(0, n, _SLAB):
             lhs = left[labels[x : x + _SLAB, inner]]
-            counts = exact_matmul(lhs, rhs, rhs_max, buf[: len(lhs)])
-            target = labels[x : x + _SLAB]
+            counts = exact_matmul(lhs, rhs[:, x:], rhs_max, buf[: len(lhs), : n - x])
+            target = labels[x : x + _SLAB, x:]
             for c, pair in enumerate(rep):
                 if pair is not None and x <= pair[0] < x + _SLAB:
-                    packed[s - 1, c] = counts[pair[0] - x, pair[1]]
-            bad = counts != packed[s - 1][target]
+                    packed[s - 1, c] = counts[pair[0] - x, pair[1] - x]
+            bad = np.triu(counts != packed[s - 1][target])
             if bool(bad.any()):
-                p, q = np.unravel_index(np.argmax(bad), bad.shape)
-                raise _not_well_defined(labels, rep[target[p, q]], (x + int(p), int(q)))
+                p, q = (int(i) for i in np.argwhere(bad)[0])
+                raise _not_well_defined(labels, rep[target[p, q]], (x + p, x + q))
         del rhs  # before the next right operand is built
 
     # Every other entry follows from the valencies.  Over the relations b of
     # block (s, t), sum_b p_(a,b)^c = k_a, where p_(a,identity)^c = [a = c];
-    # over the a of block (r, s), sum_a p_(a,b)^c = k'_b likewise.
+    # over the a of block (r, s), sum_a p_(a,b)^c = k_(T b) likewise.
     tensor = np.zeros((13, 13, 13), dtype=np.int64)
     for c, (r, t) in enumerate(LABEL_FIBERS):
         if rep[c] is None:
@@ -265,6 +275,11 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
                 tensor[a, last_b, c] = valency[a] - (a == c) - tensor[a, free_b, c].sum()
             for b in (*free_b, last_b):
                 tensor[last_a, b, c] = covalency[b] - (b == c) - tensor[free_a, b, c].sum()
+        # p_(a,b)^(T c) = p_(T b,T a)^c gives the (2, 1) relations; check it for T c = c.
+        swapped = tensor[:, :, c][np.ix_(_TRANSPOSE, _TRANSPOSE)].T
+        if _TRANSPOSE[c] == c and bool((swapped != tensor[:, :, c]).any()):
+            raise _not_well_defined(labels, rep[c], rep[c][::-1])
+        tensor[:, :, _TRANSPOSE[c]] = swapped
     return tensor
 
 
@@ -286,9 +301,9 @@ def check_tensor_identities(tensor: np.ndarray) -> list[int]:
     k_a = p_{a,a^T}^{identity of a's source fiber}; the valencies of the
     relations from fiber i to fiber j sum to |X_j|; and the column sums
     sum_b p_{a,b}^c = k_a over the b that compose a into c.  On a tensor of
-    `intersection_numbers` the column sums hold by construction, since it
-    derives each block's last relation from them; on the reference tables
-    they remain a real check.
+    `intersection_numbers` the first and the last hold by construction, since
+    it derives the (2, 1) relations and each block's last relation from
+    them; on the reference tables they remain a real check.
     """
     swapped = tensor[np.ix_(_TRANSPOSE, _TRANSPOSE, _TRANSPOSE)].transpose(1, 0, 2)
     bad = np.argwhere(tensor != swapped)

@@ -293,19 +293,50 @@ def test_a_point_with_another_valency_is_named_at_its_diagonal_pair(partition):
 
 def test_a_relation_with_constant_rows_but_not_columns_is_rejected():
     # Every point of fiber 1 has one 12.2 pair, always to point 3, so the
-    # row counts are constant and the column counts of 12.2 are 3, 0, ..., 0:
-    # point 3 has no 12.1 pair left, point 4 three.
+    # row counts are constant and the column counts of 12.2 are 3, 0, ..., 0.
+    # The transposed pairs still carry 21.1, which the transpose check names.
     part = _two_relation_partition()
     part.labels[:3, 3] = LABEL_INDEX["12.2"]
+    with pytest.raises(ConfigurationAxiomError, match=r"^pair \(0, 3\) carries 12.2, but its "
+                       r"transpose \(3, 0\) carries 21.1, not 21.2$") as info:
+        intersection_numbers(part)
+    assert info.value.witnesses == ((0, 3), (3, 0))
+
+
+def test_a_transpose_consistent_relation_with_constant_rows_but_not_columns_is_rejected():
+    # The same pairs with their transposes relabelled too, so that the
+    # partition is transpose-consistent: point 3 has no 21.1 pair left,
+    # point 4 three.
+    part = _two_relation_partition()
+    part.labels[:3, 3] = LABEL_INDEX["12.2"]
+    part.labels[3, :3] = LABEL_INDEX["21.2"]
     with pytest.raises(ConfigurationAxiomError, match=r"^p_\[21.1,12.1\]\^\[22.0\] not well "
                        r"defined: pair \(3, 3\) sees 0, pair \(4, 4\) sees 3$") as info:
         intersection_numbers(part)
     assert info.value.witnesses == ((3, 3), (4, 4))
 
 
+def test_two_labels_swapped_within_a_row_break_transpose_consistency(partition):
+    # Row p keeps every count, but its pairs to q1 and q2 no longer carry
+    # the transposes of (q1, p) and (q2, p); the first of them is named.
+    labels = partition.labels.copy()
+    p = 300
+    q1, q2 = (
+        p + 1 + int(np.argmax(labels[p, p + 1 :] == LABEL_INDEX[r])) for r in ("22.1", "22.2")
+    )
+    labels[p, [q1, q2]] = labels[p, [q2, q1]]
+    q = min(q1, q2)
+    new, old = LABELS[labels[p, q]], LABELS[labels[q, p]]
+    with pytest.raises(ConfigurationAxiomError, match=rf"^pair \({p}, {q}\) carries {new}, but "
+                       rf"its transpose \({q}, {p}\) carries {old}, not {new}$") as info:
+        intersection_numbers(RelationPartition(labels, partition.fiber_sizes))
+    assert info.value.witnesses == ((p, q), (q, p))
+
+
 def test_the_tensor_costs_one_product_per_fiber_block(partition, monkeypatch):
-    # rows x inner x columns summed over every product: the four block
-    # products (r, s) make n_r n_s n = 2300^3 multiply-adds.
+    # rows x inner x columns summed over every product: through each inner
+    # fiber, the slab of m rows at x multiplies the 2300 - x columns q >= x,
+    # so sum_x m (2300 - x) 2300 multiply-adds, 56 % of 2300^3.
     work = []
 
     def spy(a, b, b_max=None, out=None):
@@ -314,8 +345,41 @@ def test_the_tensor_costs_one_product_per_fiber_block(partition, monkeypatch):
 
     monkeypatch.setattr(coherent, "exact_matmul", spy)
     tensor = intersection_numbers(partition)
-    assert sum(work) == 2300**3 == 12_167_000_000
+    assert sum(work) == 6_759_460_800 <= 6.8e9
     assert compare_with_reference(tensor) == []
+
+
+def _pentagon_partition() -> RelationPartition:
+    """The orbitals of the dihedral group of the pentagon on its 5 edges
+    (fiber 1) and 5 vertices (fiber 2): edges and vertices at cyclic
+    distance 1 or 2, and an edge incident to a vertex (12.1), adjacent to
+    it (12.2) or opposite it (12.3)."""
+    i = np.arange(5)
+    d = (i[None, :] - i[:, None]) % 5  # d[p, q] = q - p mod 5
+    within = np.array([0, 1, 2, 2, 1])
+    cross = np.array([1, 1, 2, 3, 2])  # edge {p, p + 1} to vertex p + d
+    li = LABEL_INDEX
+    labels = np.empty((10, 10), dtype=np.int8)
+    labels[:5, :5] = np.array([li["11.0"], li["11.1"], li["11.2"]])[within[d]]
+    labels[5:, 5:] = np.array([li["22.0"], li["22.1"], li["22.2"]])[within[d]]
+    labels[:5, 5:] = (li["12.1"] - 1 + cross)[d]
+    labels[5:, :5] = np.array(TRANSPOSE, dtype=np.int8)[labels[:5, 5:].T]
+    return RelationPartition(labels, (5, 5))
+
+
+@pytest.mark.parametrize("slab", [1, 2, 3, 4])
+def test_slabs_smaller_than_a_fiber_match_the_pairwise_count(monkeypatch, slab):
+    # The pairs q >= p of each slab cross slab and fiber boundaries, and the
+    # (2, 1) entries, derived from p_(a,b)^c = p_(T b, T a)^(T c), equal the
+    # direct counts as well.
+    monkeypatch.setattr(coherent, "_SLAB", slab)
+    for part in (
+        _cycle_scheme_partition(7, {0: "22.0", 1: "22.1", 2: "22.2", 3: "22.3"}),
+        _pentagon_partition(),
+    ):
+        tensor = intersection_numbers(part)
+        assert tensor[:, :, [LABEL_INDEX[f"21.{k}"] for k in (1, 2, 3)]].any()
+        assert np.array_equal(tensor, _pairwise_tensor(part))
 
 
 @pytest.mark.parametrize("pair, relation", [((0, 1), "11.0"), ((4, 4), "22.1"), ((5, 6), "22.0")])
