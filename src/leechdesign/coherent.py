@@ -27,14 +27,20 @@ bit length of the larger fiber, 11 here: a count is at most a fiber size,
 so it never carries.  The products run through `construct.exact_matmul`,
 whose 2^53 bound is the one exactness check; every fiber of fewer than
 2^13 points keeps it, since the bound is a fiber size times 2^(3w), below
-2^(4w).  The blocks sharing an inner fiber run as one product against a
-right operand built once, the slab of 256 rows at x on the columns q >= x
-only: 6,759,460,800 multiply-adds, 56 % of 2300^3.  Every pair with q >= p
-is compared with its relation's first pair in row order (not a sample).
-Every other entry follows exactly: the identity relations give [b = c] and
-[a = c], over the b of block (s, t) the counts sum to k_a, over the a of
-block (r, s) to k_(T b), and a (2, 1) relation c takes p_{a,b}^c =
-p_{T b,T a}^{T c}, which a symmetric c must satisfy at its representative.
+2^(4w).  The blocks sharing an inner fiber run as one product, whose right
+operand is never whole: it is built a block of 768 columns at a time, each
+block once for all the 256-row slabs at x that read it, on the columns
+q >= x only (the panel reuse of blocked GEMM; Goto & van de Geijn, ACM TOMS
+34, 2008).  The blocks visit pairs out of row order, so the entries at each
+relation's representative, its first pair in row order, come first, from
+one small product per fiber: 6,759,690,800 multiply-adds in all, 56 % of
+2300^3.  Every pair with q > p is compared with its representative (not a
+sample); a diagonal pair needs none, its counts following from the row
+counts and the transpose check.  Every other entry follows exactly: the
+identity relations give [b = c] and [a = c], over the b of block (s, t)
+the counts sum to k_a, over the a of block (r, s) to k_(T b), and a (2, 1)
+relation c takes p_{a,b}^c = p_{T b,T a}^{T c}, which a symmetric c must
+satisfy at its representative.
 A failure names the first (a, b) at which the direct composition
 histograms of its two witness pairs differ.
 """
@@ -61,6 +67,7 @@ _TRANSPOSE = np.array(TRANSPOSE, dtype=np.int8)
 _IDENTITY = (LABEL_INDEX["11.0"], LABEL_INDEX["22.0"])  # per fiber
 _FIBER_SIZES = (275, 2025)
 _SLAB = 256  # rows per slab of the counts, the transpose check and the products
+_COLUMNS = 3 * _SLAB  # columns per block of the products' right operand
 # The non-identity relations of each fiber block, in LABELS order.  All but
 # the last are free, each at its position i among them.
 _NON_IDENTITY = {
@@ -229,33 +236,43 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
     # block (r, s) weighs 2^(2wi) on the left and a free b of block (s, t)
     # 2^(wj) on the right, so count(a, b) is digit 2i + j of the product.
     w = max(part.fiber_sizes).bit_length()
-    left, right = np.zeros(13, dtype=np.int64), np.zeros(13)
+    left, right = np.zeros(13), np.zeros(13)
     for c, i in _FREE.items():
-        left[c], right[c] = 1 << (2 * w * i), 2.0 ** (w * i)
-    # packed[s - 1, c]: the value at rep[c] of the product through fiber s
+        left[c], right[c] = 2.0 ** (2 * w * i), 2.0 ** (w * i)
+    # packed[s - 1, c]: the value at rep[c] of the product through fiber s,
+    # taken first, as the column blocks visit pairs out of row order; the
+    # fill reads it for the identities too, whose pairs are not compared.
     packed = np.zeros((2, 13), dtype=np.int64)
-    # Every slab's product reuses one buffer, so that its pages are not
-    # faulted in anew; the gathered left operand and its float64 copy are
-    # still made per slab.
-    buf = np.empty((min(n, _SLAB), n), dtype=np.int64)
+    cs = [c for c, pair in enumerate(rep) if pair is not None]
+    ps, qs = np.array([rep[c] for c in cs]).T
     for s, inner in zip((1, 2), fiber):
-        # Through inner fiber s, the rows of fiber r are block (r, s)'s
-        # product, slab x taking the columns q >= x.  The right operand is
-        # built once, in float64, which `exact_matmul` does not copy.
-        rhs = right[labels[inner]]
-        rhs_max = max_abs(rhs)
-        for x in range(0, n, _SLAB):
-            lhs = left[labels[x : x + _SLAB, inner]]
-            counts = exact_matmul(lhs, rhs[:, x:], rhs_max, buf[: len(lhs), : n - x])
-            target = labels[x : x + _SLAB, x:]
-            for c, pair in enumerate(rep):
-                if pair is not None and x <= pair[0] < x + _SLAB:
-                    packed[s - 1, c] = counts[pair[0] - x, pair[1] - x]
-            bad = np.triu(counts != packed[s - 1][target])
-            if bool(bad.any()):
-                p, q = (int(i) for i in np.argwhere(bad)[0])
-                raise _not_well_defined(labels, rep[target[p, q]], (x + p, x + q))
-        del rhs  # before the next right operand is built
+        packed[s - 1, cs] = np.diagonal(
+            exact_matmul(left[labels[ps, inner]], right[labels[inner, qs]])
+        )
+    # Through inner fiber s, the rows of fiber r are block (r, s)'s product.
+    # Its right operand is built a column block at a time, from the rows
+    # j0..j1 by the transpose check, and read by every slab x < j1 on the
+    # columns q >= x.  Only q > p is compared: H_pp[a, b] = [b = T a] k_a
+    # already follows from the row counts and the transpose check.  Each
+    # left operand is gathered into one buffer per fiber ("clip" never acts:
+    # every label is checked in range above).
+    transposed, b_max = right[_TRANSPOSE], max_abs(right)
+    buf = np.empty((_SLAB, _COLUMNS), dtype=np.int64)
+    for s, inner in zip((1, 2), fiber):
+        lhs_buf = np.empty((_SLAB, inner.stop - inner.start))
+        for j0 in range(0, n, _COLUMNS):
+            j1 = min(j0 + _COLUMNS, n)
+            block = transposed[labels[j0:j1, inner]].T
+            for x in range(0, j1, _SLAB):
+                q0, rows = max(x, j0), labels[x : x + _SLAB, inner]
+                lhs = left.take(rows, mode="clip", out=lhs_buf[: len(rows)])
+                counts = exact_matmul(lhs, block[:, q0 - j0 :], b_max, buf[: len(lhs), : j1 - q0])
+                target = labels[x : x + _SLAB, q0:j1]
+                bad = np.triu(counts != packed[s - 1][target], x - q0 + 1)
+                if bool(bad.any()):
+                    p, q = (int(i) for i in np.argwhere(bad)[0])
+                    raise _not_well_defined(labels, rep[target[p, q]], (x + p, q0 + q))
+            del block  # before the next one is built
 
     # Every other entry follows from the valencies.  Over the relations b of
     # block (s, t), sum_b p_(a,b)^c = k_a, where p_(a,identity)^c = [a = c];

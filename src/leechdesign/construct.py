@@ -83,9 +83,10 @@ def exact_matmul(
     (inner dimension) * max|a| * max|b|; below 2^53 a float64 holds each one
     exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008), and a larger bound
     is refused.  The result is filled in slabs of 256 rows, so that no
-    second full-size array is live.  A caller that multiplies many left
-    operands by one b passes `b_max = max_abs(b)`, taken once, and may pass
-    one int64 `out` to take each product in turn."""
+    second full-size array is live, and a float64 operand is not copied.  A
+    caller that multiplies many left operands by one b passes `b_max =
+    max_abs(b)`, taken once, or the max of the table a gathered b is read
+    from, and may pass one int64 `out` to take each product in turn."""
     bound = a.shape[-1] * max_abs(a) * (max_abs(b) if b_max is None else b_max)
     if bound >= 2**53:
         raise DesignConstructionError(f"product bound {bound} is not below 2^53")
@@ -93,7 +94,7 @@ def exact_matmul(
     if out is None:
         out = np.empty(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     for r in range(0, len(a), 256):
-        out[r : r + 256] = a[r : r + 256].astype(np.float64) @ bf
+        out[r : r + 256] = a[r : r + 256].astype(np.float64, copy=False) @ bf
     return out
 
 

@@ -178,23 +178,20 @@ def moment_spot_check(ws: WeightedPointSet, t: int) -> list[ProbeMomentResult]:
         stats = [ws.pair_stats(m, i) if m <= i else ws.pair_stats(i, m) for i in range(p)]
         # counts[q, c]: how often column c's value occurs in probe q's row of
         # its block; two probes have the same profile exactly when these are
-        # equal.
-        counts, columns = [], []
+        # equal.  A profile's sum_x w(x) (x.y)^k is, over the blocks, w /
+        # scale^k times the integer sum_c count_c v_c^k of the stored dots v_c.
+        counts, blocks = [], []
         for i, st in enumerate(stats):
             axis = 1 if m <= i else 0  # the block (i, m) holds probe rows as columns
             counts += [(st.index == v).sum(axis=axis) for v in range(len(st.values))]
-            weight, scale = ws.layers[i].weight, ws.dot_scale(i, m)
-            columns += [(weight, Fraction(v, scale)) for v in st.values.tolist()]
+            powers = [[v**k for k in range(t + 1)] for v in st.values.tolist()]
+            factors = [Fraction(ws.layers[i].weight, ws.dot_scale(i, m) ** k) for k in range(t + 1)]
+            blocks.append((np.array(powers, dtype=object).reshape(-1, t + 1), np.array(factors)))
         profiles, inverse = np.unique(np.stack(counts, axis=1), axis=0, return_inverse=True)
-        lhs = []
-        for profile in profiles.tolist():
-            sums = [Fraction(0)] * (t + 1)
-            for c, (w, u) in zip(profile, columns):
-                term = w * c
-                for k in range(t + 1):
-                    sums[k] += term
-                    term *= u
-            lhs.append(sums)
+        profiles, start, lhs = profiles.astype(object), 0, 0
+        for powers, factors in blocks:
+            lhs = lhs + (profiles[:, start : start + len(powers)] @ powers) * factors
+            start += len(powers)
         rhs = [radial[k] * probe_layer.r2 ** (k // 2) for k in range(t + 1)]
         for q, g in enumerate(inverse.ravel().tolist()):
             results.extend(

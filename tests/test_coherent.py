@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,15 +260,21 @@ def test_two_free_relations_match_the_pairwise_count():
     assert np.array_equal(tensor, _pairwise_tensor(part))
 
 
-def test_a_regular_relation_that_is_not_coherent_is_caught_by_the_products():
+def test_a_regular_relation_that_is_not_coherent_is_caught_by_the_products(monkeypatch):
     # On the 6-cycle, 22.1 (distance 1) and 22.2 (distance 2 or 3) have
     # constant valencies 2 and 3, but a 22.2 pair at distance 2 has one
-    # common 22.1-neighbour and one at distance 3 has none.
+    # common 22.1-neighbour and one at distance 3 has none.  It is caught
+    # with one slab and one column block, and with tiles that start right
+    # of their slab or end inside it, whose compared pairs a wrong triangle
+    # offset would cut short.
     part = _cycle_scheme_partition(6, {0: "22.0", 1: "22.1", 2: "22.2", 3: "22.2"})
-    with pytest.raises(ConfigurationAxiomError) as info:
-        intersection_numbers(part)
-    w1, w2 = _assert_names_differing_counts(info.value, part.labels, "22.2")
-    assert w1 != w2 and w1[0] != w1[1] and w2[0] != w2[1]
+    for slab, columns in [(256, 768)] + [(m, c) for m in (1, 2, 3, 4) for c in (m, 2 * m + 1)]:
+        monkeypatch.setattr(coherent, "_SLAB", slab)
+        monkeypatch.setattr(coherent, "_COLUMNS", columns)
+        with pytest.raises(ConfigurationAxiomError) as info:
+            intersection_numbers(part)
+        w1, w2 = _assert_names_differing_counts(info.value, part.labels, "22.2")
+        assert w1 != w2 and w1[0] != w1[1] and w2[0] != w2[1]
 
 
 @pytest.mark.parametrize("pair, relation", [((4, 5), "12.3"), ((0, 1), "22.2")])
@@ -335,8 +342,10 @@ def test_two_labels_swapped_within_a_row_break_transpose_consistency(partition):
 
 def test_the_tensor_costs_one_product_per_fiber_block(partition, monkeypatch):
     # rows x inner x columns summed over every product: through each inner
-    # fiber, the slab of m rows at x multiplies the 2300 - x columns q >= x,
-    # so sum_x m (2300 - x) 2300 multiply-adds, 56 % of 2300^3.
+    # fiber, one product for the 10 representatives (10 x 10 entries), and
+    # the slab of m rows at x on the 2300 - x columns q >= x, in column
+    # blocks; so 100 * 2300 + sum_x m (2300 - x) 2300 multiply-adds, 56 % of
+    # 2300^3.
     work = []
 
     def spy(a, b, b_max=None, out=None):
@@ -345,8 +354,20 @@ def test_the_tensor_costs_one_product_per_fiber_block(partition, monkeypatch):
 
     monkeypatch.setattr(coherent, "exact_matmul", spy)
     tensor = intersection_numbers(partition)
-    assert sum(work) == 6_759_460_800 <= 6.8e9
+    assert sum(work) == 6_759_690_800 <= 6.8e9
     assert compare_with_reference(tensor) == []
+
+
+def test_the_tensor_holds_no_full_size_operand(partition):
+    # A right operand of the 2025-point fiber against all 2300 columns in
+    # float64 alone is 35.5 MiB; a column block of 768 is 11.9 MiB.
+    tracemalloc.start()
+    try:
+        intersection_numbers(partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def _pentagon_partition() -> RelationPartition:
@@ -369,17 +390,20 @@ def _pentagon_partition() -> RelationPartition:
 
 @pytest.mark.parametrize("slab", [1, 2, 3, 4])
 def test_slabs_smaller_than_a_fiber_match_the_pairwise_count(monkeypatch, slab):
-    # The pairs q >= p of each slab cross slab and fiber boundaries, and the
-    # (2, 1) entries, derived from p_(a,b)^c = p_(T b, T a)^(T c), equal the
-    # direct counts as well.
+    # The pairs q > p of each slab cross slab, column-block and fiber
+    # boundaries, and the (2, 1) entries, derived from p_(a,b)^c =
+    # p_(T b, T a)^(T c), equal the direct counts as well.  A column block
+    # of 2 slab + 1 ends inside a slab.
     monkeypatch.setattr(coherent, "_SLAB", slab)
-    for part in (
-        _cycle_scheme_partition(7, {0: "22.0", 1: "22.1", 2: "22.2", 3: "22.3"}),
-        _pentagon_partition(),
-    ):
-        tensor = intersection_numbers(part)
-        assert tensor[:, :, [LABEL_INDEX[f"21.{k}"] for k in (1, 2, 3)]].any()
-        assert np.array_equal(tensor, _pairwise_tensor(part))
+    for columns in (slab, 2 * slab + 1):
+        monkeypatch.setattr(coherent, "_COLUMNS", columns)
+        for part in (
+            _cycle_scheme_partition(7, {0: "22.0", 1: "22.1", 2: "22.2", 3: "22.3"}),
+            _pentagon_partition(),
+        ):
+            tensor = intersection_numbers(part)
+            assert tensor[:, :, [LABEL_INDEX[f"21.{k}"] for k in (1, 2, 3)]].any()
+            assert np.array_equal(tensor, _pairwise_tensor(part)), f"columns {columns}"
 
 
 @pytest.mark.parametrize("pair, relation", [((0, 1), "11.0"), ((4, 4), "22.1"), ((5, 6), "22.0")])

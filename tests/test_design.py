@@ -262,14 +262,37 @@ def test_moment_spot_check_with_a_uint16_block_matches_per_probe_reference():
     assert [ws.pair_stats(i, j).index.dtype for i, j in ((0, 0), (0, 1), (1, 1))] == [
         np.uint16, np.uint8, np.uint8
     ]
+    _assert_every_probe_matches_the_reference(ws)
+
+
+def _assert_every_probe_matches_the_reference(ws) -> list:
+    """moment_spot_check(ws, 6) equals `_probe_moments` at every probe;
+    returns each probe's (lhs, rhs) pairs."""
     results = moment_spot_check(ws, 6)
     probes = [(row, layer.denom) for layer in ws.layers for row in layer.points]
     assert [(r.probe_index, r.k) for r in results] == [
         (q, k) for q in range(len(probes)) for k in range(7)
     ]
+    got = [[(r.lhs, r.rhs) for r in results[7 * q : 7 * q + 7]] for q in range(len(probes))]
     for q, probe in enumerate(probes):
-        got = [(r.lhs, r.rhs) for r in results[7 * q : 7 * q + 7]]
-        assert got == _probe_moments(ws, *probe, 6)
+        assert got[q] == _probe_moments(ws, *probe, 6)
+    return got
+
+
+def test_moment_spot_check_with_many_profiles_matches_per_probe_reference():
+    # 150 seeded signed permutations of (1, ..., 24), not antipodal, next to
+    # +-2 e_i at another denominator: the probes of the first layer see
+    # over a hundred distinct multisets of dots, so as many profiles are
+    # summed, each at both blocks' scales
+    rng = np.random.default_rng(11)
+    wide = np.array([rng.permutation(24) + 1 for _ in range(150)]) * rng.choice([-1, 1], (150, 24))
+    axes = 2 * np.concatenate([np.eye(24, dtype=np.int64), -np.eye(24, dtype=np.int64)])
+    ws = WeightedPointSet(layers=(
+        PointLayer(wide, 1, Fraction(2, 5), Fraction(4900, 8)),
+        PointLayer(axes, 3, Fraction(3, 7), Fraction(4, 72)),
+    ))
+    got = _assert_every_probe_matches_the_reference(ws)
+    assert len({tuple(g) for g in got}) >= 100
 
 
 def test_verify_design_builds_each_gram_block_once(design, block_calls):
