@@ -38,8 +38,8 @@ from .construct import (
     check_orthogonal_to_anchors,
     check_X1_equals_PY,
     exact_matmul,
-    max_abs,
     project_rows_scaled,
+    slab_products,
     y_antipodal_pair_count,
     z_value_histogram,
 )
@@ -279,10 +279,9 @@ def verify_seven_claims(ws: WeightedPointSet, report: VerificationReport, anchor
             counts = np.zeros(193, dtype=np.int64)  # dots -96..96
             for i, f in enumerate(fams):
                 for j in range(i, 4):  # block (j, i) holds the values of (i, j)
-                    g, g_max = fams[j].T, max_abs(fams[j])
-                    for r in range(0, len(f), 256):
-                        dots = exact_matmul(f[r : r + 256], g, g_max).ravel() + 96
-                        counts += (1 if i == j else 2) * np.bincount(dots, minlength=193)
+                    for _, dots in slab_products(f, fams[j]):
+                        dots += 96
+                        counts += (1 if i == j else 2) * np.bincount(dots.ravel(), minlength=193)
             y_hist = {Fraction(v - 96, 96): int(n) for v, n in enumerate(counts.tolist()) if n}
             c.computed = y_hist == hist
 

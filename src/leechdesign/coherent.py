@@ -4,9 +4,10 @@ configuration carried by the two-shell design.
 `classify_pairs` gives every ordered pair (x, y) of the 2300 points the
 index in `LABELS` of its relation, decided by fiber pair and exact
 normalized inner product; the result is one (n, n) label matrix.  It
-builds no Gram block of its own: it reads the design's pair statistics,
-one table lookup per block, and transposes the (1, 2) labels into the
-(2, 1) block, so the matrix is transpose-consistent by construction.
+compares each 256-row slab of the blocks (1, 1), (1, 2) and (2, 2) with
+the block's three or four relation dots, so no Gram block is held, and
+transposes the (1, 2) labels into the (2, 1) block, so the matrix is
+transpose-consistent by construction.
 
 `intersection_numbers` computes the composition counts p_{a,b}^c for every
 ordered pair of relations.  It first checks, on every pair and in this
@@ -52,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construct import StepError, WeightedPointSet, exact_matmul, max_abs
+from .construct import StepError, WeightedPointSet, exact_matmul, max_abs, slab_products
 from .coherent_fixture import (
     LABELS,
     LABEL_FIBERS,
@@ -124,8 +125,9 @@ def _block_dots(ws: WeightedPointSet, i: int, j: int) -> list[tuple[int, int]]:
 
 def classify_pairs(ws: WeightedPointSet) -> RelationPartition:
     """Label every ordered pair; fatal if any inner product is off-list.
-    Each block is one lookup: a table from its distinct values to relations,
-    read at every entry's position among them."""
+    Each 256-row slab of a block is compared with the block's few dots,
+    and the first off-list entry in row order is named once its block is
+    done, after a diagonal block's duplicate check."""
     if len(ws.layers) != 2:
         raise RelationClassificationError("expected exactly two layers")
     sizes = (ws.layers[0].size, ws.layers[1].size)
@@ -133,23 +135,28 @@ def classify_pairs(ws: WeightedPointSet) -> RelationPartition:
     labels = np.empty((sum(sizes), sum(sizes)), dtype=np.int8)
     for i, j in ((0, 0), (0, 1), (1, 1)):
         dots = _block_dots(ws, i, j)
-        st = ws.pair_stats(i, j)
-        lut = np.full(len(st.values), -1, dtype=np.int8)
-        for c, dot in dots:
-            lut[st.values == dot] = c
+        block = labels[fiber[i], fiber[j]]
+        on_norm, off_list = 0, None
+        for r, product in slab_products(ws.layers[i].points, ws.layers[j].points):
+            slab = block[r : r + len(product)]
+            slab.fill(-1)
+            for c, dot in dots:
+                hit = product == dot
+                slab += hit.view(np.int8) * (c + 1)
+                if c in _IDENTITY:
+                    on_norm += np.count_nonzero(hit)
+            if off_list is None and slab.min() < 0:
+                off_list = int(product[tuple(np.argwhere(slab < 0)[0])])
         # The identity relation is exactly the diagonal, which holds the
         # layer's norm (`PointLayer` checks it): any more entries at it are
         # pairs of equal points.
-        if i == j and st.counts[lut == _IDENTITY[i]].sum() != ws.layers[i].size:
+        if i == j and on_norm != ws.layers[i].size:
             raise RelationClassificationError("duplicate point: off-diagonal pair at full norm")
-        block = lut[st.index]
-        if bool((lut < 0).any()):
-            p, q = np.argwhere(block < 0)[0]
+        if off_list is not None:
             raise RelationClassificationError(
-                f"inner product {st.values[st.index[p, q]]}/{ws.dot_scale(i, j)} in "
+                f"inner product {off_list}/{ws.dot_scale(i, j)} in "
                 f"block ({i},{j}) is outside the admissible set"
             )
-        labels[fiber[i], fiber[j]] = block
     labels[fiber[1], fiber[0]] = _TRANSPOSE[labels[fiber[0], fiber[1]].T]
     return RelationPartition(labels=labels, fiber_sizes=sizes)
 

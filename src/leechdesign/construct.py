@@ -10,12 +10,12 @@ exact integer computation.  Every product of integer rows, here and in the
 later stages, is one `exact_matmul` call; the `PointLayer` bounds, checked
 where a design enters, make every product of stored design rows pass it.
 
-Every claim about a design reads the exact inner products of its pairs
-from `WeightedPointSet.pair_stats(i, j)`, streamed from the two layers in
-256-row slabs: it keeps of each block only its value histogram and each
-entry's position in it, so every classification of the block's pairs is
-one lookup, and the probe-moment oracle groups its probes by the count
-of each value in their rows of that index.
+Every claim about a design that needs only the inner products of its
+pairs as a multiset reads them from `WeightedPointSet.pair_stats(i, j)`:
+the value histogram of each block, made in one pass of 256-row slabs.
+A check that needs each pair's value (the relation labels, the probe
+profiles, the candidate split) streams its own slabs from `slab_products`
+and keeps only what it needs, so no block-sized array is made.
 
 The companions are the four norm-4 families Y projected along one anchor,
 and the antipodal double cover of the design on S^22.  The cover is never
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -160,39 +161,36 @@ class WeightedPointSet:
         return st.values[st.counts > on_diagonal]
 
 
+def slab_products(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(r, a[r : r + 256] @ b.T) for every 256-row slab of a, in row order,
+    under the bound of b taken once.  Every slab is made into one reused
+    buffer, so that its pages are not faulted in anew: a caller may
+    overwrite a slab, and reads it before it asks for the next."""
+    bt, b_max = b.T.astype(np.float64), max_abs(b)
+    buf = np.empty((min(len(a), 256), len(b)), dtype=np.int64)
+    for r in range(0, len(a), 256):
+        x = a[r : r + 256]
+        yield r, exact_matmul(x, bt, b_max, buf[: len(x)])
+
+
 @dataclass(frozen=True)
 class BlockStats:
-    """Inner-product statistics of the block a @ b.T of two integer point
-    sets: its value histogram, and the position of each entry in it, from
-    which every classification of the block's pairs is one lookup."""
+    """The value histogram of the block a @ b.T of two integer point sets."""
 
     values: np.ndarray  # distinct stored dots, ascending
     counts: np.ndarray  # occurrences of each value in the block
-    index: np.ndarray  # values[index] is the block; the smallest unsigned dtype
 
     @classmethod
     def of(cls, a: np.ndarray, b: np.ndarray) -> BlockStats:
-        """Two passes over 256-row slabs of a @ b.T under the bound of b
-        taken once: the first merges the slabs' histograms, the second
-        recomputes each slab, which costs less than its sort, to place its
-        entries.  Only the index is block-sized.  Every slab's product
-        reuses one buffer, so that its pages are not faulted in anew."""
-        bt, b_max = b.T, max_abs(b)
-        buf = np.empty((min(len(a), 256), len(b)), dtype=np.int64)
-
-        def product(x: np.ndarray) -> np.ndarray:
-            return exact_matmul(x, bt, b_max, buf[: len(x)])
-
-        slabs = [(r, a[r : r + 256]) for r in range(0, len(a), 256)]
-        hists = [np.unique(product(x), return_counts=True) for _, x in slabs]
+        """One pass over the 256-row slabs of a @ b.T, whose histograms are
+        merged: no block-sized array is made."""
+        hists = [np.unique(product, return_counts=True) for _, product in slab_products(a, b)]
         merged = np.sort(np.concatenate([v for v, _ in hists]))
         values = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
         counts = np.zeros(len(values), dtype=np.int64)
-        index = np.empty((len(a), len(b)), dtype=np.min_scalar_type(len(values) - 1))
-        for (r, x), (v, c) in zip(slabs, hists):
+        for v, c in hists:
             counts[np.searchsorted(values, v)] += c
-            index[r : r + 256] = np.searchsorted(values, product(x))
-        return cls(values=values, counts=counts, index=index)
+        return cls(values=values, counts=counts)
 
 
 def check_anchor_pair(a, b) -> None:

@@ -17,18 +17,19 @@ any radicals, for arbitrary rational input layers.
 An exact probe-moment check (necessary conditions from powers of linear
 forms) accompanies the kernel route as an independent oracle.
 
-Every exact check reads the pair statistics of the design
-(`WeightedPointSet.pair_stats`), built once per layer block.  The kernel
-sums need only the histograms of stored inner products, and every kernel
-value comes from one three-term recurrence (`zonal_values`).  The
+The kernel sums need only the histograms of stored inner products, which
+they read from the design's pair statistics
+(`WeightedPointSet.pair_stats`), built once per layer block, and every
+kernel value comes from one three-term recurrence (`zonal_values`).  The
 probe-moment oracle probes with every design point y.  Its moment sum
 sum_x w(x) (x.y)^k depends on y only through the multiset of y's inner
 products with each layer, its profile (Delsarte, Goethals and Seidel
 1977), and the oracle groups the probes by profile: by the count of each
-value in the probe's row of every block's index.  So the sum is evaluated
-exactly once per distinct profile and copied to every probe with that
-profile: an identity, not a sample, and each probe is still checked and
-named by its index.
+value in the probe's row of every block, read from the runs of the row
+sorted, one 256-row slab at a time.  So the sum is evaluated exactly once
+per distinct profile and compared once per profile and degree, and the
+verdict is copied to every probe with that profile: an identity, not a
+sample, and each probe is still checked and named by its index.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .construct import DesignConstructionError, PointLayer, WeightedPointSet
+from .construct import DesignConstructionError, PointLayer, WeightedPointSet, slab_products
 
 DIMENSION = 22  # the design lives in R^22, the orthogonal complement of the anchors
 
@@ -145,10 +146,7 @@ class ProbeMomentResult(NamedTuple):
     k: int
     lhs: Fraction
     rhs: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
+    passed: bool  # lhs == rhs, compared once per profile and k
 
 
 def moment_spot_check(ws: WeightedPointSet, t: int) -> list[ProbeMomentResult]:
@@ -172,30 +170,49 @@ def moment_spot_check(ws: WeightedPointSet, t: int) -> list[ProbeMomentResult]:
         * sum(layer.weight * layer.size * layer.r2 ** (k // 2) for layer in ws.layers)
         for k in range(t + 1)
     ]
+    # a count is at most the size of the layer a probe's row runs over
+    width = np.min_scalar_type(max(layer.size for layer in ws.layers))
     results: list[ProbeMomentResult] = []
     first_index = 0
     for m, probe_layer in enumerate(ws.layers):
-        stats = [ws.pair_stats(m, i) if m <= i else ws.pair_stats(i, m) for i in range(p)]
-        # counts[q, c]: how often column c's value occurs in probe q's row of
-        # its block; two probes have the same profile exactly when these are
-        # equal.  A profile's sum_x w(x) (x.y)^k is, over the blocks, w /
-        # scale^k times the integer sum_c count_c v_c^k of the stored dots v_c.
-        counts, blocks = [], []
-        for i, st in enumerate(stats):
-            axis = 1 if m <= i else 0  # the block (i, m) holds probe rows as columns
-            counts += [(st.index == v).sum(axis=axis) for v in range(len(st.values))]
-            powers = [[v**k for k in range(t + 1)] for v in st.values.tolist()]
-            factors = [Fraction(ws.layers[i].weight, ws.dot_scale(i, m) ** k) for k in range(t + 1)]
+        values = [ws.pair_stats(min(m, i), max(m, i)).values for i in range(p)]
+        start = np.cumsum([0] + [len(v) for v in values])
+        # counts[q, start[i] + c]: how often value c of block (m, i) occurs in
+        # probe q's row; two probes have the same profile exactly when these
+        # are equal.  Each slab's rows are sorted, and each run of equal dots
+        # is one count, at its value's rank.
+        counts = np.zeros((probe_layer.size, start[-1]), dtype=width)
+        for i, layer in enumerate(ws.layers):
+            for r, product in slab_products(probe_layer.points, layer.points):
+                product.sort(axis=1)
+                first = np.ones(product.shape, dtype=bool)
+                np.not_equal(product[:, 1:], product[:, :-1], out=first[:, 1:])
+                runs = np.flatnonzero(first)
+                ranks = start[i] + np.searchsorted(values[i], product.ravel()[runs])
+                counts[r + runs // layer.size, ranks] = np.diff(runs, append=product.size)
+        profiles, inverse = np.unique(counts, axis=0, return_inverse=True)
+        del counts
+        # A profile's sum_x w(x) (x.y)^k is, over the blocks, w / scale^k
+        # times the integer sum_c count_c v_c^k of the stored dots v_c,
+        # evaluated for 256 profiles at a time.
+        blocks = []
+        for i, (layer, vals) in enumerate(zip(ws.layers, values)):
+            powers = [[v**k for k in range(t + 1)] for v in vals.tolist()]
+            factors = [Fraction(layer.weight, ws.dot_scale(i, m) ** k) for k in range(t + 1)]
             blocks.append((np.array(powers, dtype=object).reshape(-1, t + 1), np.array(factors)))
-        profiles, inverse = np.unique(np.stack(counts, axis=1), axis=0, return_inverse=True)
-        profiles, start, lhs = profiles.astype(object), 0, 0
-        for powers, factors in blocks:
-            lhs = lhs + (profiles[:, start : start + len(powers)] @ powers) * factors
-            start += len(powers)
         rhs = [radial[k] * probe_layer.r2 ** (k // 2) for k in range(t + 1)]
+        lhs: list = []
+        for g in range(0, len(profiles), 256):
+            group = profiles[g : g + 256].astype(object)
+            total = 0
+            for i, (powers, factors) in enumerate(blocks):
+                total = total + (group[:, start[i] : start[i + 1]] @ powers) * factors
+            lhs += total.tolist()
+        passed = [[s == r for s, r in zip(sums, rhs)] for sums in lhs]
         for q, g in enumerate(inverse.ravel().tolist()):
             results.extend(
-                ProbeMomentResult(first_index + q, k, lhs[g][k], rhs[k]) for k in range(t + 1)
+                ProbeMomentResult(first_index + q, k, lhs[g][k], rhs[k], passed[g][k])
+                for k in range(t + 1)
             )
         first_index += probe_layer.size
     return results

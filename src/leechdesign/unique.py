@@ -33,10 +33,10 @@ the report's one note on the lattice read literally, generated by 5 e_i
 and -sum e'_i: membership is one congruence mod 5 D
 (`generated_lattice_membership`).
 Every integer product is one `construct.exact_matmul` call, and all
-pairwise decisions downstream are exact integer arithmetic, read from
-pair statistics (`construct.BlockStats`): the shell's products from the
-design's, the two-class split from the candidates', streamed from the
-4050 candidate rows so that their 4050 x 4050 Gram is never kept.
+pairwise decisions downstream are exact integer arithmetic: the shell's
+products are read from the histogram of the design's inner block, and the
+two-class split from 256-row slabs of its parts' products
+(`construct.slab_products`), so that no 4050 x 4050 array is made.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .construct import BlockStats, PointLayer, StepError, WeightedPointSet, exact_matmul
+from .construct import PointLayer, StepError, WeightedPointSet, exact_matmul, slab_products
 from .lattice import EnumerationStats, canonical_sort, distinct_rows, has_repeated_row
 from .lattice.intlinalg import adjugate
 
@@ -358,26 +358,39 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     n = len(vec)
     if n != 4050:
         raise UniquenessError(f"expected 4050 candidates, got {n}")
-    st = BlockStats.of(vec, vec)  # dots 9 * 40 * <y, y'>
-    scale = 9 * WORK_DEN
+    scale = 9 * WORK_DEN  # dots 9 * 40 * <y, y'>
     shell2 = (Fraction(7, 22), Fraction(-1, 44), Fraction(-4, 11))  # normalized products
-    same = np.isin(st.values, [int(u * CANDIDATE_NORM * scale) for u in shell2])[st.index]
-    np.fill_diagonal(same, True)
+    dots = [int(u * CANDIDATE_NORM * scale) for u in shell2]
 
-    in_a = same[0]
+    def compatible(row: int) -> np.ndarray:  # the class of one candidate
+        same = np.isin(exact_matmul(vec[row : row + 1], vec.T)[0], dots)
+        same[row] = True
+        return same
+
+    in_a = compatible(0)
     outside = np.flatnonzero(~in_a)
     if not len(outside):
         raise UniquenessError("every candidate is compatible with candidate 0")
-    in_b = same[outside[0]]
-    if not bool(same[np.ix_(in_a, in_a)].all()):
-        raise UniquenessError("compatibility is not transitive on part A")
-    if not bool(same[np.ix_(in_b, in_b)].all()):
-        raise UniquenessError("compatibility is not transitive on part B")
+    in_b = compatible(outside[0])
 
-    cross = st.values[np.unique(st.index[np.ix_(in_a, in_b)])]
+    # Each part must be a clique: every pair of it compatible, or a
+    # diagonal pair.  No pair across the parts may be, nor may a candidate
+    # lie in both.
+    a, b = vec[in_a], vec[in_b]
+    for part, name in ((a, "A"), (b, "B")):
+        for r, product in slab_products(part, part):
+            same = np.isin(product, dots)
+            k = np.arange(len(product))
+            same[k, r + k] = True
+            if not bool(same.all()):
+                raise UniquenessError(f"compatibility is not transitive on part {name}")
+    cross, disjoint = [], not (in_a & in_b).any()
+    for _, product in slab_products(a, b):
+        disjoint = disjoint and not np.isin(product, dots).any()
+        cross.append(np.unique(product))
+    cross = np.unique(np.concatenate(cross))
 
-    part_a = canonical_sort(vec[in_a])
-    part_b = canonical_sort(vec[in_b])
+    part_a, part_b = canonical_sort(a), canonical_sort(b)
     x2 = distinct_rows(ws.layers[1].points)
 
     def shared(part):  # rows of the part (distinct candidates) that x2 holds
@@ -389,7 +402,7 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
         part_a=part_a,
         part_b=part_b,
         cross_products=tuple(Fraction(int(v), scale) for v in cross),
-        disjoint=not same[np.ix_(in_a, in_b)].any(),
+        disjoint=disjoint,
         covering=bool((in_a | in_b).all()),
     )
 

@@ -26,7 +26,7 @@ A_WRAPPING = A_CANONICAL + 2**32 * np.array([0, 0, 4, -4] + [0] * 20, dtype=np.i
 @pytest.fixture
 def block_calls(monkeypatch):
     """The operand row counts (len(a), len(b)) of every `BlockStats.of`
-    call made while the test runs: one per block whose pairs are read."""
+    call made while the test runs: one per block whose histogram is read."""
     calls = []
     of = BlockStats.of
 

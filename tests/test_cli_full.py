@@ -10,10 +10,10 @@ def test_cli_all_passes_end_to_end(tmp_path, block_calls):
     out = tmp_path / "out"
     code = main(["all", "--out", str(out)])
     assert code == 0
-    # one pass per layer block of each point set (the design and its twin),
-    # and one over the 4050 candidates
+    # one histogram per layer block of each point set (the design and its
+    # twin); the labels and the candidate split stream their own slabs
     design_blocks = [(275, 275), (275, 2025), (2025, 2025)]
-    assert sorted(block_calls) == sorted(2 * design_blocks + [(4050, 4050)])
+    assert sorted(block_calls) == sorted(2 * design_blocks)
     for stage in ("design", "coherent", "unique", "seven"):
         assert (out / f"report_{stage}.json").exists()
         assert (out / f"report_{stage}.canonical.json").exists()

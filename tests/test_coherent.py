@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from leechdesign import coherent
+from leechdesign import coherent, construct
 from leechdesign.coherent import (
     ConfigurationAxiomError,
     RelationClassificationError,
@@ -461,24 +461,64 @@ def test_labels_match_the_per_entry_reference(request, fixture):
     assert np.array_equal(labels, _per_entry_labels(ws))
 
 
-def test_negated_inner_point_fails_in_the_first_block(design, block_calls):
+def _slab_spy(monkeypatch) -> list:
+    """The (rows, columns) of every product `construct.slab_products` makes
+    while the test runs."""
+    calls = []
+    matmul = construct.exact_matmul
+
+    def spy(a, b, b_max=None, out=None):
+        calls.append((a.shape[0], b.shape[1]))
+        return matmul(a, b, b_max, out)
+
+    monkeypatch.setattr(construct, "exact_matmul", spy)
+    return calls
+
+
+def _slabs(n: int, columns: int) -> list:
+    return [(min(256, n - r), columns) for r in range(0, n, 256)]
+
+
+def test_negated_inner_point_fails_in_the_first_block(design, block_calls, monkeypatch):
     inner, outer = design.layers
     points = inner.points.copy()
     points[100] = -points[100]
     ws = WeightedPointSet(
         layers=(PointLayer(points, inner.denom, inner.weight, inner.r2), outer)
     )
+    slabs = _slab_spy(monkeypatch)
     # the message of the per-entry labelling: the first off-list entry in row order
     with pytest.raises(
         RelationClassificationError,
         match=r"^inner product -80/200 in block \(0,0\) is outside the admissible set$",
     ):
         classify_pairs(ws)
-    assert block_calls == [(275, 275)]  # the other blocks are never read
+    assert block_calls == []
+    assert slabs == _slabs(275, 275)  # the other blocks are never read
 
 
-def test_verify_coherent_builds_each_gram_block_once(design, block_calls, tmp_path):
+def test_duplicate_is_named_before_an_earlier_off_list_value(design):
+    # row 100 negated gives off-list dots from row 0 on; the duplicate of
+    # row 5 at row 270 lies in the block's second slab
+    inner, outer = design.layers
+    points = inner.points.copy()
+    points[100] = -points[100]
+    points[270] = points[5]
+    ws = WeightedPointSet(
+        layers=(PointLayer(points, inner.denom, inner.weight, inner.r2), outer)
+    )
+    with pytest.raises(
+        RelationClassificationError, match=r"^duplicate point: off-diagonal pair at full norm$"
+    ):
+        classify_pairs(ws)
+
+
+def test_verify_coherent_makes_no_block_stats_and_each_blocks_slabs_once(
+    design, block_calls, monkeypatch, tmp_path
+):
+    slabs = _slab_spy(monkeypatch)
     report = VerificationReport(name="coherent")
     verify_coherent_claims(WeightedPointSet(layers=design.layers), report, tmp_path)
     assert report.passed
-    assert sorted(block_calls) == [(275, 275), (275, 2025), (2025, 2025)]
+    assert block_calls == []
+    assert slabs == _slabs(275, 275) + _slabs(275, 2025) + _slabs(2025, 2025)

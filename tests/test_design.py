@@ -249,19 +249,18 @@ def test_moment_spot_check_matches_per_probe_reference(design, mutated):
         assert got == _probe_moments(ws, *probes[-1], 6)
 
 
-def test_moment_spot_check_with_a_uint16_block_matches_per_probe_reference():
+def test_moment_spot_check_with_a_many_valued_block_matches_per_probe_reference():
     # an antipodal layer of signed permutations of (1, ..., 24), whose Gram
-    # block holds thousands of distinct dots (a uint16 index), next to the
-    # antipodal layer +-2 e_i, whose blocks hold few (uint8 indices)
+    # block holds thousands of distinct dots, next to the antipodal layer
+    # +-2 e_i, whose blocks hold few
     rng = np.random.default_rng(7)
     half = np.array([rng.permutation(24) + 1 for _ in range(60)]) * rng.choice([-1, 1], (60, 24))
     wide = PointLayer(np.concatenate([half, -half]), 1, Fraction(1), Fraction(4900, 8))
     axes = 2 * np.concatenate([np.eye(24, dtype=np.int64), -np.eye(24, dtype=np.int64)])
     narrow = PointLayer(axes, 1, Fraction(3, 7), Fraction(4, 8))
     ws = WeightedPointSet(layers=(wide, narrow))
-    assert [ws.pair_stats(i, j).index.dtype for i, j in ((0, 0), (0, 1), (1, 1))] == [
-        np.uint16, np.uint8, np.uint8
-    ]
+    sizes = [len(ws.pair_stats(i, j).values) for i, j in ((0, 0), (0, 1), (1, 1))]
+    assert sizes[0] > 256 and max(sizes[1:]) < 256
     _assert_every_probe_matches_the_reference(ws)
 
 

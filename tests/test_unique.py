@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,43 @@ def test_parts_disjoint_fails_on_a_copied_candidate(candidates, split, design):
     broken = split_candidates(dataclasses.replace(candidates, vectors3=vec), design)
     assert not (broken.disjoint and broken.covering)
     assert sorted([len(broken.part_a), len(broken.part_b)]) == [2024, 2025]
+
+
+@pytest.mark.parametrize("part", ["A", "B"])
+def test_a_part_that_is_no_clique_is_refused(candidates, design, part):
+    # The last candidate of the part becomes a multiple of a unit vector,
+    # compatible with the part's first row (dot -120, normalized -1/44) but
+    # not with a candidate that is zero at its coordinate (dot 0); for part
+    # B it is not compatible with candidate 0 either.
+    vec = candidates.vectors3.copy()
+    dots = [1680, -120, -1920]
+    in_a = np.isin(vec @ vec[0], dots)
+    in_a[0] = True
+    first = 0 if part == "A" else int(np.argmin(in_a))
+    in_part = in_a if part == "A" else np.isin(vec @ vec[first], dots)
+    last = int(np.flatnonzero(in_part)[-1])
+    y = np.zeros(24, dtype=np.int64)
+    for i, c in enumerate(vec[first].tolist()):
+        if c and 120 % c == 0 and (part == "A" or -120 // c * vec[0, i] not in dots):
+            y[i] = -120 // c
+            break
+    assert y @ vec[first] == -120 and last > first
+    vec[last] = y
+    with pytest.raises(UniquenessError, match=f"^compatibility is not transitive on part {part}$"):
+        split_candidates(dataclasses.replace(candidates, vectors3=vec), design)
+
+
+def test_the_split_holds_no_candidate_sized_block(candidates, design):
+    # the compatibility relation of the 4050 candidates alone is 16 MB as
+    # bools, and their int64 Gram 131 MB; the split reads 256-row slabs of
+    # its parts' products
+    tracemalloc.start()
+    try:
+        split_candidates(candidates, design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_part_a_is_the_constructed_second_shell(split, design):
