@@ -37,6 +37,7 @@ from .construct import (
     build_Y,
     check_orthogonal_to_anchors,
     check_X1_equals_PY,
+    distinct_values,
     exact_matmul,
     project_rows_scaled,
     slab_products,
@@ -209,7 +210,7 @@ def verify_unique_claims(
             c.computed = len(cands.vectors3)
         report.check("unique/norm-passing-but-filter-failing", 0, cands.rejected_leaves)
         report.note("candidate-search-nodes", cands.stats.nodes)
-        coeff_ok = set(np.unique(cands.dual_coeffs).tolist()) <= {-6, -1, 4}
+        coeff_ok = set(distinct_values(cands.dual_coeffs).tolist()) <= {-6, -1, 4}
         report.check("unique/dual-coefficients-in-form", True, bool(coeff_ok))
         in_m = unique.generated_lattice_membership(frame, cands.dual_coeffs)
         report.note("candidates-in-literal-generated-lattice", f"{in_m} of 4050")

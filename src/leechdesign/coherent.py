@@ -29,12 +29,12 @@ so it never carries.  The products run through `construct.exact_matmul`,
 whose 2^53 bound is the one exactness check; every fiber of fewer than
 2^13 points keeps it, since the bound is a fiber size times 2^(3w), below
 2^(4w).  The blocks sharing an inner fiber run as one product, whose right
-operand is never whole: it is built a block of 768 columns at a time, each
-block once for all the 256-row slabs at x that read it, on the columns
+operand is never whole: it is built a block of 512 columns at a time, each
+block once for all the 128-row slabs at x that read it, on the columns
 q >= x only (the panel reuse of blocked GEMM; Goto & van de Geijn, ACM TOMS
 34, 2008).  The blocks visit pairs out of row order, so the entries at each
 relation's representative, its first pair in row order, come first, from
-one small product per fiber: 6,759,690,800 multiply-adds in all, 56 % of
+one small product per fiber: 6,421,719,600 multiply-adds in all, 53 % of
 2300^3.  Every pair with q > p is compared with its representative (not a
 sample); a diagonal pair needs none, its counts following from the row
 counts and the transpose check.  Every other entry follows exactly: the
@@ -67,8 +67,8 @@ from .coherent_fixture import (
 _TRANSPOSE = np.array(TRANSPOSE, dtype=np.int8)
 _IDENTITY = (LABEL_INDEX["11.0"], LABEL_INDEX["22.0"])  # per fiber
 _FIBER_SIZES = (275, 2025)
-_SLAB = 256  # rows per slab of the counts, the transpose check and the products
-_COLUMNS = 3 * _SLAB  # columns per block of the products' right operand
+_SLAB = 128  # rows per slab of the counts, the transpose check and the products
+_COLUMNS = 4 * _SLAB  # columns per block of the products' right operand
 # The non-identity relations of each fiber block, in LABELS order.  All but
 # the last are free, each at its position i among them.
 _NON_IDENTITY = {

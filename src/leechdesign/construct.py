@@ -173,6 +173,13 @@ def slab_products(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarra
         yield r, exact_matmul(x, bt, b_max, buf[: len(x)])
 
 
+def distinct_values(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of an array, ascending, by a sort and a mask: a
+    value-only `np.unique` imports numpy.ma for its masked-array test."""
+    ordered = np.sort(values, axis=None)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
 @dataclass(frozen=True)
 class BlockStats:
     """The value histogram of the block a @ b.T of two integer point sets."""
@@ -185,8 +192,7 @@ class BlockStats:
         """One pass over the 256-row slabs of a @ b.T, whose histograms are
         merged: no block-sized array is made."""
         hists = [np.unique(product, return_counts=True) for _, product in slab_products(a, b)]
-        merged = np.sort(np.concatenate([v for v, _ in hists]))
-        values = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+        values = distinct_values(np.concatenate([v for v, _ in hists]))
         counts = np.zeros(len(values), dtype=np.int64)
         for v, c in hists:
             counts[np.searchsorted(values, v)] += c

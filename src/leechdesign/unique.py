@@ -47,7 +47,14 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .construct import PointLayer, StepError, WeightedPointSet, exact_matmul, slab_products
+from .construct import (
+    PointLayer,
+    StepError,
+    WeightedPointSet,
+    distinct_values,
+    exact_matmul,
+    slab_products,
+)
 from .lattice import EnumerationStats, canonical_sort, distinct_rows, has_repeated_row
 from .lattice.intlinalg import adjugate
 
@@ -302,11 +309,11 @@ def _verify_candidates(
     expect = CANDIDATE_NORM * 9 * WORK_DEN
     if expect.denominator != 1 or not bool((norms == int(expect)).all()):
         raise UniquenessError("candidate with wrong squared norm")
-    prods = exact_matmul(vecs3, layer.points.T)  # 3 * 40 * <y, x>
-    if np.any(prods % (3 * WORK_DEN)):
+    vals = exact_matmul(vecs3, layer.points.T)  # 3 * 40 * <y, x>
+    if np.any(vals % (3 * WORK_DEN)):
         raise UniquenessError("candidate inner product is not integral")
-    vals = prods // (3 * WORK_DEN)
-    if not set(np.unique(vals).tolist()) <= set(ADMISSIBLE_PRODUCTS):
+    vals //= 3 * WORK_DEN  # in place: one candidates x points array
+    if not set(distinct_values(vals).tolist()) <= set(ADMISSIBLE_PRODUCTS):
         raise UniquenessError("candidate with inadmissible inner product")
     if has_repeated_row(vecs3):  # in canonical order
         raise UniquenessError("duplicate candidates")
@@ -387,8 +394,8 @@ def split_candidates(candidates: CandidateSet, ws: WeightedPointSet) -> Candidat
     cross, disjoint = [], not (in_a & in_b).any()
     for _, product in slab_products(a, b):
         disjoint = disjoint and not np.isin(product, dots).any()
-        cross.append(np.unique(product))
-    cross = np.unique(np.concatenate(cross))
+        cross.append(distinct_values(product))
+    cross = distinct_values(np.concatenate(cross))
 
     part_a, part_b = canonical_sort(a), canonical_sort(b)
     x2 = distinct_rows(ws.layers[1].points)
