@@ -252,7 +252,8 @@ def verify_seven_claims(ws: WeightedPointSet, report: VerificationReport, anchor
         report.check("seven/z-cardinality-meets-antipodal-bound", 2 * comb(25, 3), 2 * ws.size)
 
         with stage.claim("seven/z-spherical-7", True) as c:
-            strength = design.spherical_strength_from_values(list(hist.items()), 7, 23)
+            z = np.array(list(hist), dtype=object)  # the cosines, as `Fraction`s
+            strength = design.spherical_strength_from_values(z, list(hist.values()), 1, 7, 23)
             c.computed = all(x.passed for x in strength)
 
         with stage.claim("seven/y-family-sizes", "[275, 2025, 2025, 275]") as c:

@@ -19,8 +19,9 @@ forms) accompanies the kernel route as an independent oracle.
 
 The kernel sums need only the histograms of stored inner products, which
 they read from the design's pair statistics
-(`WeightedPointSet.pair_stats`), built once per layer block, and every
-kernel value comes from one three-term recurrence (`zonal_values`).  The
+(`WeightedPointSet.pair_stats`), built once per layer block.  A block enters
+only through the integer power sums of its stored dots, and the kernels'
+recurrence runs once per block, on their coefficients (`kernel_sums`).  The
 probe-moment oracle probes with every design point y.  Its moment sum
 sum_x w(x) (x.y)^k depends on y only through the multiset of y's inner
 products with each layer, its profile (Delsarte, Goethals and Seidel
@@ -36,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from math import comb, prod
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,19 +54,31 @@ class StrengthCondition:
     passed: bool  # value exactly zero
 
 
-def zonal_values(t: int, n: int, dot: Fraction, nx2ny2: Fraction) -> list[Fraction]:
-    """H_k = (|x||y|)^k Q_k(x.y / |x||y|) for k = 0..t, from dot = x.y and
-    nx2ny2 = |x|^2 |y|^2, where Q_k is the normalized degree-k zonal kernel
-    on S^(n-1).  The Gegenbauer recurrence multiplied through by (|x||y|)^k,
+def power_table(values: np.ndarray, t: int) -> np.ndarray:
+    """values[c]^i for i = 0..t in an object array, by running products of
+    the exact Python ints (or `Fraction`s) of the values: no fixed width."""
+    table = np.ones((len(values), t + 1), dtype=object)
+    for i in range(1, t + 1):
+        table[:, i] = table[:, i - 1] * values
+    return table
+
+
+def kernel_sums(values, counts, scale, nx2ny2, t: int, n: int) -> list[Fraction]:
+    """sum_c counts[c] H_k(values[c] / scale) for k = 0..t: H_k(dot) is
+    (|x||y|)^k Q_k(dot / |x||y|) at dot = x.y and nx2ny2 = |x|^2 |y|^2, and Q_k,
+    H_k at nx2ny2 = 1, is the normalized degree-k zonal kernel on S^(n-1).  The
+    Gegenbauer recurrence multiplied through by (|x||y|)^k,
 
         H_k = ((2k+n-4) dot H_{k-1} - (k-1) nx2ny2 H_{k-2}) / (k+n-3),
 
-    stays rational even where |x||y| is not.  With nx2ny2 = 1 it gives Q_k(dot).
-    """
-    h = [Fraction(1), Fraction(dot)]
+    runs once, on H_k's rational coefficients in the stored value scale * dot,
+    which meet the histogram in its power sums sum_c counts[c] values[c]^i."""
+    sums = (counts @ power_table(values, t)).tolist()  # Python ints: no wraparound
+    h = [[Fraction(1)], [Fraction(0), Fraction(1) / scale]]
     for k in range(2, t + 1):
-        h.append(((2 * k + n - 4) * dot * h[k - 1] - (k - 1) * nx2ny2 * h[k - 2]) / (k + n - 3))
-    return h[: t + 1]
+        up, down = Fraction(2 * k + n - 4, k + n - 3) / scale, Fraction(k - 1, k + n - 3) * nx2ny2
+        h.append([up * a - down * b for a, b in zip([0] + h[k - 1], h[k - 2] + [0, 0])])
+    return [sum(a * s for a, s in zip(hk, sums) if a) for hk in h[: t + 1]]
 
 
 def euclidean_strength(ws: WeightedPointSet, t: int) -> list[StrengthCondition]:
@@ -84,12 +97,8 @@ def euclidean_strength(ws: WeightedPointSet, t: int) -> list[StrengthCondition]:
     for bi in range(p):
         for bj in range(bi, p):
             nx2ny2 = ws.layers[bi].r2 * ws.layers[bj].r2
-            scale = ws.dot_scale(bi, bj)
             st = ws.pair_stats(bi, bj)
-            sums = [Fraction(0)] * (t + 1)  # sum over the block of c * H_l
-            for d, c in zip(st.values.tolist(), st.counts.tolist()):
-                for l, h in enumerate(zonal_values(t, DIMENSION, Fraction(d, scale), nx2ny2)):
-                    sums[l] += c * h
+            sums = kernel_sums(st.values, st.counts, ws.dot_scale(bi, bj), nx2ny2, t, DIMENSION)
             w2 = (1 if bi == bj else 2) * ws.layers[bi].weight * ws.layers[bj].weight
             for l, j in totals:
                 totals[(l, j)] += w2 * nx2ny2**j * sums[l]
@@ -100,15 +109,12 @@ def euclidean_strength(ws: WeightedPointSet, t: int) -> list[StrengthCondition]:
 
 
 def spherical_strength_from_values(
-    values: Iterable[tuple[Fraction, int]], t: int, dimension: int
+    values: np.ndarray, counts, unit, t: int, n: int
 ) -> list[StrengthCondition]:
-    """Kernel sums sum Q_k(u) over a histogram of unit-sphere cosines."""
-    totals = [Fraction(0)] * (t + 1)
-    for u, c in values:
-        for k, h in enumerate(zonal_values(t, dimension, Fraction(u), Fraction(1))):
-            totals[k] += c * h
+    """Kernel sums sum_c counts[c] Q_k(values[c] / unit) on S^(n-1), k = 1..t."""
+    sums = kernel_sums(values, counts, unit, 1, t, n)
     return [
-        StrengthCondition(label=f"k={k}", value=totals[k], passed=totals[k] == 0)
+        StrengthCondition(label=f"k={k}", value=sums[k], passed=sums[k] == 0)
         for k in range(1, t + 1)
     ]
 
@@ -118,8 +124,7 @@ def spherical_strength(ws: WeightedPointSet, i: int, t: int) -> list[StrengthCon
     the histogram of its Gram block; `PointLayer` holds one radius."""
     st = ws.pair_stats(i, i)
     unit = ws.dot_scale(i, i) * ws.layers[i].r2  # the stored squared norm
-    hist = [(Fraction(v) / unit, c) for v, c in zip(st.values.tolist(), st.counts.tolist())]
-    return spherical_strength_from_values(hist, t, DIMENSION)
+    return spherical_strength_from_values(st.values, st.counts, unit, t, DIMENSION)
 
 
 def sphere_monomial_average(alpha: Sequence[int], n: int) -> Fraction:
@@ -131,14 +136,8 @@ def sphere_monomial_average(alpha: Sequence[int], n: int) -> Fraction:
     if any(a % 2 for a in alpha):
         return Fraction(0)
     k = sum(alpha) // 2
-    num = 1
-    for a in alpha:
-        for odd in range(1, a, 2):
-            num *= odd
-    den = 1
-    for j in range(k):
-        den *= n + 2 * j
-    return Fraction(num, den)
+    num = prod(odd for a in alpha for odd in range(1, a, 2))
+    return Fraction(num, prod(range(n, n + 2 * k, 2)))
 
 
 class ProbeMomentResult(NamedTuple):
@@ -197,9 +196,8 @@ def moment_spot_check(ws: WeightedPointSet, t: int) -> list[ProbeMomentResult]:
         # evaluated for 256 profiles at a time.
         blocks = []
         for i, (layer, vals) in enumerate(zip(ws.layers, values)):
-            powers = [[v**k for k in range(t + 1)] for v in vals.tolist()]
             factors = [Fraction(layer.weight, ws.dot_scale(i, m) ** k) for k in range(t + 1)]
-            blocks.append((np.array(powers, dtype=object).reshape(-1, t + 1), np.array(factors)))
+            blocks.append((power_table(vals, t), np.array(factors)))
         rhs = [radial[k] * probe_layer.r2 ** (k // 2) for k in range(t + 1)]
         lhs: list = []
         for g in range(0, len(profiles), 256):

@@ -1,6 +1,7 @@
-"""Zonal kernels from their coefficient tables, a reference independent of
-the recurrence `leechdesign.design.zonal_values` evaluates directly; the
-tests compare the two."""
+"""Zonal kernels from their coefficient tables, evaluated one value at a
+time: a reference independent of `leechdesign.design.kernel_sums`, which
+runs the recurrence once per block and meets the histogram in its power
+sums; the tests compare the two, value by value and block by block."""
 
 from fractions import Fraction
 

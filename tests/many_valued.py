@@ -1,0 +1,41 @@
+"""A legal two-layer design file whose Gram blocks hold thousands of distinct
+dots: 275 and 2025 distinct seeded signed permutations of two integer
+vectors, zero-padded to 24 coordinates, with the radii and weights of the
+canonical design.  It passes `read_design` and fails its claims, so it
+measures the cost per histogram value of every stage.  To write it:
+
+    PYTHONPATH=src:tests python -c "import many_valued as m; from leechdesign import io;
+    io.write_design('design.txt', m.many_valued_design())"
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from leechdesign.construct import PointLayer, WeightedPointSet
+
+INNER = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 9, 3, 2, 1)  # norm 480: r2 = 480 / (8 * 5^2) = 12/5
+OUTER = (70, 19, 4, 1, 1, 1)  # norm 5280: r2 = 132/5
+
+
+def signed_permutations(rng: np.random.Generator, base, count: int) -> np.ndarray:
+    """`count` distinct rows, each `base` zero-padded to 24 coordinates,
+    permuted and signed at random."""
+    padded = np.array(list(base) + [0] * (24 - len(base)), dtype=np.int64)
+    rows: dict[bytes, np.ndarray] = {}
+    while len(rows) < count:
+        row = padded[rng.permutation(24)] * rng.choice([-1, 1], 24)
+        rows.setdefault(row.tobytes(), row)
+    return np.array(list(rows.values()))
+
+
+def many_valued_design(seed: int = 25) -> WeightedPointSet:
+    rng = np.random.default_rng(seed)
+    inner = signed_permutations(rng, INNER, 275)
+    outer = signed_permutations(rng, OUTER, 2025)
+    return WeightedPointSet(
+        layers=(
+            PointLayer(points=inner, denom=5, weight=Fraction(1), r2=Fraction(12, 5)),
+            PointLayer(points=outer, denom=5, weight=Fraction(1, 729), r2=Fraction(132, 5)),
+        )
+    )

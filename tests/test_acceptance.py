@@ -114,7 +114,8 @@ def test_criterion_4_spherical_strengths(design):
     s1 = spherical_strength(design, 0, 5)
     s2 = spherical_strength(design, 1, 4)
     hist = z_value_histogram(design)
-    sz = spherical_strength_from_values(list(hist.items()), 7, 23)
+    z = np.array(list(hist), dtype=object)
+    sz = spherical_strength_from_values(z, list(hist.values()), 1, 7, 23)
     dt = time.monotonic() - t0
     ok = (
         [c.passed for c in s1] == [True] * 4 + [False]

@@ -7,6 +7,7 @@ import pytest
 
 from float_oracle import float_polynomial_check
 from gegenbauer_reference import GegenbauerEvaluator
+from many_valued import many_valued_design
 from leechdesign.cli import verify_design_claims
 from leechdesign.construct import (
     DesignConstructionError,
@@ -14,27 +15,36 @@ from leechdesign.construct import (
     WeightedPointSet,
     z_value_histogram,
 )
+import leechdesign.design as design_module
 from leechdesign.design import (
+    DIMENSION,
     euclidean_strength,
+    kernel_sums,
     moment_spot_check,
     mutate_design,
+    power_table,
     spherical_strength,
     spherical_strength_from_values,
     sphere_monomial_average,
     tightness_check,
-    zonal_values,
 )
 from leechdesign.report import VerificationReport
 
 
+def one_value_sums(dot: Fraction, nx2ny2, t: int, n: int) -> list[Fraction]:
+    """`kernel_sums` of the one-entry histogram {dot: 1}: H_0..H_t at dot,
+    with dot = p / q stored as the value p at scale q."""
+    return kernel_sums(np.array([dot.numerator]), np.array([1]), dot.denominator, nx2ny2, t, n)
+
+
 def test_gegenbauer_normalization():
     for n in (22, 23):
-        assert zonal_values(7, n, Fraction(1), Fraction(1)) == [1] * 8
+        assert one_value_sums(Fraction(1), Fraction(1), 7, n) == [1] * 8
 
 
 def test_gegenbauer_degree_zero_and_two():
     for u in (Fraction(0), Fraction(2, 7), Fraction(-3)):
-        h = zonal_values(2, 22, u, Fraction(1))
+        h = one_value_sums(u, Fraction(1), 2, 22)
         assert h[0] == 1
         assert h[2] == Fraction(22 * u * u - 1, 21)
 
@@ -47,11 +57,11 @@ def test_gegenbauer_against_direct_expansion():
         u = Fraction(rng.randint(-50, 50), rng.randint(1, 25))
         q2 = Fraction(n, n - 1) * u * u - Fraction(1, n - 1)
         q3 = ((2 + n) * u * q2 - 2 * u) / n
-        assert zonal_values(3, n, u, Fraction(1))[2:] == [q2, q3]
+        assert one_value_sums(u, Fraction(1), 3, n)[2:] == [q2, q3]
 
 
 @pytest.mark.parametrize("n", [22, 23])
-def test_zonal_values_match_the_coefficient_tables(n):
+def test_kernel_sums_match_the_coefficient_tables(n):
     # homogeneous values off the unit sphere: |x|^2 |y|^2 != 1, as in the
     # cross-layer blocks, where |x||y| itself is irrational
     reference = GegenbauerEvaluator(n, 8)
@@ -62,7 +72,94 @@ def test_zonal_values_match_the_coefficient_tables(n):
         if nx2ny2 == 1:
             continue
         expect = [reference.homogeneous_pair_value(k, dot, nx2ny2) for k in range(9)]
-        assert zonal_values(8, n, dot, nx2ny2) == expect
+        assert one_value_sums(dot, nx2ny2, 8, n) == expect
+
+
+def reference_strength(ws: WeightedPointSet, t: int) -> dict[str, Fraction]:
+    """T(l, j) of every (l, j) from `homogeneous_pair_value`, summed value by
+    value over each block's histogram: the route the power sums replace."""
+    reference = GegenbauerEvaluator(DIMENSION, t)
+    p = len(ws.layers)
+    totals = {}
+    for bi in range(p):
+        for bj in range(bi, p):
+            nx2ny2 = ws.layers[bi].r2 * ws.layers[bj].r2
+            st = ws.pair_stats(bi, bj)
+            sums = [Fraction(0)] * (t + 1)
+            for d, c in zip(st.values.tolist(), st.counts.tolist()):
+                dot = Fraction(d, ws.dot_scale(bi, bj))
+                for l in range(t + 1):
+                    sums[l] += c * reference.homogeneous_pair_value(l, dot, nx2ny2)
+            w2 = (1 if bi == bj else 2) * ws.layers[bi].weight * ws.layers[bj].weight
+            for l in range(1, t + 1):
+                for j in range(min((t - l) // 2, p - 1) + 1):
+                    key = f"l={l},j={j}"
+                    totals[key] = totals.get(key, 0) + w2 * nx2ny2**j * sums[l]
+    return totals
+
+
+@pytest.fixture(scope="module")
+def many_valued():
+    return many_valued_design()
+
+
+@pytest.mark.parametrize("which", ["many-valued", "mutated"])
+def test_euclidean_strength_equals_the_per_value_reference(design, many_valued, which):
+    ws = many_valued if which == "many-valued" else mutate_design(design, 1, 5, 7, 9)
+    if which == "many-valued":
+        # 618, 1826 and 1725 distinct dots
+        assert min(len(ws.pair_stats(i, j).values) for i, j in ((0, 0), (0, 1), (1, 1))) > 600
+    else:
+        assert len(ws.layers) == 3
+    conds = euclidean_strength(ws, 6)
+    assert {c.label: c.value for c in conds} == reference_strength(ws, 6)
+    assert not all(c.passed for c in conds)
+
+
+def test_kernel_sums_run_once_per_block_whatever_the_number_of_values(
+    design, many_valued, monkeypatch
+):
+    calls = []
+
+    def spy(values, *args):
+        calls.append(len(values))
+        return kernel_sums(values, *args)
+
+    monkeypatch.setattr(design_module, "kernel_sums", spy)
+    for ws in (design, many_valued):
+        sizes = [len(ws.pair_stats(i, j).values) for i, j in ((0, 0), (0, 1), (1, 1))]
+        calls.clear()
+        euclidean_strength(ws, 6)
+        assert calls == sizes  # one call per block, two layers
+        calls.clear()
+        spherical_strength(ws, 1, 4)
+        assert calls == sizes[2:]
+    assert sum(sizes) > 4000  # the many-valued file's blocks hold thousands of values
+
+
+def test_strength_values_are_fractions_and_power_sums_python_ints(design, many_valued):
+    # powers past int64: an int64 power sum would wrap, a numpy scalar would
+    # make `Fraction` raise
+    values = np.array([-3, 0, 5, 2**19 - 1, -(2**23)], dtype=np.int64)
+    counts = np.array([1, 2, 3, 2**40, 7], dtype=np.int64)
+    table = power_table(values, 7)
+    assert table.tolist() == [[v**i for i in range(8)] for v in values.tolist()]
+    assert all(type(x) is int for x in table.ravel())
+    sums = (counts @ table).tolist()
+    assert all(type(x) is int for x in sums)
+    histogram = list(zip(values.tolist(), counts.tolist()))
+    assert sums == [sum(c * v**i for v, c in histogram) for i in range(8)]
+    expect = [0] * 8
+    for v, c in histogram:
+        for k, h in enumerate(one_value_sums(Fraction(v, 7), Fraction(5, 3), 7, 22)):
+            expect[k] += c * h
+    assert kernel_sums(values, counts, 7, Fraction(5, 3), 7, 22) == expect
+    for ws in (design, many_valued):
+        conds = euclidean_strength(ws, 7) + spherical_strength(ws, 0, 5)
+        hist = z_value_histogram(ws)
+        z = np.array(list(hist), dtype=object)
+        conds += spherical_strength_from_values(z, list(hist.values()), 1, 7, 23)
+        assert all(type(c.value) is Fraction for c in conds)
 
 
 def test_sphere_monomial_average_examples():
@@ -134,7 +231,8 @@ def test_inner_shell_meets_tight_spherical_4_design_bound(design):
 
 def test_z_strength_seven(design):
     hist = z_value_histogram(design)
-    conds = spherical_strength_from_values(list(hist.items()), 7, 23)
+    z = np.array(list(hist), dtype=object)
+    conds = spherical_strength_from_values(z, list(hist.values()), 1, 7, 23)
     assert all(c.passed for c in conds)
 
 

@@ -1,7 +1,9 @@
 """Property test over mutated certificates (hypothesis, MacIver et al., JOSS
-2019): whatever the mutation, reading the file and running the first claim
-of each verify stage ends in a report, a `FormatError` or a
-`DesignConstructionError`, never in another exception."""
+2019): whatever the mutation, reading the file and running each verify
+stage up to a last claim ends in a report, a `FormatError` or a
+`DesignConstructionError`, never in another exception.  The design and
+seven stages run through their strength claims, the other two stages
+their first claim."""
 
 import re
 from contextlib import contextmanager
@@ -19,25 +21,40 @@ from leechdesign.report import VerificationReport
 
 ANCHORS = (A_CANONICAL, B_CANONICAL)
 
-# (stage, run on a design, a report and an output directory; its first
-# claim, which writes nothing to the directory)
+# (stage, run on a design, a report and an output directory; the claim it
+# ends after, before any claim that writes to the directory or reads the
+# lattice)
 STAGES = [
-    (lambda ws, report, out: cli.verify_design_claims(ws, report), "design/layer-sizes"),
+    (lambda ws, report, out: cli.verify_design_claims(ws, report), "design/shell2-spherical-4"),
     (cli.verify_coherent_claims, "coherent/nine-admissible-products"),
     (lambda ws, report, out: cli.verify_unique_claims(ws, report, ANCHORS, out),
      "unique/integral-shell-products"),
-    (lambda ws, report, out: cli.verify_seven_claims(ws, report, ANCHORS), "seven/z-pair-count"),
+    (lambda ws, report, out: cli.verify_seven_claims(ws, report, ANCHORS), "seven/z-spherical-7"),
 ]
 
 
-class FirstClaimOnly(cli.Stage):
-    """The stage runner, ended after the first claim."""
+class EndAfter(cli.Stage):
+    """The stage runner, ended after the claim `last`."""
+
+    def __init__(self, report: VerificationReport, last: str):
+        super().__init__(report)
+        self.last = last
 
     @contextmanager
-    def claim(self, *args, **kwargs):
-        with super().claim(*args, **kwargs) as c:
+    def claim(self, claim_id, *args, **kwargs):
+        with super().claim(claim_id, *args, **kwargs) as c:
             yield c
-        raise cli._StageEnd
+        if claim_id == self.last:
+            raise cli._StageEnd
+
+
+def run_stages(ws, out) -> list[VerificationReport]:
+    reports = []
+    for stage, last in STAGES:
+        reports.append(VerificationReport(name=last.split("/")[0]))
+        with mock.patch.object(cli, "Stage", lambda report: EndAfter(report, last)):
+            stage(ws, reports[-1], out)
+    return reports
 
 
 # Line layout of a written two-layer design: the design header, then per
@@ -99,9 +116,13 @@ def mutate(lines: list[str], mutation) -> list[str]:
 
 @pytest.fixture(scope="module")
 def certificate(design, tmp_path_factory):
+    """The written design, its lines, and the claim ids each stage reports
+    on it, each ending at the stage's last claim."""
     path = tmp_path_factory.mktemp("mutated") / "design.txt"
     design_io.write_design(path, design)
-    return path, path.read_text().splitlines()
+    claims = [[r.claim for r in report.results] for report in run_stages(design, path.parent)]
+    assert [ids[-1] for ids in claims] == [last for _, last in STAGES]
+    return path, path.read_text().splitlines(), claims
 
 
 @settings(
@@ -120,14 +141,13 @@ def certificate(design, tmp_path_factory):
 @example(mutation=("negate", (1, 5)))
 @example(mutation=("shift", (1, 5), 3, 63, -1))
 def test_mutated_certificate_ends_in_a_report_or_an_input_error(certificate, mutation):
-    path, lines = certificate
+    path, lines, claims = certificate
     path.write_text("\n".join(mutate(lines, mutation)) + "\n")
     try:
         ws = design_io.read_design(path)
     except (design_io.FormatError, DesignConstructionError):
         return
-    with mock.patch.object(cli, "Stage", FirstClaimOnly):
-        for stage, first_claim in STAGES:
-            report = VerificationReport(name=first_claim.split("/")[0])
-            stage(ws, report, path.parent)
-            assert [r.claim for r in report.results] == [first_claim]
+    for report, expected in zip(run_stages(ws, path.parent), claims):
+        got = [r.claim for r in report.results]
+        # every claim up to the last, unless a failed claim ended the stage
+        assert got == expected or (got == expected[: len(got)] and not report.results[-1].passed)
