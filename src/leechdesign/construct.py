@@ -42,6 +42,7 @@ from .lattice import (
     conventional_inner,
     same_row_set,
 )
+from .lattice.intlinalg import adjugate
 
 W1 = Fraction(1)
 W2 = Fraction(1, 729)
@@ -221,35 +222,22 @@ def check_orthogonal_to_anchors(ws: WeightedPointSet, a, b) -> None:
         )
 
 
-def project_rows_scaled(rows: np.ndarray, a, b, mult: int) -> np.ndarray:
-    """mult * P(row) for every row, verified integral."""
+def project_rows_scaled(rows: np.ndarray, *anchors, mult: int) -> np.ndarray:
+    """mult * P(row) for every row, verified integral, P projecting out the
+    span of one or two lattice anchors.  With M their conventional Gram,
+    P(x) = x - (x, anchors) M^-1 anchors, and M^-1 = adj M / det M: det M
+    is 4 for one norm-4 anchor, and 15 for a pair (a, b) with (a, b) = -1."""
     rows = np.asarray(rows, dtype=np.int64)
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    da, db = exact_matmul(rows, np.stack([a, b], axis=1)).T  # 8 * (x, A), 8 * (x, B)
-    if np.any(da % 8) or np.any(db % 8):
+    anchors = np.array(anchors, dtype=np.int64)
+    k = len(anchors)
+    dots = exact_matmul(np.concatenate([anchors, rows]), anchors.T)  # 8 * (x, anchor)
+    if np.any(dots % 8):
         raise DesignConstructionError("non-integral inner product against anchor")
-    ia, ib = da // 8, db // 8
-    num_a = 4 * ia + ib  # 15 * c_A
-    num_b = ia + 4 * ib  # 15 * c_B
-    out15 = 15 * mult * rows - mult * np.outer(num_a, a) - mult * np.outer(num_b, b)
-    if np.any(out15 % 15):
+    adj, det = adjugate((dots[:k] // 8).tolist())
+    scaled = det * mult * rows - mult * ((dots[k:] // 8) @ np.array(adj)) @ anchors
+    if np.any(scaled % det):
         raise DesignConstructionError(f"projection not integral at mult={mult}")
-    return out15 // 15
-
-
-def project_out_single(rows: np.ndarray, a, mult: int) -> np.ndarray:
-    """mult * P0(row), P0 projecting out the single anchor a (norm 4)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    a = np.asarray(a, dtype=np.int64)
-    da = exact_matmul(rows, a)
-    if np.any(da % 8):
-        raise DesignConstructionError("non-integral inner product against anchor")
-    ia = da // 8  # coefficient is (x, a) / 4 = ia / 4
-    out4 = 4 * mult * rows - mult * np.outer(ia, a)
-    if np.any(out4 % 4):
-        raise DesignConstructionError(f"single projection not integral at mult={mult}")
-    return out4 // 4
+    return scaled // det
 
 
 def build_design(a, b) -> WeightedPointSet:
@@ -279,25 +267,23 @@ def build_design(a, b) -> WeightedPointSet:
 
 
 def build_Y(a, b):
-    """The four norm-4 families with (x, a) = 2 and (x, b) in {1, 0, -1, -2},
-    projected along a only; stored as 2 * P0(x) with denominator 2.
+    """The norm-4 shell with (x, a) = 2, projected along a only and stored as
+    2 * P_a(x) with denominator 2, split by (x, b) into four families, in
+    shell order: keys +1, +2, -2, -1 for (x, b) = 1, 0, -1, -2.  Every row
+    has one of these values: the Leech lattice has no norm-2 vectors, and x -
+    a - b would have norm 2 at (x, b) = 2, and x -+ b at (x, b) = +-3.
 
     Returns dict keyed by +1, +2, -2, -1 mapping to (n, 24) int arrays.
     Their sizes and the size of their union are left to the caller.
     """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     check_anchor_pair(a, b)
-
-    b_value = {1: 1, 2: 0, -2: -1, -1: -2}
-    out = {}
-    for key, bval in b_value.items():
-        shell = enumerate_coset_shell([CosetConstraint(a, 2), CosetConstraint(b, bval)], 4)
-        proj = canonical_sort(project_out_single(shell, a, mult=2))
-        norms = (proj**2).sum(axis=1)
-        if not bool((norms == 8 * 4 * 3).all()):  # r^2 = 3 at denom 2
-            raise DesignConstructionError("Y projection radius is not 3")
-        out[key] = proj
-    return out
+    shell = enumerate_coset_shell([CosetConstraint(a, 2)], 4)
+    proj = project_rows_scaled(shell, a, mult=2)
+    if not bool(((proj**2).sum(axis=1) == 8 * 4 * 3).all()):  # r^2 = 3 at denom 2
+        raise DesignConstructionError("Y projection radius is not 3")
+    b_value = exact_matmul(shell, b) // 8
+    return {key: proj[b_value == v] for key, v in ((1, 1), (2, 0), (-2, -1), (-1, -2))}
 
 
 def y_antipodal_pair_count(y_sets) -> int:

@@ -108,11 +108,8 @@ def write_candidates(path: Path, vectors3: np.ndarray) -> None:
 
 def write_tensor(path: Path, tensor: np.ndarray, labels: list[str]) -> None:
     """Plain-text tensor entries "a b c value", structural zeros omitted."""
-    lines = []
-    for a in range(13):
-        for b in range(13):
-            for c in range(13):
-                v = int(tensor[a, b, c])
-                if v:
-                    lines.append(f"{labels[a]} {labels[b]} {labels[c]} {v}")
+    lines = [
+        f"{labels[a]} {labels[b]} {labels[c]} {tensor[a, b, c]}"
+        for a, b, c in np.argwhere(tensor)
+    ]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -26,7 +26,7 @@ positive integer, or the descent raises; so it terminates.  The
 computation then runs in three steps: the search of that cube for
 u^T (3 D G^-1) u = 44 D in integers alone (`_cube_leaves`, which checks
 the norm only), one integer check of the 275 admissibility conditions
-<y, x> = u . coeffs_x on the array of its leaves, and one
+<y, x> = u . coeffs_x on its leaves, 256 at a time, and one
 integer matmul over D that turns the surviving coefficient vectors into
 integer vectors 3 * y in stored coordinates.  The same D * G^-1 answers
 the report's one note on the lattice read literally, generated by 5 e_i
@@ -264,8 +264,8 @@ def enumerate_candidates(frame: DualFrame, layer: IntegralizedLayer) -> Candidat
     The search runs on the levels sorted by the diagonal of G^-1, ascending
     (Wubben et al., Electron. Lett. 37, 2001): the same leaves, in a
     fraction of the nodes.  It checks the norm only; the admissibility filter
-    then runs once on all of its leaves, and the leaves it rejects are
-    counted in `CandidateSet.rejected_leaves`.
+    then runs on its leaves, one 256-row slab at a time, and the leaves it
+    rejects are counted in `CandidateSet.rejected_leaves`.
     """
     sums = frame.coeffs.sum(axis=1)
     if np.any((sums - 1) % 5):
@@ -281,9 +281,10 @@ def enumerate_candidates(frame: DualFrame, layer: IntegralizedLayer) -> Candidat
     leaves = _cube_leaves(form.tolist(), 44 * frame.den, stats)
     u_arr = np.empty((len(leaves), 22), dtype=np.int64)
     u_arr[:, levels] = np.array(leaves, dtype=np.int64).reshape(-1, 22)
-    # <y, x> = u . coeffs_x for every shell vector x
-    admissible = np.isin(exact_matmul(u_arr, frame.coeffs.T), ADMISSIBLE_PRODUCTS)
-    u_arr = u_arr[admissible.all(axis=1)]
+    admissible = np.zeros(len(u_arr), dtype=bool)
+    for r, products in slab_products(u_arr, frame.coeffs):  # <y, x> = u . coeffs_x
+        admissible[r : r + len(products)] = np.isin(products, ADMISSIBLE_PRODUCTS).all(axis=1)
+    u_arr = u_arr[admissible]
     stats.solutions = len(u_arr)
     if not len(u_arr):
         raise UniquenessError("no candidates found")
@@ -309,18 +310,17 @@ def _verify_candidates(
     expect = CANDIDATE_NORM * 9 * WORK_DEN
     if expect.denominator != 1 or not bool((norms == int(expect)).all()):
         raise UniquenessError("candidate with wrong squared norm")
-    vals = exact_matmul(vecs3, layer.points.T)  # 3 * 40 * <y, x>
-    if np.any(vals % (3 * WORK_DEN)):
-        raise UniquenessError("candidate inner product is not integral")
-    vals //= 3 * WORK_DEN  # in place: one candidates x points array
-    if not set(distinct_values(vals).tolist()) <= set(ADMISSIBLE_PRODUCTS):
-        raise UniquenessError("candidate with inadmissible inner product")
     if has_repeated_row(vecs3):  # in canonical order
         raise UniquenessError("duplicate candidates")
-    # Dual coefficients are the inner products against the basis vectors.
-    against_basis = vals[:, list(frame.basis_indices)]
-    if not bool((against_basis == u_arr).all()):
-        raise UniquenessError("dual coefficients disagree with inner products")
+    for r, vals in slab_products(vecs3, layer.points):  # 3 * 40 * <y, x>
+        if np.any(vals % (3 * WORK_DEN)):
+            raise UniquenessError("candidate inner product is not integral")
+        vals //= 3 * WORK_DEN  # in place: the slab is ours until the next
+        if not np.isin(vals, ADMISSIBLE_PRODUCTS).all():
+            raise UniquenessError("candidate with inadmissible inner product")
+        # Dual coefficients are the inner products against the basis vectors.
+        if np.any(vals[:, list(frame.basis_indices)] != u_arr[r : r + len(vals)]):
+            raise UniquenessError("dual coefficients disagree with inner products")
 
 
 def generated_lattice_membership(frame: DualFrame, u_arr: np.ndarray) -> int:

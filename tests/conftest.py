@@ -38,6 +38,24 @@ def block_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def coset_calls(monkeypatch):
+    """The constraint keys ((anchor, value), ...) of every coset-shell filter
+    run while the test runs, through any module that binds the function."""
+    from leechdesign import cli, construct
+
+    calls = []
+    enumerate_shell = construct.enumerate_coset_shell
+
+    def counted(constraints, norm):
+        calls.append(tuple((tuple(c.anchor.tolist()), c.value) for c in constraints))
+        return enumerate_shell(constraints, norm)
+
+    for module in (cli, construct):
+        monkeypatch.setattr(module, "enumerate_coset_shell", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def ctx():
     return default_context()

@@ -6,10 +6,13 @@ from leechdesign.cli import main
 
 
 @pytest.mark.slow
-def test_cli_all_passes_end_to_end(tmp_path, block_calls):
+def test_cli_all_passes_end_to_end(tmp_path, block_calls, coset_calls):
     out = tmp_path / "out"
     code = main(["all", "--out", str(out)])
     assert code == 0
+    # two shells for the design, one for the twin, one for the Y families:
+    # each coset key is filtered once
+    assert len(coset_calls) == 4 and len(set(coset_calls)) == 4
     # one histogram per layer block of each point set (the design and its
     # twin); the labels and the candidate split stream their own slabs
     design_blocks = [(275, 275), (275, 2025), (2025, 2025)]

@@ -143,6 +143,17 @@ def test_tensor_file_round_trip(tmp_path):
     for line in lines:
         a, b, c, v = line.split()
         assert int(v) == t[LABELS.index(a), LABELS.index(b), LABELS.index(c)] != 0
+    # the entries in the order of a loop over (a, b, c), zeros omitted
+    loop = [
+        f"{LABELS[a]} {LABELS[b]} {LABELS[c]} {int(t[a, b, c])}"
+        for a in range(13)
+        for b in range(13)
+        for c in range(13)
+        if t[a, b, c]
+    ]
+    assert lines == loop
+    design_io.write_tensor(path, 0 * t, LABELS)
+    assert path.read_text() == "\n"
 
 
 def test_report_canonical_json_deterministic():

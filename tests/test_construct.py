@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import A_ALTERNATE, B_ALTERNATE
 from coset_reference import rows_as_set, sphere_coset_shell
 from leechdesign import construct
 from leechdesign.cli import verify_seven_claims
@@ -32,6 +33,7 @@ from leechdesign.report import VerificationReport
 def test_projection_annihilates_anchors():
     anchors = np.stack([A_CANONICAL, B_CANONICAL])
     assert not project_rows_scaled(anchors, A_CANONICAL, B_CANONICAL, mult=1).any()
+    assert not project_rows_scaled(anchors[:1], A_CANONICAL, mult=1).any()
 
 
 def test_projected_norms(basis):
@@ -191,8 +193,8 @@ def test_collapsing_projection_is_refused(monkeypatch):
     # one projected inner point moved onto another: both stay on the sphere
     project = construct.project_rows_scaled
 
-    def collapsing(rows, a, b, mult):
-        out = project(rows, a, b, mult)
+    def collapsing(rows, *anchors, mult):
+        out = project(rows, *anchors, mult=mult)
         out[1] = out[0]
         return out
 
@@ -201,23 +203,78 @@ def test_collapsing_projection_is_refused(monkeypatch):
         build_design(A_CANONICAL, B_CANONICAL)
 
 
-def test_y_union_size_claim_sees_a_row_of_another_family(design, monkeypatch):
-    # The (x, b) = -1 shell given one row of the (x, b) = 0 shell: every
-    # family keeps its size, so only the union claim can fail.
-    def mixed(constraints, norm):
+def test_y_union_size_claim_sees_a_repeated_row(design, monkeypatch):
+    # One row of the (x, a) = 2 shell replaced by another row of its own
+    # (x, b) = -2 family: every family keeps its size, so only the union
+    # claim can fail.
+    def repeated(constraints, norm):
         shell = enumerate_coset_shell(constraints, norm)
-        if constraints[1].value == -1:
-            other = enumerate_coset_shell([constraints[0], CosetConstraint(B_CANONICAL, 0)], norm)
-            shell = np.concatenate([other[:1], shell[1:]])
+        first, second = np.flatnonzero(shell @ B_CANONICAL == -16)[:2]
+        shell[second] = shell[first]
         return shell
 
-    monkeypatch.setattr(construct, "enumerate_coset_shell", mixed)
+    monkeypatch.setattr(construct, "enumerate_coset_shell", repeated)
     report = VerificationReport(name="seven")
     verify_seven_claims(design, report, (A_CANONICAL, B_CANONICAL))
     results = {r.claim: r for r in report.results}
     assert results["seven/y-family-sizes"].passed
     assert report.first_failure().claim == "seven/y-union-size"
     assert results["seven/y-union-size"].computed == "4599"
+
+
+def _two_anchor_reference(rows, a, b, mult):
+    """mult * P_ab(row) by the fixed coefficients of a norm-4 pair with (a, b)
+    = -1: 15 P_ab(x) = 15 x - (4 (x, a) + (x, b)) a - ((x, a) + 4 (x, b)) b."""
+    ia, ib = (rows @ np.stack([a, b], axis=1) // 8).T
+    out15 = 15 * mult * rows - mult * np.outer(4 * ia + ib, a) - mult * np.outer(ia + 4 * ib, b)
+    assert not (out15 % 15).any()
+    return out15 // 15
+
+
+def _one_anchor_reference(rows, a, mult):
+    """mult * P_a(row) for a norm-4 anchor: 4 P_a(x) = 4 x - (x, a) a."""
+    out4 = 4 * mult * rows - mult * np.outer(rows @ a // 8, a)
+    assert not (out4 % 4).any()
+    return out4 // 4
+
+
+@pytest.mark.parametrize(
+    "a, b", [(A_CANONICAL, B_CANONICAL), (A_ALTERNATE, B_ALTERNATE)], ids=["canonical", "alternate"]
+)
+def test_projection_equals_the_one_and_two_anchor_formulas(a, b):
+    y_shell = enumerate_coset_shell([CosetConstraint(a, 2)], 4)
+    assert len(y_shell) == 4600
+    assert np.array_equal(
+        project_rows_scaled(y_shell, a, mult=2), _one_anchor_reference(y_shell, a, 2)
+    )
+    assert np.array_equal(
+        project_rows_scaled(y_shell, a, b, mult=15), _two_anchor_reference(y_shell, a, b, 15)
+    )
+    inner = enumerate_coset_shell([CosetConstraint(a, -1), CosetConstraint(b, -2)], 4)
+    assert np.array_equal(
+        project_rows_scaled(inner, a, b, mult=5), _two_anchor_reference(inner, a, b, 5)
+    )
+
+
+def test_projection_refuses_a_result_that_is_not_integral():
+    # on the inner shell, P_ab(x) = x + (2 a + 3 b) / 5 has fifths
+    constraints = [CosetConstraint(A_CANONICAL, -1), CosetConstraint(B_CANONICAL, -2)]
+    inner = enumerate_coset_shell(constraints, 4)
+    with pytest.raises(DesignConstructionError, match="^projection not integral at mult=1$"):
+        project_rows_scaled(inner, A_CANONICAL, B_CANONICAL, mult=1)
+
+
+def test_each_y_family_is_its_projected_two_constraint_shell(ys):
+    for key, value in ((1, 1), (2, 0), (-2, -1), (-1, -2)):
+        constraints = [CosetConstraint(A_CANONICAL, 2), CosetConstraint(B_CANONICAL, value)]
+        family = project_rows_scaled(enumerate_coset_shell(constraints, 4), A_CANONICAL, mult=2)
+        assert rows_as_set(ys[key]) == rows_as_set(family)
+        assert len(ys[key]) == len(family)
+
+
+def test_build_Y_filters_the_shell_once(coset_calls):
+    build_Y(A_CANONICAL, B_CANONICAL)
+    assert coset_calls == [((tuple(A_CANONICAL.tolist()), 2),)]
 
 
 def test_anchor_preconditions_enforced():
