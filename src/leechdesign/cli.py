@@ -153,8 +153,12 @@ def verify_design_claims(ws: WeightedPointSet, report: VerificationReport) -> No
             c.computed = all(x.passed for x in design.spherical_strength(ws, 1, 4))
         with stage.claim("design/probe-moment-oracle", True) as c:
             moments = design.moment_spot_check(ws, 6)
-            c.computed = all(m.passed for m in moments)
+            failing = next((m for m in moments if not m.passed), None)
+            c.computed = failing is None
         report.note("probe-moment-conditions-checked", len(moments))
+        if failing:
+            report.note("first-failing-probe", f"probe {failing.probe_index}, k={failing.k}:"
+                        f" lhs {failing.lhs}, rhs {failing.rhs}")
 
 
 def verify_coherent_claims(
@@ -246,15 +250,15 @@ def verify_seven_claims(ws: WeightedPointSet, report: VerificationReport, anchor
         with stage.claim("seven/z-pair-count", 4600 * 4600) as c:
             if len(ws.layers) < 2:  # every claim compares the two shells
                 raise DesignConstructionError(f"{len(ws.layers)} layers")
-            hist = z_value_histogram(ws)
-            c.computed = sum(hist.values())
-        report.check("seven/z-value-set", "[-1, -1/3, 0, 1/3, 1]", _listed(sorted(hist)))
+            hist, den = z_value_histogram(ws)
+            c.computed = int(hist.counts.sum())
+        z_set = _listed(Fraction(v, den) for v in hist.values.tolist())
+        report.check("seven/z-value-set", "[-1, -1/3, 0, 1/3, 1]", z_set)
         report.check("seven/z-cardinality-meets-antipodal-bound", 2 * comb(25, 3), 2 * ws.size)
 
         with stage.claim("seven/z-spherical-7", True) as c:
-            z = np.array(list(hist), dtype=object)  # the cosines, as `Fraction`s
-            strength = design.spherical_strength_from_values(z, list(hist.values()), 1, 7, 23)
-            c.computed = all(x.passed for x in strength)
+            sums = design.kernel_sums(hist.values, hist.counts, den, 1, 7, 23)
+            c.computed = not any(sums[1:])
 
         with stage.claim("seven/y-family-sizes", "[275, 2025, 2025, 275]") as c:
             ys = build_Y(a, b)
@@ -272,7 +276,7 @@ def verify_seven_claims(ws: WeightedPointSet, report: VerificationReport, anchor
 
         # The sphere model and the single-projection model agree: the Gram
         # value histogram of the 4600 projected points, normalized by their
-        # common squared radius 3, equals the symbolic histogram.  Every
+        # common squared radius 3, equals the symbolic one, den * z.  Every
         # stored point has squared norm 96 (checked by `build_Y`), so by
         # Cauchy-Schwarz each dot lies in [-96, 96], and each 256-row slab
         # of a block is counted as it is made.
@@ -284,8 +288,9 @@ def verify_seven_claims(ws: WeightedPointSet, report: VerificationReport, anchor
                     for _, dots in slab_products(f, fams[j]):
                         dots += 96
                         counts += (1 if i == j else 2) * np.bincount(dots.ravel(), minlength=193)
-            y_hist = {Fraction(v - 96, 96): int(n) for v, n in enumerate(counts.tolist()) if n}
-            c.computed = y_hist == hist
+            seen = np.flatnonzero(counts)
+            same_values = np.array_equal(hist.values * 96, (seen - 96).astype(object) * den)
+            c.computed = same_values and np.array_equal(hist.counts, counts[seen])
 
 
 def _parse_anchors(text: str):
@@ -342,6 +347,9 @@ def _main(argv=None) -> int:
         help="verify a previously written design file instead of rebuilding",
     )
     args = parser.parse_args(argv)
+    if args.command == "build" and args.design_file:
+        print("error: build makes the design; --in is for the verify commands", file=sys.stderr)
+        return EXIT_USAGE
 
     anchors = (
         _parse_anchors(args.anchors)

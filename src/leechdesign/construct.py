@@ -20,13 +20,14 @@ and keeps only what it needs, so no block-sized array is made.
 The companions are the four norm-4 families Y projected along one anchor,
 and the antipodal double cover of the design on S^22.  The cover is never
 materialized: its inner products follow from the design's Gram histograms,
-and every one of them is rational.
+as integers over one denominator, in a `BlockStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 import numpy as np
@@ -48,14 +49,6 @@ W1 = Fraction(1)
 W2 = Fraction(1, 729)
 R1_SQ = Fraction(12, 5)
 R2_SQ = Fraction(132, 5)
-
-# Scale pairs attaching the two shells to the unit sphere of R^23: layer i
-# contributes points +-(a_i * x / r_1, b_i); a_i^2 (r_i/r_1)^2 + b_i^2 = 1.
-A1_SQ = Fraction(4, 5)  # a_1 = 2/sqrt5
-B1_SQ = Fraction(1, 5)  # b_1 = 1/sqrt5
-A2_SQ = Fraction(4, 45)  # a_2 = 2/(3 sqrt5)
-B2_SQ = Fraction(1, 45)  # b_2 = 1/(3 sqrt5)
-
 
 # Input bounds under which every product of stored rows passes
 # `exact_matmul`: 24 (2^24 - 1)^2 < 2^53.
@@ -192,7 +185,12 @@ class BlockStats:
     def of(cls, a: np.ndarray, b: np.ndarray) -> BlockStats:
         """One pass over the 256-row slabs of a @ b.T, whose histograms are
         merged: no block-sized array is made."""
-        hists = [np.unique(product, return_counts=True) for _, product in slab_products(a, b)]
+        return cls.merge([np.unique(p, return_counts=True) for _, p in slab_products(a, b)])
+
+    @classmethod
+    def merge(cls, hists) -> BlockStats:
+        """The histogram of the union of (values, counts) pairs, each of
+        distinct values, of int64 or of Python ints in an object array."""
         values = distinct_values(np.concatenate([v for v, _ in hists]))
         counts = np.zeros(len(values), dtype=np.int64)
         for v, c in hists:
@@ -313,27 +311,29 @@ def check_X1_equals_PY(ws: WeightedPointSet, y_plus1: np.ndarray, a, b) -> bool:
 # -- the antipodal double cover on S^22 ---------------------------------------
 
 
-_AB_PRODUCTS = {
-    (1, 1): (A1_SQ, B1_SQ),
-    (2, 2): (A2_SQ, B2_SQ),
-    (1, 2): (Fraction(4, 15), Fraction(1, 15)),  # a1*a2, b1*b2
-    (2, 1): (Fraction(4, 15), Fraction(1, 15)),
+# Layer i joins the unit sphere of R^23 as the points +-(a_i x / r_1, b_i),
+# a_i^2 (r_i/r_1)^2 + b_i^2 = 1: a_1 = 2/sqrt5, b_1 = 1/sqrt5, a_2 = 2/(3 sqrt5),
+# b_2 = 1/(3 sqrt5).  Block (i, j) of the cover has a_i a_j / r_1^2 and b_i b_j:
+_Z_MAPS = {
+    (0, 0): (Fraction(1, 3), Fraction(1, 5)),
+    (1, 1): (Fraction(1, 27), Fraction(1, 45)),
+    (0, 1): (Fraction(1, 9), Fraction(1, 15)),
 }
 
 
-def z_value_histogram(design: WeightedPointSet) -> dict[Fraction, int]:
-    """Multiset of inner products over all ordered pairs of the antipodal
-    cover Z, from the Gram histograms of the design's pair statistics;
-    `seven/z-pair-count` checks its total."""
-    hist: dict[Fraction, int] = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            aa, bb = _AB_PRODUCTS[(i + 1, j + 1)]
-            st = design.pair_stats(min(i, j), max(i, j))  # (1, 0) has the values of (0, 1)
-            scale = design.dot_scale(i, j)
-            for d, c in zip(st.values.tolist(), st.counts.tolist()):
-                base = aa * Fraction(d, scale) / R1_SQ + bb
-                # sign product +1 occurs twice (+/+, -/-), -1 twice (+/-, -/+)
-                for v, mult in ((base, 2), (-base, 2)):
-                    hist[v] = hist.get(v, 0) + mult * c
-    return hist
+def z_value_histogram(design: WeightedPointSet) -> tuple[BlockStats, int]:
+    """The inner products over all ordered pairs of the antipodal cover Z,
+    from the design's Gram histograms: the histogram of the integers den * z,
+    as Python ints, and den, the least common denominator of the maps from a
+    block's stored dots to z.  `seven/z-pair-count` checks the total."""
+    # the stored dot d of block (i, j) gives z = +-(slope d + shift)
+    maps = {ij: (a / design.dot_scale(*ij), b) for ij, (a, b) in _Z_MAPS.items()}
+    den = lcm(*(x.denominator for pair in maps.values() for x in pair))
+    pieces = []
+    for (i, j), (slope, shift) in maps.items():
+        st = design.pair_stats(i, j)
+        z = st.values.astype(object) * int(slope * den) + int(shift * den)
+        # each sign twice (+/+ and -/-, +/- and -/+), and block (1, 0) as (0, 1)
+        counts = (2 if i == j else 4) * st.counts
+        pieces += [(z, counts), (-z, counts)]
+    return BlockStats.merge(pieces), den

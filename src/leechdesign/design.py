@@ -17,26 +17,26 @@ any radicals, for arbitrary rational input layers.
 An exact probe-moment check (necessary conditions from powers of linear
 forms) accompanies the kernel route as an independent oracle.
 
-The kernel sums need only the histograms of stored inner products, which
-they read from the design's pair statistics
-(`WeightedPointSet.pair_stats`), built once per layer block.  A block enters
-only through the integer power sums of its stored dots, and the kernels'
-recurrence runs once per block, on their coefficients (`kernel_sums`).  The
-probe-moment oracle probes with every design point y.  Its moment sum
-sum_x w(x) (x.y)^k depends on y only through the multiset of y's inner
-products with each layer, its profile (Delsarte, Goethals and Seidel
-1977), and the oracle groups the probes by profile: by the count of each
-value in the probe's row of every block, read from the runs of the row
-sorted, one 256-row slab at a time.  So the sum is evaluated exactly once
-per distinct profile and compared once per profile and degree, and the
-verdict is copied to every probe with that profile: an identity, not a
-sample, and each probe is still checked and named by its index.
+Both read the design's inner products only as multisets: the value
+histograms of its layer blocks (`WeightedPointSet.pair_stats`), which enter
+every sum through their exact integer power sums (`power_sums`).  The
+kernels' recurrence runs once per degree and dimension, on their
+coefficients (`zonal_coefficients`).  The probe-moment oracle probes with
+every design point y.  Its moment sum sum_x w(x) (x.y)^k depends on y only
+through the multiset of y's inner products with each layer, its profile
+(Delsarte, Goethals and Seidel 1977), and the oracle groups the probes by
+profile: by the count of each value in the probe's row of every block, read
+from the runs of the row sorted, one 256-row slab at a time.  So the sum is
+evaluated and compared once per profile and degree, and the verdict is
+copied to every probe with that profile: an identity, not a sample.
+`design/probe-moment-oracle` names the first failing probe by its index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 from typing import NamedTuple, Sequence
 
@@ -54,31 +54,43 @@ class StrengthCondition:
     passed: bool  # value exactly zero
 
 
-def power_table(values: np.ndarray, t: int) -> np.ndarray:
-    """values[c]^i for i = 0..t in an object array, by running products of
-    the exact Python ints (or `Fraction`s) of the values: no fixed width."""
-    table = np.ones((len(values), t + 1), dtype=object)
-    for i in range(1, t + 1):
-        table[:, i] = table[:, i - 1] * values
-    return table
+def power_sums(counts: np.ndarray, values: np.ndarray, t: int) -> np.ndarray:
+    """counts @ [values^0 .. values^t] in exact Python ints, in an object
+    array: counts is one histogram's, or one row per probe profile.  The
+    powers are made 4,096 values at a time, so that a many-valued histogram
+    never holds them all at once."""
+    sums = np.zeros((*counts.shape[:-1], t + 1), dtype=object)
+    for c in range(0, len(values), 4096):
+        powers = np.vander(values[c : c + 4096].astype(object), t + 1, increasing=True)
+        sums += counts[..., c : c + 4096] @ powers
+    return sums
+
+
+@cache
+def zonal_coefficients(t: int, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """q[k][i], the coefficient of u^i in the normalized degree-k zonal kernel
+    Q_k on S^(n-1), k = 0..t, by the Gegenbauer recurrence, run once per (t, n):
+
+        Q_k = ((2k+n-4) u Q_{k-1} - (k-1) Q_{k-2}) / (k+n-3),  Q_k(1) = 1."""
+    q = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for k in range(2, t + 1):
+        up, down = Fraction(2 * k + n - 4, k + n - 3), Fraction(k - 1, k + n - 3)
+        q.append([up * a - down * b for a, b in zip([0] + q[k - 1], q[k - 2] + [0, 0])])
+    return tuple(map(tuple, q[: t + 1]))
 
 
 def kernel_sums(values, counts, scale, nx2ny2, t: int, n: int) -> list[Fraction]:
-    """sum_c counts[c] H_k(values[c] / scale) for k = 0..t: H_k(dot) is
-    (|x||y|)^k Q_k(dot / |x||y|) at dot = x.y and nx2ny2 = |x|^2 |y|^2, and Q_k,
-    H_k at nx2ny2 = 1, is the normalized degree-k zonal kernel on S^(n-1).  The
-    Gegenbauer recurrence multiplied through by (|x||y|)^k,
-
-        H_k = ((2k+n-4) dot H_{k-1} - (k-1) nx2ny2 H_{k-2}) / (k+n-3),
-
-    runs once, on H_k's rational coefficients in the stored value scale * dot,
-    which meet the histogram in its power sums sum_c counts[c] values[c]^i."""
-    sums = (counts @ power_table(values, t)).tolist()  # Python ints: no wraparound
-    h = [[Fraction(1)], [Fraction(0), Fraction(1) / scale]]
-    for k in range(2, t + 1):
-        up, down = Fraction(2 * k + n - 4, k + n - 3) / scale, Fraction(k - 1, k + n - 3) * nx2ny2
-        h.append([up * a - down * b for a, b in zip([0] + h[k - 1], h[k - 2] + [0, 0])])
-    return [sum(a * s for a, s in zip(hk, sums) if a) for hk in h[: t + 1]]
+    """sum_c counts[c] H_k(values[c] / scale) for k = 0..t, where H_k(dot) =
+    (|x||y|)^k Q_k(dot / |x||y|) at dot = x.y and nx2ny2 = |x|^2 |y|^2.  Q_k
+    has the parity of k, so H_k(dot) = sum_i q[k][i] nx2ny2^((k-i)/2) dot^i,
+    and the k-th sum is sum_i q[k][i] nx2ny2^((k-i)/2) S_i / scale^i over the
+    histogram's power sums S_i."""
+    s = [Fraction(x, scale**i) for i, x in enumerate(power_sums(counts, values, t).tolist())]
+    radial = [nx2ny2**m for m in range(t // 2 + 1)]
+    return [
+        sum(c * radial[(k - i) // 2] * s[i] for i, c in enumerate(qk) if c)
+        for k, qk in enumerate(zonal_coefficients(t, n))
+    ]
 
 
 def euclidean_strength(ws: WeightedPointSet, t: int) -> list[StrengthCondition]:
@@ -108,23 +120,14 @@ def euclidean_strength(ws: WeightedPointSet, t: int) -> list[StrengthCondition]:
     ]
 
 
-def spherical_strength_from_values(
-    values: np.ndarray, counts, unit, t: int, n: int
-) -> list[StrengthCondition]:
-    """Kernel sums sum_c counts[c] Q_k(values[c] / unit) on S^(n-1), k = 1..t."""
-    sums = kernel_sums(values, counts, unit, 1, t, n)
-    return [
-        StrengthCondition(label=f"k={k}", value=sums[k], passed=sums[k] == 0)
-        for k in range(1, t + 1)
-    ]
-
-
 def spherical_strength(ws: WeightedPointSet, i: int, t: int) -> list[StrengthCondition]:
-    """Spherical design strength of layer i on its own (unweighted), from
-    the histogram of its Gram block; `PointLayer` holds one radius."""
+    """Spherical design strength of layer i on its own (unweighted): the
+    kernel sums sum_c counts[c] Q_k(values[c] / unit), k = 1..t, over the
+    histogram of its Gram block; `PointLayer` holds one radius."""
     st = ws.pair_stats(i, i)
     unit = ws.dot_scale(i, i) * ws.layers[i].r2  # the stored squared norm
-    return spherical_strength_from_values(st.values, st.counts, unit, t, DIMENSION)
+    sums = kernel_sums(st.values, st.counts, unit, 1, t, DIMENSION)
+    return [StrengthCondition(f"k={k}", sums[k], sums[k] == 0) for k in range(1, t + 1)]
 
 
 def sphere_monomial_average(alpha: Sequence[int], n: int) -> Fraction:
@@ -194,17 +197,14 @@ def moment_spot_check(ws: WeightedPointSet, t: int) -> list[ProbeMomentResult]:
         # A profile's sum_x w(x) (x.y)^k is, over the blocks, w / scale^k
         # times the integer sum_c count_c v_c^k of the stored dots v_c,
         # evaluated for 256 profiles at a time.
-        blocks = []
-        for i, (layer, vals) in enumerate(zip(ws.layers, values)):
-            factors = [Fraction(layer.weight, ws.dot_scale(i, m) ** k) for k in range(t + 1)]
-            blocks.append((power_table(vals, t), np.array(factors)))
         rhs = [radial[k] * probe_layer.r2 ** (k // 2) for k in range(t + 1)]
         lhs: list = []
         for g in range(0, len(profiles), 256):
-            group = profiles[g : g + 256].astype(object)
+            group = profiles[g : g + 256]
             total = 0
-            for i, (powers, factors) in enumerate(blocks):
-                total = total + (group[:, start[i] : start[i + 1]] @ powers) * factors
+            for i, (layer, vals) in enumerate(zip(ws.layers, values)):
+                factors = [Fraction(layer.weight, ws.dot_scale(i, m) ** k) for k in range(t + 1)]
+                total = total + power_sums(group[:, start[i] : start[i + 1]], vals, t) * factors
             lhs += total.tolist()
         passed = [[s == r for s, r in zip(sums, rhs)] for sums in lhs]
         for q, g in enumerate(inverse.ravel().tolist()):

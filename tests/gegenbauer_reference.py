@@ -1,7 +1,8 @@
 """Zonal kernels from their coefficient tables, evaluated one value at a
 time: a reference independent of `leechdesign.design.kernel_sums`, which
-runs the recurrence once per block and meets the histogram in its power
-sums; the tests compare the two, value by value and block by block."""
+reads the coefficients of the recurrence, run once per degree and dimension,
+and meets each histogram in its power sums; the tests compare the two,
+value by value and block by block."""
 
 from fractions import Fraction
 

@@ -29,8 +29,8 @@ from leechdesign.design import (
     euclidean_strength,
     moment_spot_check,
     mutate_design,
+    kernel_sums,
     spherical_strength,
-    spherical_strength_from_values,
 )
 from leechdesign.lattice import (
     A_CANONICAL,
@@ -113,17 +113,16 @@ def test_criterion_4_spherical_strengths(design):
     t0 = time.monotonic()
     s1 = spherical_strength(design, 0, 5)
     s2 = spherical_strength(design, 1, 4)
-    hist = z_value_histogram(design)
-    z = np.array(list(hist), dtype=object)
-    sz = spherical_strength_from_values(z, list(hist.values()), 1, 7, 23)
+    hist, den = z_value_histogram(design)
+    sz = kernel_sums(hist.values, hist.counts, den, 1, 7, 23)
     dt = time.monotonic() - t0
     ok = (
         [c.passed for c in s1] == [True] * 4 + [False]
         and all(c.passed for c in s2)
-        and all(c.passed for c in sz)
-        and sum(hist.values()) == 4600 * 4600
-        and hist[Fraction(1)] == 4600
-        and hist[Fraction(-1)] == 4600  # 2300 antipodal pairs, z.-z = -1
+        and not any(sz[1:])
+        and int(hist.counts.sum()) == 4600 * 4600
+        and (hist.values[-1], hist.counts[-1]) == (den, 4600)
+        and (hist.values[0], hist.counts[0]) == (-den, 4600)  # 2300 antipodal pairs, z.-z = -1
     )
     _verdict(
         4,

@@ -506,6 +506,16 @@ def test_cli_usage_error_on_directory_input(tmp_path, capsys):
     assert err.startswith("error: cannot read design file: ") and err.count("\n") == 1
 
 
+def test_cli_build_refuses_an_input_file(tmp_path, capsys):
+    # build makes the design from the anchors and would not read the file
+    capsys.readouterr()
+    code = main(["build", "--in", str(tmp_path / "nonexistent"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: build ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["build", "verify-design"])
 def test_cli_usage_error_on_unwritable_output(tmp_path, design, capsys, command):
     out = tmp_path / "out"

@@ -323,22 +323,24 @@ def test_X1_check_sees_a_negated_inner_point(design, ys):
 
 
 def test_Z_value_histogram(design):
-    hist = z_value_histogram(design)
-    assert set(hist) == {
-        Fraction(1),
+    hist, den = z_value_histogram(design)
+    assert den == 5400  # the least common denominator of the three blocks' maps
+    assert [Fraction(v, den) for v in hist.values.tolist()] == [
         Fraction(-1),
-        Fraction(1, 3),
         Fraction(-1, 3),
         Fraction(0),
-    }
-    assert sum(hist.values()) == 4600 * 4600
-    assert hist[Fraction(1)] == 4600  # exactly the diagonal
-    assert hist[Fraction(-1)] == 4600  # exactly the antipodal pairs
+        Fraction(1, 3),
+        Fraction(1),
+    ]
+    assert int(hist.counts.sum()) == 4600 * 4600
+    assert hist.counts[-1] == 4600  # z = 1: exactly the diagonal
+    assert hist.counts[0] == 4600  # z = -1: exactly the antipodal pairs
 
 
 def test_Z_matches_projected_model(design, ys):
     stacked = np.concatenate([ys[1], ys[2], ys[-1], ys[-2]])
     gram = stacked @ stacked.T
     vals, counts = np.unique(gram, return_counts=True)
-    y_hist = {Fraction(int(v), 96): int(c) for v, c in zip(vals, counts)}
-    assert y_hist == z_value_histogram(design)
+    hist, den = z_value_histogram(design)
+    assert np.array_equal(hist.values * 96, vals.astype(object) * den)  # z = dot / 96
+    assert np.array_equal(hist.counts, counts)

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from float_oracle import float_polynomial_check
 from gegenbauer_reference import GegenbauerEvaluator
-from many_valued import many_valued_design
+from many_valued import many_layered_design, many_valued_design
 from leechdesign.cli import verify_design_claims
 from leechdesign.construct import (
     DesignConstructionError,
@@ -22,11 +24,11 @@ from leechdesign.design import (
     kernel_sums,
     moment_spot_check,
     mutate_design,
-    power_table,
+    power_sums,
     spherical_strength,
-    spherical_strength_from_values,
     sphere_monomial_average,
     tightness_check,
+    zonal_coefficients,
 )
 from leechdesign.report import VerificationReport
 
@@ -103,14 +105,20 @@ def many_valued():
     return many_valued_design()
 
 
-@pytest.mark.parametrize("which", ["many-valued", "mutated"])
+@pytest.mark.parametrize("which", ["many-valued", "mutated", "many-layered"])
 def test_euclidean_strength_equals_the_per_value_reference(design, many_valued, which):
-    ws = many_valued if which == "many-valued" else mutate_design(design, 1, 5, 7, 9)
+    ws = {
+        "many-valued": many_valued,
+        "mutated": mutate_design(design, 1, 5, 7, 9),
+        "many-layered": many_layered_design(20),
+    }[which]
     if which == "many-valued":
         # 618, 1826 and 1725 distinct dots
         assert min(len(ws.pair_stats(i, j).values) for i, j in ((0, 0), (0, 1), (1, 1))) > 600
     else:
-        assert len(ws.layers) == 3
+        assert len(ws.layers) == {"mutated": 3, "many-layered": 20}[which]
+    if which == "many-layered":  # the canonical outer point, scaled by 1..20
+        assert np.array_equal(ws.layers[0].points[0], design.layers[1].points[0])
     conds = euclidean_strength(ws, 6)
     assert {c.label: c.value for c in conds} == reference_strength(ws, 6)
     assert not all(c.passed for c in conds)
@@ -137,15 +145,56 @@ def test_kernel_sums_run_once_per_block_whatever_the_number_of_values(
     assert sum(sizes) > 4000  # the many-valued file's blocks hold thousands of values
 
 
+def test_zonal_coefficients_are_built_once_per_degree_and_dimension(monkeypatch):
+    built = []
+
+    @cache
+    def spy(t, n):
+        built.append((t, n))
+        return zonal_coefficients.__wrapped__(t, n)
+
+    blocks = []
+
+    def counted(values, *args):
+        blocks.append(len(values))
+        return kernel_sums(values, *args)
+
+    monkeypatch.setattr(design_module, "zonal_coefficients", spy)
+    monkeypatch.setattr(design_module, "kernel_sums", counted)
+    ws = many_layered_design(20)
+    euclidean_strength(ws, 6)
+    euclidean_strength(ws, 6)
+    spherical_strength(ws, 3, 4)
+    assert blocks == [1] * (2 * 210 + 1)  # 210 one-value blocks, twice
+    assert built == [(6, DIMENSION), (4, DIMENSION)]
+
+
+def test_kernel_sums_hold_a_bounded_part_of_a_many_valued_histogram():
+    # 200,000 distinct values near 2^41: their powers up to 2 at once, as
+    # Python ints in an object array, take about 20 MB
+    values = np.arange(-100_000, 100_000, dtype=np.int64) * 22_000_001 + 7
+    counts = np.arange(len(values), dtype=np.int64) % 5 + 1
+    tracemalloc.start()
+    try:
+        sums = kernel_sums(values, counts, 1, 1, 2, DIMENSION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    histogram = zip(values.tolist(), counts.tolist())
+    assert sums[:2] == [int(counts.sum()), sum(c * v for v, c in histogram)]
+
+
 def test_strength_values_are_fractions_and_power_sums_python_ints(design, many_valued):
     # powers past int64: an int64 power sum would wrap, a numpy scalar would
     # make `Fraction` raise
     values = np.array([-3, 0, 5, 2**19 - 1, -(2**23)], dtype=np.int64)
     counts = np.array([1, 2, 3, 2**40, 7], dtype=np.int64)
-    table = power_table(values, 7)
+    # one-hot counts read the power table row by row
+    table = power_sums(np.eye(len(values), dtype=np.int64), values, 7)
     assert table.tolist() == [[v**i for i in range(8)] for v in values.tolist()]
     assert all(type(x) is int for x in table.ravel())
-    sums = (counts @ table).tolist()
+    sums = power_sums(counts, values, 7).tolist()
     assert all(type(x) is int for x in sums)
     histogram = list(zip(values.tolist(), counts.tolist()))
     assert sums == [sum(c * v**i for v, c in histogram) for i in range(8)]
@@ -156,10 +205,10 @@ def test_strength_values_are_fractions_and_power_sums_python_ints(design, many_v
     assert kernel_sums(values, counts, 7, Fraction(5, 3), 7, 22) == expect
     for ws in (design, many_valued):
         conds = euclidean_strength(ws, 7) + spherical_strength(ws, 0, 5)
-        hist = z_value_histogram(ws)
-        z = np.array(list(hist), dtype=object)
-        conds += spherical_strength_from_values(z, list(hist.values()), 1, 7, 23)
+        hist, den = z_value_histogram(ws)
+        z_sums = kernel_sums(hist.values, hist.counts, den, 1, 7, 23)
         assert all(type(c.value) is Fraction for c in conds)
+        assert all(type(x) is Fraction for x in z_sums)
 
 
 def test_sphere_monomial_average_examples():
@@ -230,10 +279,9 @@ def test_inner_shell_meets_tight_spherical_4_design_bound(design):
 
 
 def test_z_strength_seven(design):
-    hist = z_value_histogram(design)
-    z = np.array(list(hist), dtype=object)
-    conds = spherical_strength_from_values(z, list(hist.values()), 1, 7, 23)
-    assert all(c.passed for c in conds)
+    hist, den = z_value_histogram(design)
+    sums = kernel_sums(hist.values, hist.counts, den, 1, 7, 23)
+    assert not any(sums[1:])
 
 
 def test_tightness(design):
@@ -397,3 +445,16 @@ def test_verify_design_builds_each_gram_block_once(design, block_calls):
     verify_design_claims(WeightedPointSet(layers=design.layers), report)
     assert report.passed
     assert sorted(block_calls) == [(275, 275), (275, 2025), (2025, 2025)]
+    assert "first-failing-probe" not in report.notes
+
+
+def test_a_failing_probe_moment_oracle_names_its_first_failing_probe(design):
+    ws = mutate_design(design, 1, 5, 7, 9)
+    report = VerificationReport(name="design")
+    verify_design_claims(ws, report)
+    first = next(m for m in moment_spot_check(ws, 6) if not m.passed)
+    oracle = [r.passed for r in report.results if r.claim == "design/probe-moment-oracle"]
+    assert oracle == [False]
+    assert report.notes["first-failing-probe"] == (
+        f"probe {first.probe_index}, k={first.k}: lhs {first.lhs}, rhs {first.rhs}"
+    )
