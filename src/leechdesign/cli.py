@@ -57,6 +57,7 @@ from .report import VerificationReport
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+_LISTED = 16  # the values a claim lists of a larger set
 
 
 class _StageEnd(Exception):
@@ -96,8 +97,10 @@ class Stage:
             raise _StageEnd
 
 
-def _listed(values) -> str:
-    return "[" + ", ".join(map(str, values)) + "]"
+def _listed(values: np.ndarray, scale) -> str:
+    """The values over `scale`; past _LISTED of them, their count and the first _LISTED."""
+    head = ", ".join(str(Fraction(v) / scale) for v in values[:_LISTED].tolist())
+    return f"[{head}]" if len(values) <= _LISTED else f"{len(values)} values: [{head}, ...]"
 
 
 def _normalized_value_sets(ws: WeightedPointSet) -> dict[str, str]:
@@ -105,9 +108,8 @@ def _normalized_value_sets(ws: WeightedPointSet) -> dict[str, str]:
     cross set is reported multiplied by sqrt(11) (which makes it rational)."""
     out = {}
     for (i, j), key in (((0, 0), "11"), ((1, 1), "22"), ((0, 1), "12")):
-        scale, r2 = ws.dot_scale(i, j), ws.layers[i].r2
-        vals = ws.pair_values(i, j).tolist()
-        out[key] = _listed(sorted((Fraction(v, scale) / r2 for v in vals), reverse=True))
+        scale = ws.dot_scale(i, j) * ws.layers[i].r2
+        out[key] = _listed(ws.pair_values(i, j)[::-1], scale)
     return out
 
 
@@ -252,7 +254,7 @@ def verify_seven_claims(ws: WeightedPointSet, report: VerificationReport, anchor
                 raise DesignConstructionError(f"{len(ws.layers)} layers")
             hist, den = z_value_histogram(ws)
             c.computed = int(hist.counts.sum())
-        z_set = _listed(Fraction(v, den) for v in hist.values.tolist())
+        z_set = _listed(hist.values, den)
         report.check("seven/z-value-set", "[-1, -1/3, 0, 1/3, 1]", z_set)
         report.check("seven/z-cardinality-meets-antipodal-bound", 2 * comb(25, 3), 2 * ws.size)
 

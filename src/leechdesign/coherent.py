@@ -17,33 +17,35 @@ count k_a per row on its source fiber, and that labels[q, p] is
 T(labels[p, q]).  Then b has k_(T b) per column, and H_qp[a, b] =
 H_pq[T b, T a] for H_pq[a, b] = #{z : (p, z) in a, (z, q) in b}, so the
 pairs with q >= p decide every count.  In a coherent configuration the
-relations of each fiber block sum to J (Higman, Geom. Dedicata 4, 1975),
-so of the non-identity relations of a block all but the last are free: at
-most two per block.  Each fiber block (r, s) is one product A @ B, A
-weighting the free relation a_i of block (r, s) by 2^(2wi) and B the free
-b_j of each block (s, t) by 2^(wj), so one entry holds up to four counts,
-count(a_i, b_j) at base-2^w digit 2i + j (Kronecker substitution on both
-operands; Harvey, J. Symb. Comput. 44, 2009).  The digit width w is the
+relations of each fiber block sum to J (Higman, Geom. Dedicata 4, 1975), so
+of the non-identity relations of a block all but the last are free: at most
+two per block.  Through inner fiber s, the free b_j of each block (s, t)
+weigh 2^(wj) in the right operand, and each product is taken once per digit
+i, on the 0/1 indicator of the free a_i of block (1, s) or (2, s):
+count(a_i, b_j) is base-2^w digit 2i + j of d_0 + 2^(2w) d_1 (Kronecker
+substitution; Harvey, J. Symb. Comput. 44, 2009).  The digit width w is the
 bit length of the larger fiber, 11 here: a count is at most a fiber size,
-so it never carries.  The products run through `construct.exact_matmul`,
-whose 2^53 bound is the one exactness check; every fiber of fewer than
-2^13 points keeps it, since the bound is a fiber size times 2^(3w), below
-2^(4w).  The blocks sharing an inner fiber run as one product, whose right
-operand is never whole: it is built a block of 512 columns at a time, each
-block once for all the 128-row slabs at x that read it, on the columns
-q >= x only (the panel reuse of blocked GEMM; Goto & van de Geijn, ACM TOMS
-34, 2008).  The blocks visit pairs out of row order, so the entries at each
-relation's representative, its first pair in row order, come first, from
-one small product per fiber: 6,421,719,600 multiply-adds in all, 53 % of
-2300^3.  Every pair with q > p is compared with its representative (not a
-sample); a diagonal pair needs none, its counts following from the row
-counts and the transpose check.  Every other entry follows exactly: the
-identity relations give [b = c] and [a = c], over the b of block (s, t)
-the counts sum to k_a, over the a of block (r, s) to k_(T b), and a (2, 1)
-relation c takes p_{a,b}^c = p_{T b,T a}^{T c}, which a symmetric c must
-satisfy at its representative.
-A failure names the first (a, b) at which the direct composition
-histograms of its two witness pairs differ.
+so it never carries, and a fiber of 2^15 points, whose four packed counts
+could pass int64, is refused.  The products run through
+`construct.exact_matmul`, in float32 while the bound, a fiber size times
+2^w, is below 2^24, as on fibers of fewer than 2^12 points
+(`classify_pairs` admits at most 2900, the absolute bound of a 3-distance
+set in R^24; Delsarte, Goethals & Seidel, Geom. Dedicata 6, 1977), and in
+float64 past it.  The right operand is built a block of 512 columns at a
+time, each block once for all the 128-row slabs at x that read it, on the
+columns q >= x only (the panel reuse of blocked GEMM; Goto & van de Geijn,
+ACM TOMS 34, 2008).  The blocks visit pairs out of row order, so the
+entries at each relation's representative, its first pair in row order,
+come first, from one small product per fiber and digit: 12,843,439,200
+multiply-adds in all, twice 53 % of 2300^3.  Every pair with q > p is
+compared with its representative (not a sample); a diagonal pair needs
+none, its counts following from the row counts and the transpose check.
+Every other entry follows exactly: the identity relations give [b = c] and
+[a = c], over the b of block (s, t) the counts sum to k_a, over the a of
+block (r, s) to k_(T b), and a (2, 1) relation c takes p_{a,b}^c =
+p_{T b,T a}^{T c}, which a symmetric c must satisfy at its representative.
+A failure names the first (a, b) at which the direct composition histograms
+of its two witness pairs differ.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construct import StepError, WeightedPointSet, exact_matmul, max_abs, slab_products
+from .construct import StepError, WeightedPointSet, exact_matmul, slab_products
 from .coherent_fixture import (
     LABELS,
     LABEL_FIBERS,
@@ -177,12 +179,30 @@ def _not_well_defined(labels: np.ndarray, w1: tuple, w2: tuple) -> Configuration
     )
 
 
+def _packed_product(rows, block, s: int, w: int, buffers: tuple) -> np.ndarray:
+    """d_0 + 2^(2w) d_1, d_i the product of the 0/1 indicator of the free
+    a_i of blocks (1, s) and (2, s) in `rows` with `block`, exact in float32
+    below 2^24 (module notes); made in `buffers`, of which it returns a view."""
+    m = len(rows)
+    hit, lhs, out = buffers[0][:, :m], buffers[1][:m], buffers[2][:, :m, : block.shape[1]]
+    for i, d in enumerate(out):
+        relations = [c for c, g in _FREE.items() if g == i and LABEL_FIBERS[c][1] == s]
+        np.equal(rows, relations[0], out=hit[0])
+        for c in relations[1:]:
+            hit[0] |= np.equal(rows, c, out=hit[1])
+        lhs[...] = hit[0]
+        exact_matmul(lhs, block, 2**w, d)
+    return np.add(out[0], np.left_shift(out[1], 2 * w, out=out[1]), out=out[0])
+
+
 def intersection_numbers(part: RelationPartition) -> np.ndarray:
     """The full 13x13x13 tensor, with exhaustive well-definedness checks:
-    one packed product per fiber block, on the pairs q >= p (module notes)."""
+    one packed product per fiber block and digit, on the pairs q >= p (module notes)."""
     labels = part.labels
     n = len(labels)
     fiber = _fiber_slices(part.fiber_sizes)
+    if max(part.fiber_sizes) >= 2**15:  # 4 packed counts of 16 bits or more pass int64
+        raise StepError(f"a fiber of {max(part.fiber_sizes)} points, not below 2^15")
     for r, s in _NON_IDENTITY:
         # LABELS lists the relations of each block contiguously.
         block = [c for c, g in enumerate(LABEL_FIBERS) if g == (r, s)]
@@ -199,7 +219,7 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
     # rows[x, a] = #{z : (x, z) in a}
     rows = np.zeros((n, 13), dtype=np.int64)
     for x in range(0, n, _SLAB):
-        slab = labels[x : x + _SLAB].astype(np.int64)
+        slab = labels[x : x + _SLAB]
         m = len(slab)
         rows[x : x + m] = np.bincount(
             (slab + 13 * np.arange(m)[:, None]).ravel(), minlength=13 * m
@@ -239,41 +259,31 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
         if rows[x, c] and c not in _NON_IDENTITY[2, 1]:
             rep[c] = (x, int(np.argmax(labels[x] == c)))
 
-    # A count is at most a fiber size, so below 2^w.  A free relation a of
-    # block (r, s) weighs 2^(2wi) on the left and a free b of block (s, t)
-    # 2^(wj) on the right, so count(a, b) is digit 2i + j of the product.
     w = max(part.fiber_sizes).bit_length()
-    left, right = np.zeros(13), np.zeros(13)
-    for c, i in _FREE.items():
-        left[c], right[c] = 2.0 ** (2 * w * i), 2.0 ** (w * i)
+    right = np.array([2.0 ** (w * _FREE[c]) if c in _FREE else 0 for c in range(13)], np.float32)
     # packed[s - 1, c]: the value at rep[c] of the product through fiber s,
     # taken first, as the column blocks visit pairs out of row order; the
     # fill reads it for the identities too, whose pairs are not compared.
     packed = np.zeros((2, 13), dtype=np.int64)
     cs = [c for c, pair in enumerate(rep) if pair is not None]
     ps, qs = np.array([rep[c] for c in cs]).T
+    # Through inner fiber s, each column block j0..j1 of the right operand is
+    # read by every slab x < j1 on the columns q >= x, in the fiber's buffers.
+    # Only q > p is compared: H_pp[a, b] = [b = T a] k_a already follows from
+    # the row counts and the transpose check.
+    m = max(_SLAB, len(cs))
     for s, inner in zip((1, 2), fiber):
-        packed[s - 1, cs] = np.diagonal(
-            exact_matmul(left[labels[ps, inner]], right[labels[inner, qs]])
-        )
-    # Through inner fiber s, the rows of fiber r are block (r, s)'s product.
-    # Its right operand is built a column block at a time, from the rows
-    # j0..j1 by the transpose check, and read by every slab x < j1 on the
-    # columns q >= x.  Only q > p is compared: H_pp[a, b] = [b = T a] k_a
-    # already follows from the row counts and the transpose check.  Each
-    # left operand is gathered into one buffer per fiber ("clip" never acts:
-    # every label is checked in range above).
-    transposed, b_max = right[_TRANSPOSE], max_abs(right)
-    buf = np.empty((_SLAB, _COLUMNS), dtype=np.int64)
-    for s, inner in zip((1, 2), fiber):
-        lhs_buf = np.empty((_SLAB, inner.stop - inner.start))
+        k = inner.stop - inner.start
+        bufs = (np.empty((2, m, k), bool), np.empty((m, k), np.float32),
+                np.empty((2, m, max(m, _COLUMNS)), np.int64))
+        reps = _packed_product(labels[ps, inner], right[labels[inner, qs]], s, w, bufs)
+        packed[s - 1, cs] = np.diagonal(reps)
         for j0 in range(0, n, _COLUMNS):
             j1 = min(j0 + _COLUMNS, n)
-            block = transposed[labels[j0:j1, inner]].T
+            block = right[labels[inner, j0:j1]]
             for x in range(0, j1, _SLAB):
                 q0, rows = max(x, j0), labels[x : x + _SLAB, inner]
-                lhs = left.take(rows, mode="clip", out=lhs_buf[: len(rows)])
-                counts = exact_matmul(lhs, block[:, q0 - j0 :], b_max, buf[: len(lhs), : j1 - q0])
+                counts = _packed_product(rows, block[:, q0 - j0 :], s, w, bufs)
                 target = labels[x : x + _SLAB, q0:j1]
                 bad = np.triu(counts != packed[s - 1][target], x - q0 + 1)
                 if bool(bad.any()):

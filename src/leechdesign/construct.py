@@ -73,23 +73,25 @@ def max_abs(x: np.ndarray) -> int:
 def exact_matmul(
     a: np.ndarray, b: np.ndarray, b_max: int | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """a @ b for integer arrays, exact in int64 through float64 BLAS.  Every
+    """a @ b for integer arrays, exact in int64 through float BLAS.  Every
     partial sum, in any order, is an integer of absolute value at most
     (inner dimension) * max|a| * max|b|; below 2^53 a float64 holds each one
     exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008), and a larger bound
-    is refused.  The result is filled in slabs of 256 rows, so that no
-    second full-size array is live, and a float64 operand is not copied.  A
-    caller that multiplies many left operands by one b passes `b_max =
-    max_abs(b)`, taken once, or the max of the table a gathered b is read
-    from, and may pass one int64 `out` to take each product in turn."""
+    is refused.  Two float32 operands are multiplied in float32 below 2^24,
+    and all others in float64; an operand of that type is not copied.  The
+    result is filled in slabs of 256 rows, so that no second full-size array
+    is live.  A caller that multiplies many left operands by one b passes
+    `b_max = max_abs(b)`, taken once, or the max of the table a gathered b
+    is read from, and may pass one int64 `out` to take each product in turn."""
     bound = a.shape[-1] * max_abs(a) * (max_abs(b) if b_max is None else b_max)
     if bound >= 2**53:
         raise DesignConstructionError(f"product bound {bound} is not below 2^53")
-    bf = b.astype(np.float64, copy=False)
+    kind = np.float32 if a.dtype == b.dtype == np.float32 and bound < 2**24 else np.float64
+    bf = b.astype(kind, copy=False)
     if out is None:
         out = np.empty(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     for r in range(0, len(a), 256):
-        out[r : r + 256] = a[r : r + 256].astype(np.float64, copy=False) @ bf
+        out[r : r + 256] = a[r : r + 256].astype(kind, copy=False) @ bf
     return out
 
 

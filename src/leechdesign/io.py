@@ -76,9 +76,10 @@ def read_design(path: Path) -> WeightedPointSet:
             if denom < 1 or count < 1:
                 raise FormatError("layer denom and count must be positive")
             block = text[i + 1 : i + 1 + count]
-            # a ragged block or a token that is not an int64 raises ValueError
-            # or OverflowError
-            points = np.array([line.split() for line in block], dtype=np.int64)
+            if not any(map(str.strip, block)):  # np.loadtxt skips blank lines, and warns on none
+                raise FormatError("layer holds no point")
+            # one parse: a ragged block or a token that is not an int64 raises ValueError
+            points = np.loadtxt(block, dtype=np.int64, comments=None, ndmin=2)
             if points.shape != (count, 24):
                 raise FormatError("layer point count or width mismatch")
             layers.append(

@@ -26,6 +26,7 @@ from leechdesign.lattice import B_CANONICAL, canonical_sort, default_context, no
 from leechdesign.lattice.intlinalg import adjugate
 from leechdesign.report import VerificationReport
 from leechdesign.unique import UniquenessError
+from many_valued import many_layered_design, many_valued_design
 
 
 def test_design_file_round_trip(tmp_path, design):
@@ -228,7 +229,7 @@ def test_cli_detects_deleted_point(tmp_path, design):
     "fault",
     ["empty-file", "non-integer-token", "huge-coordinate", "zero-denominator-weight",
      "truncated-layer", "missing-layer", "trailing-line", "extra-point", "short-row",
-     "long-row"],
+     "long-row", "blank-line-in-layer", "comment-in-row"],
 )
 def test_malformed_design_file_is_a_format_error(tmp_path, design, capsys, fault):
     valid = tmp_path / "valid.txt"
@@ -255,6 +256,10 @@ def test_malformed_design_file_is_a_format_error(tmp_path, design, capsys, fault
         "extra-point": "\n".join(lines + [lines[-1]]),  # count=2025 left as it is
         "short-row": "\n".join(lines[:7] + [" ".join(tokens[:23])] + lines[8:]),
         "long-row": "\n".join(lines[:7] + [" ".join(tokens + ["0"])] + lines[8:]),
+        # a blank line is no point, so the layer is one row short
+        "blank-line-in-layer": "\n".join(lines[:7] + [""] + lines[7:]),
+        # "#" is a token like any other, not the start of a comment
+        "comment-in-row": "\n".join(lines[:7] + [lines[7] + " # 24 coordinates"] + lines[8:]),
     }[fault]
     path = tmp_path / f"{fault}.txt"
     path.write_text(text + "\n")
@@ -265,6 +270,38 @@ def test_malformed_design_file_is_a_format_error(tmp_path, design, capsys, fault
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: bad input file:") and len(err.splitlines()) == 1
+
+
+def test_one_point_layers_are_read_as_rows(tmp_path):
+    ws = many_layered_design(3)
+    path = tmp_path / "design.txt"
+    design_io.write_design(path, ws)
+    back = design_io.read_design(path)
+    assert [layer.points.shape for layer in back.layers] == [(1, 24)] * 3
+    for a, b in zip(back.layers, ws.layers):
+        assert a.r2 == b.r2 and a.points.tolist() == b.points.tolist()
+
+
+@pytest.mark.parametrize("command, stem", [("verify-design", "design"), ("verify-7design", "seven")])
+def test_a_many_valued_set_is_reported_by_its_size_and_first_values(tmp_path, command, stem):
+    # the file's blocks hold 617, 1724 and 1826 distinct off-diagonal values,
+    # and its cover Z 4355; listed in full, the reports took about 40 KB
+    path = tmp_path / "design.txt"
+    design_io.write_design(path, many_valued_design())
+    assert main([command, "--in", str(path), "--out", str(tmp_path)]) == 1
+    text = (tmp_path / f"report_{stem}.canonical.json").read_text()
+    assert len(text) < 4096
+    claims = {c["claim"]: c["computed"] for c in json.loads(text)["claims"]}
+    # each set in its order: the design's descending, Z's ascending
+    heads = {
+        "design": {"design/inner-products-shell1": "617 values: [173/240, ",
+                   "design/inner-products-shell2": "1724 values: [2639/2640, ",
+                   "design/inner-products-cross-sqrt11": "1826 values: [913/480, "},
+        "seven": {"seven/z-value-set": "4355 values: [-1, -2699/2700, "},
+    }[stem]
+    for claim, head in heads.items():
+        assert claims[claim].startswith(head)
+        assert claims[claim].endswith(", ...]") and claims[claim].count(",") == 16
 
 
 @pytest.mark.parametrize(

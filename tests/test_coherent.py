@@ -342,33 +342,44 @@ def test_two_labels_swapped_within_a_row_break_transpose_consistency(partition):
 
 def test_the_tensor_costs_one_product_per_fiber_block(partition, monkeypatch):
     # rows x inner x columns summed over every product: through each inner
-    # fiber, one product for the 10 representatives (10 x 10 entries), and
-    # the slab of m rows at x on the 2300 - x columns q >= x, in column
-    # blocks; so 100 * 2300 + sum_x m (2300 - x) 2300 multiply-adds, 53 % of
-    # 2300^3 with slabs of 128 rows.
-    work = []
+    # fiber, one product per digit for the 10 representatives (10 x 10
+    # entries), and one per digit for the slab of m rows at x on the 2300 - x
+    # columns q >= x, in column blocks; so 2 (100 * 2300 + sum_x m (2300 - x)
+    # 2300) multiply-adds, twice 53 % of 2300^3 with slabs of 128 rows, each
+    # on float32 operands.
+    work, kinds = [], set()
 
     def spy(a, b, b_max=None, out=None):
         work.append(a.shape[0] * a.shape[1] * b.shape[1])
+        kinds.add((a.dtype.name, b.dtype.name))
         return exact_matmul(a, b, b_max, out)
 
     monkeypatch.setattr(coherent, "exact_matmul", spy)
     tensor = intersection_numbers(partition)
-    assert sum(work) == 6_421_719_600 <= 6.5e9
+    assert sum(work) == 12_843_439_200 <= 13e9
+    assert kinds == {("float32", "float32")}
     assert compare_with_reference(tensor) == []
 
 
 def test_the_tensor_holds_no_full_size_operand(partition):
     # A right operand of the 2025-point fiber against all 2300 columns in
-    # float64 alone is 35.5 MiB; a column block of 512 is 7.9 MiB.  The
-    # kernel's traced peak is 14.8 MiB.
+    # float32 alone is 17.8 MiB; a column block of 512 is 4.0 MiB.  The
+    # kernel's traced peak is 7.7 MiB.
     tracemalloc.start()
     try:
         intersection_numbers(partition)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * 2**20
+    assert peak <= 12 * 2**20
+
+
+def test_a_fiber_whose_packed_counts_could_pass_int64_is_refused():
+    # four counts of 16 bits each need 64 bits; the check comes before any
+    # label is read
+    part = RelationPartition(np.zeros((0, 0), dtype=np.int8), (1, 2**15))
+    with pytest.raises(construct.StepError, match="not below 2\\^15"):
+        intersection_numbers(part)
 
 
 def _pentagon_partition() -> RelationPartition:

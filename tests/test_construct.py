@@ -154,6 +154,49 @@ def test_exact_matmul_refuses_a_right_operand_past_the_bound_taken_once():
     assert construct.max_abs(np.array([-(2**63)])) == 2**63
 
 
+class _Spied(np.ndarray):
+    """An operand that records the dtypes of every product it enters."""
+
+    products: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Spied.products.append(tuple(x.dtype.name for x in inputs))
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def _spied_matmul(a, b):
+    _Spied.products = []
+    return exact_matmul(a.view(_Spied), b), _Spied.products
+
+
+def test_exact_matmul_takes_float32_for_float32_operands_below_2_to_24():
+    # 0/1 rows against 4095 entries of at most 4097: the bound 4095 * 4097 is
+    # 2^24 - 1, and an all-ones row reaches it
+    rng = np.random.default_rng(2)
+    a = rng.integers(0, 2, size=(300, 4095)).astype(np.float32)
+    a[0] = 1
+    b = rng.integers(0, 4098, size=(4095, 3)).astype(np.float32)
+    b[:, 0] = 4097
+    got, products = _spied_matmul(a, b)
+    assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+    assert got[0, 0] == 2**24 - 1 and got.dtype == np.int64
+    assert products == [("float32", "float32")] * 2  # two slabs of 256 rows
+
+
+def test_exact_matmul_takes_float64_past_2_to_24_or_for_integer_operands():
+    # 2^24 + 1 has no float32: a float32 product would round it to 2^24
+    a, b = np.ones((1, 2)), np.array([[2**24], [1]])
+    assert np.float32(2**24) + np.float32(1) == 2**24
+    for kind in (np.float32, np.int64):
+        got, products = _spied_matmul(a.astype(kind), b.astype(kind))
+        assert got.tolist() == [[2**24 + 1]] and products == [("float64", "float64")]
+    # integer operands stay in float64 below 2^24 too, as do mixed ones
+    for left, right in ((np.int64, np.int64), (np.float32, np.int64), (np.int64, np.float32)):
+        got, products = _spied_matmul(np.ones((2, 3), left), np.ones((3, 2), right))
+        assert got.tolist() == [[3, 3], [3, 3]] and products == [("float64", "float64")]
+
+
 def test_block_stats_equal_the_unique_histogram():
     # three slabs of a non-square block with hundreds of distinct values,
     # some of them rare
