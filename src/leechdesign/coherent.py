@@ -3,7 +3,11 @@ configuration carried by the two-shell design.
 
 `classify_pairs` gives every ordered pair (x, y) of the 2300 points the
 index in `LABELS` of its relation, decided by fiber pair and exact
-normalized inner product; the result is one (n, n) label matrix.  It
+normalized inner product; the result is one (n, n) label matrix.  It first
+refuses a layer of more than 2900 points, C(26, 3) + C(25, 2), the absolute
+bound of a set with three off-diagonal inner products on a sphere in R^24
+(Delsarte, Goethals & Seidel, Geom. Dedicata 6, 1977): such a layer has an
+off-list product, so no verdict changes, and its matrix is never made.  It
 compares each 256-row slab of the blocks (1, 1), (1, 2) and (2, 2) with
 the block's three or four relation dots, so no Gram block is held, and
 transposes the (1, 2) labels into the (2, 1) block, so the matrix is
@@ -16,36 +20,33 @@ relations are exactly the diagonal, that each relation a has a constant
 count k_a per row on its source fiber, and that labels[q, p] is
 T(labels[p, q]).  Then b has k_(T b) per column, and H_qp[a, b] =
 H_pq[T b, T a] for H_pq[a, b] = #{z : (p, z) in a, (z, q) in b}, so the
-pairs with q >= p decide every count.  In a coherent configuration the
-relations of each fiber block sum to J (Higman, Geom. Dedicata 4, 1975), so
-of the non-identity relations of a block all but the last are free: at most
-two per block.  Through inner fiber s, the free b_j of each block (s, t)
-weigh 2^(wj) in the right operand, and each product is taken once per digit
-i, on the 0/1 indicator of the free a_i of block (1, s) or (2, s):
+pairs with q >= p decide every count.  Each relation's column of the tensor
+is H at its representative, its first pair in row order, counted directly
+in O(n); the products compare every pair q > p with it, the representative
+included (not a sample).  A diagonal pair needs no comparison, its counts
+following from the row counts and the transpose check.  In a coherent
+configuration the relations of each fiber block sum to J (Higman, Geom.
+Dedicata 4, 1975), so of the non-identity relations of a block all but the
+last are free, at most two per block: at any pair, the counts of the last
+are the valency less the free counts and the identity term, and need no
+product.  Through inner fiber s, the free b_j of each block (s, t) weigh
+2^(wj) in the right operand, and each product is taken once per digit i,
+on the 0/1 indicator of the free a_i of block (1, s) or (2, s):
 count(a_i, b_j) is base-2^w digit 2i + j of d_0 + 2^(2w) d_1 (Kronecker
 substitution; Harvey, J. Symb. Comput. 44, 2009).  The digit width w is the
 bit length of the larger fiber, 11 here: a count is at most a fiber size,
 so it never carries, and a fiber of 2^15 points, whose four packed counts
 could pass int64, is refused.  The products run through
 `construct.exact_matmul`, in float32 while the bound, a fiber size times
-2^w, is below 2^24, as on fibers of fewer than 2^12 points
-(`classify_pairs` admits at most 2900, the absolute bound of a 3-distance
-set in R^24; Delsarte, Goethals & Seidel, Geom. Dedicata 6, 1977), and in
-float64 past it.  The right operand is built a block of 512 columns at a
-time, each block once for all the 128-row slabs at x that read it, on the
-columns q >= x only (the panel reuse of blocked GEMM; Goto & van de Geijn,
-ACM TOMS 34, 2008).  The blocks visit pairs out of row order, so the
-entries at each relation's representative, its first pair in row order,
-come first, from one small product per fiber and digit: 12,843,439,200
-multiply-adds in all, twice 53 % of 2300^3.  Every pair with q > p is
-compared with its representative (not a sample); a diagonal pair needs
-none, its counts following from the row counts and the transpose check.
-Every other entry follows exactly: the identity relations give [b = c] and
-[a = c], over the b of block (s, t) the counts sum to k_a, over the a of
-block (r, s) to k_(T b), and a (2, 1) relation c takes p_{a,b}^c =
-p_{T b,T a}^{T c}, which a symmetric c must satisfy at its representative.
-A failure names the first (a, b) at which the direct composition histograms
-of its two witness pairs differ.
+2^w, is below 2^24, as on fibers of fewer than 2^12 points (so on every
+partition `classify_pairs` makes), and in float64 past it.  The right
+operand is built a block of 512 columns at a time, each block once for all
+the 128-row slabs at x that read it, on the columns q >= x only (the panel
+reuse of blocked GEMM; Goto & van de Geijn, ACM TOMS 34, 2008):
+12,842,979,200 multiply-adds in all, twice 53 % of 2300^3.  A (2, 1)
+relation c takes p_{a,b}^c = p_{T b,T a}^{T c}, which a symmetric c must
+satisfy at its representative.  A failure names the first (a, b) at which
+the direct composition histograms of its two witness pairs differ.
 """
 
 from __future__ import annotations
@@ -133,6 +134,10 @@ def classify_pairs(ws: WeightedPointSet) -> RelationPartition:
     if len(ws.layers) != 2:
         raise RelationClassificationError("expected exactly two layers")
     sizes = (ws.layers[0].size, ws.layers[1].size)
+    if max(sizes) > 2900:  # the absolute bound (module notes), before the (n, n) matrix
+        raise RelationClassificationError(
+            f"a layer of {max(sizes)} points, above the 2900 of a 3-distance set in R^24"
+        )
     fiber = _fiber_slices(sizes)
     labels = np.empty((sum(sizes), sum(sizes)), dtype=np.int8)
     for i, j in ((0, 0), (0, 1), (1, 1)):
@@ -163,14 +168,16 @@ def classify_pairs(ws: WeightedPointSet) -> RelationPartition:
     return RelationPartition(labels=labels, fiber_sizes=sizes)
 
 
+def _histogram(labels: np.ndarray, p: int, q: int) -> np.ndarray:
+    """h[a, b] = #{z : (p, z) in a, (z, q) in b}, counted directly."""
+    pairs = 13 * labels[p].astype(np.int64) + labels[:, q]
+    return np.bincount(pairs, minlength=169).reshape(13, 13)
+
+
 def _not_well_defined(labels: np.ndarray, w1: tuple, w2: tuple) -> ConfigurationAxiomError:
     """Two pairs of one relation c whose composition counts differ, named at
-    the first (a, b) where their direct histograms
-    h[a, b] = #{z : (p, z) in a, (z, q) in b} differ."""
-    h1, h2 = (
-        np.bincount(13 * labels[p].astype(np.int64) + labels[:, q], minlength=169).reshape(13, 13)
-        for p, q in (w1, w2)
-    )
+    the first (a, b) where their `_histogram`s differ."""
+    h1, h2 = (_histogram(labels, *w) for w in (w1, w2))
     a, b = (int(i) for i in np.argwhere(h1 != h2)[0])
     return ConfigurationAxiomError(
         f"p_[{LABELS[a]},{LABELS[b]}]^[{LABELS[labels[w1]]}] not well defined: "
@@ -248,36 +255,34 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
                 f"carries {LABELS[labels[q, p]]}, not {LABELS[_TRANSPOSE[labels[p, q]]]}",
                 ((p, q), (q, p)),
             )
-    valency = rows[[fiber[r - 1].start for r, _ in LABEL_FIBERS], range(13)]
-    covalency = valency[_TRANSPOSE]
-
-    # One representative pair per relation, the first in row order; None for
-    # a relation no pair carries, or of block (2, 1), whose pairs have q < p.
+    # One representative pair per relation, the first in row order, and its
+    # column of the tensor, counted directly; None for a relation no pair
+    # carries, or of block (2, 1), whose pairs have q < p.
     rep = [None] * 13
+    tensor = np.zeros((13, 13, 13), dtype=np.int64)
     for c in range(13):
         x = int(np.argmax(rows[:, c] > 0))
         if rows[x, c] and c not in _NON_IDENTITY[2, 1]:
             rep[c] = (x, int(np.argmax(labels[x] == c)))
+            tensor[:, :, c] = _histogram(labels, *rep[c])
 
     w = max(part.fiber_sizes).bit_length()
     right = np.array([2.0 ** (w * _FREE[c]) if c in _FREE else 0 for c in range(13)], np.float32)
-    # packed[s - 1, c]: the value at rep[c] of the product through fiber s,
-    # taken first, as the column blocks visit pairs out of row order; the
-    # fill reads it for the identities too, whose pairs are not compared.
+    # packed[s - 1, c]: the free counts at rep[c] through fiber s, each at
+    # its digit, as the product through fiber s packs them.
     packed = np.zeros((2, 13), dtype=np.int64)
-    cs = [c for c, pair in enumerate(rep) if pair is not None]
-    ps, qs = np.array([rep[c] for c in cs]).T
+    for a, i in _FREE.items():
+        for b, j in _FREE.items():
+            if LABEL_FIBERS[a][1] == LABEL_FIBERS[b][0]:
+                packed[LABEL_FIBERS[b][0] - 1] += tensor[a, b] << (w * (2 * i + j))
     # Through inner fiber s, each column block j0..j1 of the right operand is
     # read by every slab x < j1 on the columns q >= x, in the fiber's buffers.
     # Only q > p is compared: H_pp[a, b] = [b = T a] k_a already follows from
     # the row counts and the transpose check.
-    m = max(_SLAB, len(cs))
     for s, inner in zip((1, 2), fiber):
         k = inner.stop - inner.start
-        bufs = (np.empty((2, m, k), bool), np.empty((m, k), np.float32),
-                np.empty((2, m, max(m, _COLUMNS)), np.int64))
-        reps = _packed_product(labels[ps, inner], right[labels[inner, qs]], s, w, bufs)
-        packed[s - 1, cs] = np.diagonal(reps)
+        bufs = (np.empty((2, _SLAB, k), bool), np.empty((_SLAB, k), np.float32),
+                np.empty((2, _SLAB, _COLUMNS), np.int64))
         for j0 in range(0, n, _COLUMNS):
             j1 = min(j0 + _COLUMNS, n)
             block = right[labels[inner, j0:j1]]
@@ -291,25 +296,10 @@ def intersection_numbers(part: RelationPartition) -> np.ndarray:
                     raise _not_well_defined(labels, rep[target[p, q]], (x + p, q0 + q))
             del block  # before the next one is built
 
-    # Every other entry follows from the valencies.  Over the relations b of
-    # block (s, t), sum_b p_(a,b)^c = k_a, where p_(a,identity)^c = [a = c];
-    # over the a of block (r, s), sum_a p_(a,b)^c = k_(T b) likewise.
-    tensor = np.zeros((13, 13, 13), dtype=np.int64)
-    for c, (r, t) in enumerate(LABEL_FIBERS):
+    # p_(a,b)^(T c) = p_(T b,T a)^c gives the (2, 1) relations; check it for T c = c.
+    for c in range(13):
         if rep[c] is None:
             continue
-        tensor[_IDENTITY[r - 1], c, c] = tensor[c, _IDENTITY[t - 1], c] = 1
-        for s in (1, 2):
-            *free_a, last_a = _NON_IDENTITY[r, s]
-            *free_b, last_b = _NON_IDENTITY[s, t]
-            for a in free_a:
-                for b in free_b:
-                    digit = w * (2 * _FREE[a] + _FREE[b])
-                    tensor[a, b, c] = (int(packed[s - 1, c]) >> digit) & ((1 << w) - 1)
-                tensor[a, last_b, c] = valency[a] - (a == c) - tensor[a, free_b, c].sum()
-            for b in (*free_b, last_b):
-                tensor[last_a, b, c] = covalency[b] - (b == c) - tensor[free_a, b, c].sum()
-        # p_(a,b)^(T c) = p_(T b,T a)^c gives the (2, 1) relations; check it for T c = c.
         swapped = tensor[:, :, c][np.ix_(_TRANSPOSE, _TRANSPOSE)].T
         if _TRANSPOSE[c] == c and bool((swapped != tensor[:, :, c]).any()):
             raise _not_well_defined(labels, rep[c], rep[c][::-1])
@@ -335,9 +325,11 @@ def check_tensor_identities(tensor: np.ndarray) -> list[int]:
     k_a = p_{a,a^T}^{identity of a's source fiber}; the valencies of the
     relations from fiber i to fiber j sum to |X_j|; and the column sums
     sum_b p_{a,b}^c = k_a over the b that compose a into c.  On a tensor of
-    `intersection_numbers` the first and the last hold by construction, since
-    it derives the (2, 1) relations and each block's last relation from
-    them; on the reference tables they remain a real check.
+    `intersection_numbers` the first and the last hold by construction: it
+    derives the (2, 1) relations by the first, and each other column is the
+    direct histogram of one pair (p, q), whose sum over the b of a block is
+    the row count of a at p, which it checks is k_a.  On the reference tables
+    they remain a real check.
     """
     swapped = tensor[np.ix_(_TRANSPOSE, _TRANSPOSE, _TRANSPOSE)].transpose(1, 0, 2)
     bad = np.argwhere(tensor != swapped)

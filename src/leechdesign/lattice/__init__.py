@@ -29,28 +29,6 @@ from .leech import (
     same_row_set,
 )
 
-__all__ = [
-    "A_CANONICAL",
-    "B_CANONICAL",
-    "CosetConstraint",
-    "EnumerationStats",
-    "GolayCode",
-    "GolayConstructionError",
-    "LeechConstructionError",
-    "LeechContext",
-    "build_golay",
-    "canonical_sort",
-    "default_context",
-    "distinct_rows",
-    "enumerate_coset_shell",
-    "has_repeated_row",
-    "membership_mask",
-    "norm4_blocks",
-    "norm4_shell",
-    "conventional_inner",
-    "same_row_set",
-]
-
 
 @dataclass
 class EnumerationStats:

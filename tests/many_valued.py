@@ -1,5 +1,5 @@
-"""Two legal design files that fail their claims, to measure what each stage
-costs on inputs unlike the canonical design.  Both pass `read_design`.
+"""Legal design files that fail their claims, to measure what each stage
+costs on inputs unlike the canonical design.  Each passes `read_design`.
 
 - `many_valued_design`: two layers whose Gram blocks hold thousands of
   distinct dots: 275 and 2025 distinct seeded signed permutations of two
@@ -8,6 +8,13 @@ costs on inputs unlike the canonical design.  Both pass `read_design`.
 - `many_layered_design(k)`: k one-point layers, the canonical outer point
   scaled by 1..k, so every radius is distinct and every block holds one
   value.  It measures the cost per layer block.
+- `wide_valued_design`: two layers of 275 and 2025 distinct seeded signed
+  permutations of one vector each, with entries below 2^19: 5,287,696
+  distinct den z values.  It measures the cost of values that are large as
+  well as many.
+- `large_fiber_design(size)`: `size` distinct seeded signed permutations of
+  (3, 2, 1) and one outer point.  Past 2900 points the first layer cannot
+  be a 3-distance set in R^24.
 
 To write one:
 
@@ -55,4 +62,24 @@ def many_layered_design(k: int) -> WeightedPointSet:
     weight, r2 = Fraction(1, 729), Fraction(132, 5)
     return WeightedPointSet(
         layers=tuple(PointLayer(s * point, 5, weight, r2 * s * s) for s in range(1, k + 1))
+    )
+
+
+def wide_valued_design() -> WeightedPointSet:
+    rng = np.random.default_rng(7)
+    layers = []
+    for size, weight in ((275, Fraction(1)), (2025, Fraction(1, 729))):
+        points = signed_permutations(rng, rng.integers(2**19, size=24), size)
+        r2 = Fraction(int((points[0] ** 2).sum()), 8)
+        layers.append(PointLayer(points=points, denom=1, weight=weight, r2=r2))
+    return WeightedPointSet(layers=tuple(layers))
+
+
+def large_fiber_design(size: int = 40_000) -> WeightedPointSet:
+    inner = signed_permutations(np.random.default_rng(3), (3, 2, 1), size)
+    return WeightedPointSet(
+        layers=(
+            PointLayer(points=inner, denom=1, weight=Fraction(1), r2=Fraction(14, 8)),
+            PointLayer(np.array([OUTER_POINT]), 5, Fraction(1, 729), Fraction(132, 5)),
+        )
     )

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from many_valued import large_fiber_design
 from leechdesign import coherent, construct
 from leechdesign.coherent import (
     ConfigurationAxiomError,
@@ -342,11 +343,11 @@ def test_two_labels_swapped_within_a_row_break_transpose_consistency(partition):
 
 def test_the_tensor_costs_one_product_per_fiber_block(partition, monkeypatch):
     # rows x inner x columns summed over every product: through each inner
-    # fiber, one product per digit for the 10 representatives (10 x 10
-    # entries), and one per digit for the slab of m rows at x on the 2300 - x
-    # columns q >= x, in column blocks; so 2 (100 * 2300 + sum_x m (2300 - x)
-    # 2300) multiply-adds, twice 53 % of 2300^3 with slabs of 128 rows, each
-    # on float32 operands.
+    # fiber, one product per digit for the slab of m rows at x on the
+    # 2300 - x columns q >= x, in column blocks, and none at the
+    # representatives, whose counts are taken directly; so
+    # 2 sum_x m (2300 - x) 2300 multiply-adds, twice 53 % of 2300^3 with
+    # slabs of 128 rows, each on float32 operands.
     work, kinds = [], set()
 
     def spy(a, b, b_max=None, out=None):
@@ -356,7 +357,7 @@ def test_the_tensor_costs_one_product_per_fiber_block(partition, monkeypatch):
 
     monkeypatch.setattr(coherent, "exact_matmul", spy)
     tensor = intersection_numbers(partition)
-    assert sum(work) == 12_843_439_200 <= 13e9
+    assert sum(work) == 12_842_979_200 <= 13e9
     assert kinds == {("float32", "float32")}
     assert compare_with_reference(tensor) == []
 
@@ -380,6 +381,22 @@ def test_a_fiber_whose_packed_counts_could_pass_int64_is_refused():
     part = RelationPartition(np.zeros((0, 0), dtype=np.int8), (1, 2**15))
     with pytest.raises(construct.StepError, match="not below 2\\^15"):
         intersection_numbers(part)
+
+
+def test_a_layer_above_the_absolute_bound_is_refused_before_the_label_matrix():
+    # A set on one sphere in R^24 with three off-diagonal inner products has
+    # at most 2900 points, so a layer of 2901 is refused before its
+    # (2902, 2902) int8 label matrix of 8.4 MB is made.
+    ws = large_fiber_design(2901)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RelationClassificationError,
+                           match=r"^a layer of 2901 points, above the 2900 of a 3-distance set "):
+            classify_pairs(ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _pentagon_partition() -> RelationPartition:
